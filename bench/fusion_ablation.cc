@@ -11,7 +11,6 @@
 
 #include "bench/longtail_common.h"
 #include "fusion/knowledge_fusion.h"
-#include "text/fuzzy_matcher.h"
 #include "text/normalize.h"
 
 namespace {

@@ -43,10 +43,8 @@ bool ParseDouble(const std::string& field, double* value) {
   return end == field.c_str() + field.size() && !field.empty();
 }
 
-// Current on-disk format. Version 2 replaced the #features name dictionary
-// with #featureids (16-hex-digit 64-bit feature ids). Version-1 files are
-// still loadable: ids are defined as Fnv1a64 of the legacy feature name, so
-// hashing each stored name on read reconstructs the exact dictionary.
+// The one on-disk format this build reads and writes: the feature
+// dictionary is #featureids (16-hex-digit 64-bit feature ids).
 constexpr int64_t kModelFormatVersion = 2;
 
 std::string HexId(uint64_t id) {
@@ -138,8 +136,7 @@ Result<TrainedModel> LoadModel(std::istream* in, const Ontology& ontology) {
     kFeatureConfig,
     kLexicon,
     kClasses,
-    kFeatures,     // v1: string feature names, hashed on read
-    kFeatureIds,   // v2: 64-bit feature ids in hex
+    kFeatureIds,
     kWeights,
     kEnd
   };
@@ -147,6 +144,8 @@ Result<TrainedModel> LoadModel(std::istream* in, const Ontology& ontology) {
   int64_t num_classes = -1;
   int64_t num_features = -1;
   int64_t classes_seen = 0;
+  bool saw_format = false;
+  bool saw_feature_ids_section = false;
   bool saw_weights_section = false;
   TrainedModel model;
   model.classes = ClassMap(ontology);
@@ -164,9 +163,10 @@ Result<TrainedModel> LoadModel(std::istream* in, const Ontology& ontology) {
       else if (line == "#featureconfig") section = Section::kFeatureConfig;
       else if (line == "#lexicon") section = Section::kLexicon;
       else if (line == "#classes") section = Section::kClasses;
-      else if (line == "#features") section = Section::kFeatures;
-      else if (line == "#featureids") section = Section::kFeatureIds;
-      else if (line == "#weights") {
+      else if (line == "#featureids") {
+        section = Section::kFeatureIds;
+        saw_feature_ids_section = true;
+      } else if (line == "#weights") {
         section = Section::kWeights;
         saw_weights_section = true;
       } else if (line == "#end") {
@@ -183,18 +183,16 @@ Result<TrainedModel> LoadModel(std::istream* in, const Ontology& ontology) {
       case Section::kEnd:
         return MalformedLine(line_number, line, "data after #end marker");
       case Section::kFormat: {
-        // Version-1 files have no #format section; anything between 1 and
-        // the current version is accepted (the feature dictionary encoding
-        // is inferred from which dictionary section the file carries).
         int64_t version = -1;
         if (fields.size() != 1 || !ParseInt(fields[0], &version)) {
           return MalformedLine(line_number, line, "bad format version");
         }
-        if (version < 1 || version > kModelFormatVersion) {
+        if (version != kModelFormatVersion) {
           return Status::InvalidArgument(
               StrCat("unsupported model format version ", version,
-                     " (this build reads up to ", kModelFormatVersion, ")"));
+                     " (this build reads only ", kModelFormatVersion, ")"));
         }
+        saw_format = true;
         break;
       }
       case Section::kModel: {
@@ -250,21 +248,6 @@ Result<TrainedModel> LoadModel(std::istream* in, const Ontology& ontology) {
         ++classes_seen;
         break;
       }
-      case Section::kFeatures: {
-        // v1 compatibility: feature ids are Fnv1a64 of the stored name, so
-        // hashing each name reconstructs the hashed dictionary exactly.
-        int64_t index = -1;
-        if (fields.size() != 2 || !ParseInt(fields[0], &index) || index < 0 ||
-            index >= num_features) {
-          return MalformedLine(line_number, line, "bad feature line");
-        }
-        int32_t assigned = model.features.GetOrAdd(Fnv1a64(fields[1]));
-        if (assigned != static_cast<int32_t>(index)) {
-          return MalformedLine(line_number, line,
-                               "feature indices must be dense and in order");
-        }
-        break;
-      }
       case Section::kFeatureIds: {
         int64_t index = -1;
         uint64_t id = 0;
@@ -301,8 +284,16 @@ Result<TrainedModel> LoadModel(std::istream* in, const Ontology& ontology) {
       }
     }
   }
+  if (!saw_format) {
+    return Status::InvalidArgument(
+        StrCat("missing #format section (this build reads only format ",
+               kModelFormatVersion, ")"));
+  }
   if (num_classes < 0) {
     return Status::InvalidArgument("missing #model section");
+  }
+  if (!saw_feature_ids_section) {
+    return Status::InvalidArgument("missing #featureids section");
   }
   if (model.features.size() != static_cast<int32_t>(num_features)) {
     return Status::InvalidArgument(

@@ -30,11 +30,9 @@ namespace ceres {
 ///   <class index> \t <feature index | "bias"> \t <value>   (non-zeros only)
 ///   #end
 ///
-/// Version 1 files carried no #format section and a `#features` dictionary
-/// of string feature names instead of `#featureids`. They still load: a
-/// feature id is defined as Fnv1a64 of the legacy name, so hashing each
-/// stored name on read reconstructs the identical dictionary (same dense
-/// indices, same weight layout).
+/// The `#format` section is mandatory and must hold 2. Any other version,
+/// and a file without `#format` (the retired version-1 layout, which
+/// stored string feature names), is rejected with kInvalidArgument.
 ///
 /// The trailing `#end` marker is mandatory on load: a file cut off
 /// mid-transfer loses it (and usually a whole section), so truncation is

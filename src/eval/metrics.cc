@@ -4,7 +4,6 @@
 #include <set>
 #include <unordered_set>
 
-#include "text/fuzzy_matcher.h"
 #include "text/normalize.h"
 
 namespace ceres::eval {

@@ -6,7 +6,6 @@
 #include <tuple>
 #include <unordered_map>
 
-#include "text/fuzzy_matcher.h"
 #include "text/normalize.h"
 
 namespace ceres::fusion {

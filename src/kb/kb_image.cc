@@ -58,6 +58,8 @@ std::vector<char> KbImageBuilder::Serialize() const {
 
   std::vector<char> image(cursor, '\0');
   for (uint32_t i = 0; i < kKbImageSectionCount; ++i) {
+    // An empty section's data() may be null, which memcpy must not get.
+    if (sections_[i].empty()) continue;
     std::memcpy(image.data() + header.sections[i].offset,
                 sections_[i].data(), sections_[i].size());
   }

@@ -49,11 +49,14 @@ void KnowledgeBase::Freeze() {
       std::unique(build_triples_.begin(), build_triples_.end()),
       build_triples_.end());
 
-  // The normalized name index, replicating FuzzyMatcher::Add semantics
-  // exactly (empty keys skipped, per-key ids deduplicated in registration
-  // order) so the mapped binary-search path and the heap hash path return
-  // identical match lists. A std::map because the image's key section
-  // must be sorted by key bytes.
+  // The normalized name index, which defines what a mention matches (the
+  // string matching of Gulhane et al. that §3.1.1 adopts): every name and
+  // alias is keyed by its NormalizeText form, so matching is case-,
+  // punctuation- and accent-insensitive; names that normalize to nothing
+  // are never keyed; each key lists its ids once, in entity-id order, so
+  // an ambiguous name returns every entity bearing it. MatchMentionsView
+  // additionally retries a miss without a trailing year token. A std::map
+  // because the image's key section must be sorted by key bytes.
   std::map<std::string, std::vector<EntityId>> name_map;
   auto add_name = [&name_map](std::string_view surface, EntityId id) {
     std::string key = NormalizeText(surface);
@@ -167,19 +170,6 @@ void KnowledgeBase::Freeze() {
   image_ = std::move(image).value();
   AttachImage();
 
-  // The hash accelerator for the mention-matching hot path, over the
-  // image's interned strings (no second copy of the name data beyond the
-  // matcher's own keys).
-  for (size_t i = 0; i < entities_.size(); ++i) {
-    const KbEntityRecord& record = entities_[i];
-    const EntityId id = static_cast<EntityId>(i);
-    name_index_.Add(image_.View(record.name), id);
-    for (uint64_t a = record.alias_begin; a < record.alias_end; ++a) {
-      name_index_.Add(image_.View(alias_refs_[a]), id);
-    }
-  }
-  has_name_index_ = true;
-
   build_entities_.clear();
   std::vector<Triple>().swap(build_triples_);
   frozen_ = true;
@@ -198,6 +188,31 @@ void KnowledgeBase::AttachImage() {
       image_.Section<KbObjectStringCount>(kKbSectionObjectStringCounts);
   strings_ =
       image_.data() + image_.header().sections[kKbSectionStrings].offset;
+  // First-byte buckets over the sorted key section: bucket b starts at the
+  // first key whose first byte is >= b. One binary search per byte value
+  // keeps OpenImage O(1) in KB size. On an unverified corrupt image the
+  // offset check keeps these reads inside the blob, and starting each
+  // search at the previous bound keeps the buckets ordered.
+  const uint64_t strings_bytes =
+      image_.header().sections[kKbSectionStrings].bytes;
+  auto first_byte = [this, strings_bytes](const KbNameKey& key) -> size_t {
+    if (key.key.length == 0 || key.key.offset >= strings_bytes) return 0;
+    return static_cast<unsigned char>(strings_[key.key.offset]);
+  };
+  size_t bound = 0;
+  for (size_t b = 0; b < 256; ++b) {
+    size_t high = name_keys_.size();
+    while (bound < high) {
+      const size_t mid = bound + (high - bound) / 2;
+      if (first_byte(name_keys_[mid]) < b) {
+        bound = mid + 1;
+      } else {
+        high = mid;
+      }
+    }
+    name_key_bucket_[b] = bound;
+  }
+  name_key_bucket_[256] = name_keys_.size();
 }
 
 Status KnowledgeBase::ValidateImageStructure(const KbImage& image) {
@@ -328,53 +343,47 @@ int64_t KnowledgeBase::CountPredicatesForSubjectType(TypeId type) const {
 
 std::span<const EntityId> KnowledgeBase::LookupNameKey(
     std::string_view normalized) const {
-  auto it = std::lower_bound(
-      name_keys_.begin(), name_keys_.end(), normalized,
-      [this](const KbNameKey& key, std::string_view probe) {
-        return image_.View(key.key) < probe;
+  if (normalized.empty()) return {};
+  // Views from the cached blob base: image_.View re-reads the section
+  // table, and this runs once per binary-search step.
+  const char* const strings = strings_;
+  auto key_of = [strings](const KbNameKey& key) {
+    return std::string_view(strings + key.key.offset,
+                            static_cast<size_t>(key.key.length));
+  };
+  const size_t first = static_cast<unsigned char>(normalized[0]);
+  const KbNameKey* begin = name_keys_.data() + name_key_bucket_[first];
+  const KbNameKey* end = name_keys_.data() + name_key_bucket_[first + 1];
+  const KbNameKey* it = std::lower_bound(
+      begin, end, normalized,
+      [&key_of](const KbNameKey& key, std::string_view probe) {
+        return key_of(key) < probe;
       });
-  if (it == name_keys_.end() || image_.View(it->key) != normalized) {
-    return {};
-  }
+  if (it == end || key_of(*it) != normalized) return {};
   return name_ids_.subspan(it->ids_begin, it->ids_end - it->ids_begin);
 }
 
 std::span<const EntityId> KnowledgeBase::MatchMentionsView(
     std::string_view text) const {
   CERES_CHECK(frozen_);
+  // One scratch buffer per thread: concurrent batch workers each reuse
+  // their own, so the hot path stays allocation-free after warm-up.
+  thread_local std::string scratch;
+  NormalizeTextInto(text, &scratch);
   std::span<const EntityId> hit;
-  if (has_name_index_) {
-    hit = name_index_.MatchView(text);
-  } else {
-    // Mapped KB: binary search the image's sorted key section with the
-    // same normalize -> lookup -> year-strip-retry ladder as FuzzyMatcher
-    // (identical match lists; O(log keys) instead of O(1), the price of
-    // an O(1) open).
-    thread_local std::string scratch;
-    NormalizeTextInto(text, &scratch);
-    if (!scratch.empty()) {
-      hit = LookupNameKey(scratch);
-      if (hit.empty()) {
-        std::string_view stripped = StripTrailingYearView(scratch);
-        if (stripped.size() != scratch.size() && !stripped.empty()) {
-          hit = LookupNameKey(stripped);
-        }
-      }
-      if (obs::Enabled()) {
-        static obs::Counter* const lookups =
-            obs::MetricsRegistry::Default().GetCounter(
-                "ceres_fuzzy_lookups_total");
-        static obs::Counter* const hits =
-            obs::MetricsRegistry::Default().GetCounter(
-                "ceres_fuzzy_hits_total");
-        lookups->Increment();
-        if (!hit.empty()) hits->Increment();
+  if (!scratch.empty()) {
+    hit = LookupNameKey(scratch);
+    if (hit.empty()) {
+      // Retry with a trailing disambiguation year removed, a common
+      // pattern on film sites ("Do the Right Thing (1989)").
+      std::string_view stripped = StripTrailingYearView(scratch);
+      if (stripped.size() != scratch.size() && !stripped.empty()) {
+        hit = LookupNameKey(stripped);
       }
     }
   }
-  // Same one-branch guard as FuzzyMatcher::MatchView: KB mention lookups
-  // are the entity-matching hot path, so the disabled cost is one relaxed
-  // load.
+  // Entity matching is a hot path: when metrics are off this block is one
+  // relaxed load + branch. The handles are resolved once per process.
   if (obs::Enabled()) {
     static obs::Counter* const lookups =
         obs::MetricsRegistry::Default().GetCounter(

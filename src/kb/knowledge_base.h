@@ -1,6 +1,7 @@
 #ifndef CERES_KB_KNOWLEDGE_BASE_H_
 #define CERES_KB_KNOWLEDGE_BASE_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <span>
@@ -11,7 +12,6 @@
 
 #include "kb/kb_image.h"
 #include "kb/ontology.h"
-#include "text/fuzzy_matcher.h"
 #include "util/status.h"
 
 namespace ceres {
@@ -110,12 +110,6 @@ static_assert(std::is_trivially_copyable_v<Triple>);
 /// queries from the mapping, byte-identical to the heap-frozen path (they
 /// are literally the same bytes). Forked workers mapping one image share
 /// its pages copy-on-write.
-///
-/// The only divergence between the two backings is the name-index
-/// accelerator: a heap-frozen KB builds a FuzzyMatcher hash index at
-/// Freeze() (the entity-matching hot path), while a mapped KB binary-
-/// searches the image's sorted key section so that open stays O(1); both
-/// produce identical match lists.
 class KnowledgeBase {
  public:
   explicit KnowledgeBase(Ontology ontology)
@@ -196,10 +190,11 @@ class KnowledgeBase {
   // --- Matching (requires frozen) --------------------------------------
 
   /// All entity ids whose name or alias fuzzily matches `text` (§3.1.1
-  /// step 1). May return many ids for ambiguous strings. The span aliases
-  /// the name index and stays valid for the KB's lifetime; matching
-  /// normalizes into per-thread scratch, so concurrent calls are safe and
-  /// allocation-free.
+  /// step 1), in entity-id order; see Freeze() for the matching rule.
+  /// May return many ids for ambiguous strings. The span aliases the
+  /// image's name-id section and stays valid for the KB's lifetime;
+  /// matching normalizes into per-thread scratch and binary-searches the
+  /// sorted key section, so concurrent calls are safe and allocation-free.
   std::span<const EntityId> MatchMentionsView(std::string_view text) const;
 
   /// Copying variant of MatchMentionsView for callers that keep the result.
@@ -270,11 +265,10 @@ class KnowledgeBase {
   std::span<const EntityId> name_ids_;
   std::span<const KbObjectStringCount> object_string_counts_;
   const char* strings_ = nullptr;
-
-  /// Hash-lookup accelerator for MatchMentionsView, built by Freeze()
-  /// only (building it on OpenImage would make open O(n)).
-  FuzzyMatcher name_index_;
-  bool has_name_index_ = false;
+  /// name_keys_[bucket[b], bucket[b + 1]) are the keys starting with byte
+  /// b, so LookupNameKey binary-searches only its probe's bucket. Derived
+  /// from the key section by AttachImage, on both backings.
+  std::array<size_t, 257> name_key_bucket_{};
 };
 
 }  // namespace ceres

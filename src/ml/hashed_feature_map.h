@@ -9,13 +9,12 @@ namespace ceres {
 
 /// Bidirectional dictionary between 64-bit feature ids and dense indices.
 ///
-/// The hashed successor of FeatureMap: features are identified by the
-/// Fnv1a64 hash of their legacy string name (see ml/feature_id.h), so the
-/// hot path stores two flat arrays — dense index → id, plus an
-/// open-addressing probe table of dense indices — instead of a
-/// string-keyed unordered_map. Dense indices are assigned in first-occurrence
-/// order, which keeps classifier weight layout identical to the string-named
-/// path given the same emission order.
+/// Features are identified by the Fnv1a64 hash of their string name (see
+/// ml/feature_id.h), so the hot path stores two flat arrays — dense index →
+/// id, plus an open-addressing probe table of dense indices — instead of a
+/// string-keyed unordered_map. Dense indices are assigned in
+/// first-occurrence order, so the classifier weight layout follows the
+/// feature emission order.
 ///
 /// During training, GetOrAdd() grows the vocabulary; before applying a model
 /// to unseen pages the map is frozen so unknown features map to -1 and are

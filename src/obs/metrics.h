@@ -26,8 +26,8 @@
 /// registry every subsystem records into; tests may build private ones.
 ///
 /// Recording is gated by a process-wide enable flag, default OFF, so
-/// instrumented hot paths (e.g. `FuzzyMatcher::MatchView`) cost a single
-/// relaxed atomic load + branch when observability is not requested.
+/// instrumented hot paths (e.g. `KnowledgeBase::MatchMentionsView`) cost a
+/// single relaxed atomic load + branch when observability is not requested.
 /// Drivers that want metrics (`ceres_serve`, benches, tests) call
 /// `SetEnabled(true)`.
 ///

@@ -32,6 +32,14 @@ bool IsBlankAfterNormalize(std::string_view input);
 /// names / boilerplate words.
 bool IsLowInformation(std::string_view text);
 
+/// View of `normalized` with one trailing 4-digit-year token removed:
+/// "selma 2014" -> "selma". Returns the input unchanged when there is no
+/// trailing year or nothing would remain.
+std::string_view StripTrailingYearView(std::string_view normalized);
+
+/// Copying variant of StripTrailingYearView.
+std::string StripTrailingYear(std::string_view normalized);
+
 }  // namespace ceres
 
 #endif  // CERES_TEXT_NORMALIZE_H_

@@ -6,8 +6,9 @@
 //   1. every emitted id equals the hash of its traced legacy name,
 //   2. no two distinct names on the corpus collide into one id (dense
 //      indices then mirror the string path's first-occurrence order), and
-//   3. a model round-tripped through the version-1 string-named file format
-//      (names hashed on read) extracts identically to the in-memory model.
+//   3. a model round-tripped through the model file format (SaveModel ->
+//      LoadModel) keeps its id dictionary and extracts identically to the
+//      in-memory model.
 
 #include <gtest/gtest.h>
 
@@ -108,7 +109,7 @@ TEST(FeatureIdParityTest, NoNameCollisionsAcrossTheCorpusVocabulary) {
   EXPECT_GT(global.size(), 50u);
 }
 
-TEST(FeatureIdParityTest, ExtractionIdenticalThroughV1StringNamedRoundTrip) {
+TEST(FeatureIdParityTest, ExtractionIdenticalThroughV2RoundTrip) {
   ParityFixture fixture;
   ASSERT_FALSE(fixture.annotations.annotations.empty());
   FeatureExtractor featurizer(fixture.ptrs, FeatureConfig{});
@@ -125,50 +126,25 @@ TEST(FeatureIdParityTest, ExtractionIdenticalThroughV1StringNamedRoundTrip) {
       fixture.ptrs, indices, &*trained, featurizer, {});
   ASSERT_FALSE(expected.empty());
 
-  // Trace the legacy names of the trained vocabulary by re-featurizing.
-  HashedFeatureMap scratch;
-  FeatureNameTrace trace;
-  for (const DomDocument* doc : fixture.ptrs) {
-    for (NodeId node : doc->TextFields()) {
-      featurizer.Extract(*doc, node, &scratch, {}, nullptr, &trace);
-    }
-  }
-
-  // Serialize as v2, then rewrite the dictionary as a version-1 file:
-  // no #format section, #features carrying the legacy names.
   std::ostringstream out;
   ASSERT_TRUE(SaveModel(*trained, fixture.kb.kb.ontology(), &out).ok());
-  const std::string v2_text = out.str();
-  ASSERT_NE(v2_text.find("#format\n2\n"), std::string::npos);
-  ASSERT_NE(v2_text.find("#featureids\n"), std::string::npos);
+  const std::string text = out.str();
+  ASSERT_NE(text.find("#format\n2\n"), std::string::npos);
+  ASSERT_NE(text.find("#featureids\n"), std::string::npos);
+  std::istringstream in(text);
+  Result<TrainedModel> loaded = LoadModel(&in, fixture.kb.kb.ontology());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  std::string v1_text = v2_text;
-  v1_text.replace(v1_text.find("#format\n2\n"), 10, "");
-  const size_t ids_at = v1_text.find("#featureids\n");
-  const size_t weights_at = v1_text.find("#weights\n");
-  ASSERT_NE(ids_at, std::string::npos);
-  ASSERT_NE(weights_at, std::string::npos);
-  std::string features_section = "#features\n";
+  // The loaded dictionary holds the same ids at the same dense indices...
+  ASSERT_EQ(loaded->features.size(), trained->features.size());
   for (int32_t f = 0; f < trained->features.size(); ++f) {
-    features_section +=
-        StrCat(f, "\t", trace.NameOf(trained->features.IdAt(f)), "\n");
-  }
-  v1_text.replace(ids_at, weights_at - ids_at, features_section);
-
-  std::istringstream v1_in(v1_text);
-  Result<TrainedModel> v1_model = LoadModel(&v1_in, fixture.kb.kb.ontology());
-  ASSERT_TRUE(v1_model.ok()) << v1_model.status().ToString();
-
-  // The hash-on-read shim must rebuild the identical dictionary...
-  ASSERT_EQ(v1_model->features.size(), trained->features.size());
-  for (int32_t f = 0; f < trained->features.size(); ++f) {
-    EXPECT_EQ(v1_model->features.IdAt(f), trained->features.IdAt(f));
+    EXPECT_EQ(loaded->features.IdAt(f), trained->features.IdAt(f));
   }
 
-  // ...and the loaded model must extract byte-identically.
-  FeatureExtractor v1_featurizer = MakeFeaturizer(*v1_model);
+  // ...and the loaded model extracts byte-identically.
+  FeatureExtractor loaded_featurizer = MakeFeaturizer(*loaded);
   std::vector<Extraction> actual = ExtractFromPages(
-      fixture.ptrs, indices, &*v1_model, v1_featurizer, {});
+      fixture.ptrs, indices, &*loaded, loaded_featurizer, {});
   ASSERT_EQ(actual.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(actual[i].page, expected[i].page);
@@ -177,19 +153,6 @@ TEST(FeatureIdParityTest, ExtractionIdenticalThroughV1StringNamedRoundTrip) {
     EXPECT_EQ(actual[i].subject, expected[i].subject);
     EXPECT_EQ(actual[i].object, expected[i].object);
     EXPECT_EQ(actual[i].confidence, expected[i].confidence);
-  }
-
-  // The v2 round trip is exact as well.
-  std::istringstream v2_in(v2_text);
-  Result<TrainedModel> v2_model = LoadModel(&v2_in, fixture.kb.kb.ontology());
-  ASSERT_TRUE(v2_model.ok()) << v2_model.status().ToString();
-  FeatureExtractor v2_featurizer = MakeFeaturizer(*v2_model);
-  std::vector<Extraction> v2_actual = ExtractFromPages(
-      fixture.ptrs, indices, &*v2_model, v2_featurizer, {});
-  ASSERT_EQ(v2_actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(v2_actual[i].object, expected[i].object);
-    EXPECT_EQ(v2_actual[i].confidence, expected[i].confidence);
   }
 }
 

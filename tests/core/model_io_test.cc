@@ -6,6 +6,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "core/entity_matcher.h"
 #include "core/extractor.h"
@@ -129,6 +130,43 @@ TEST_F(ModelIoTest, LoadRejectsCorruptedInput) {
   std::string corrupted = original.substr(0, pos + 1) + "9" +
                           original.substr(pos + 1);
   EXPECT_EQ(load(corrupted), StatusCode::kInvalidArgument);
+}
+
+TEST_F(ModelIoTest, RetiredFormatVersionsAreRejected) {
+  std::ostringstream out;
+  ASSERT_TRUE(SaveModel(*model_, kb_.kb.ontology(), &out).ok());
+  const std::string v2 = out.str();
+  const size_t format_at = v2.find("#format\n2\n");
+  const size_t ids_at = v2.find("#featureids\n");
+  const size_t weights_at = v2.find("#weights\n");
+  ASSERT_NE(format_at, std::string::npos);
+  ASSERT_NE(ids_at, std::string::npos);
+  ASSERT_NE(weights_at, std::string::npos);
+
+  // The version-1 shape: no #format section, and a #features dictionary
+  // of string feature names in place of #featureids.
+  std::string v1 = v2;
+  std::string names = "#features\n";
+  for (int32_t f = 0; f < model_->features.size(); ++f) {
+    names += std::to_string(f) + "\tS|feature" + std::to_string(f) + "\n";
+  }
+  v1.replace(ids_at, weights_at - ids_at, names);
+  v1.erase(format_at, 10);
+  // A v2 body that declares #format 1.
+  std::string format1 = v2;
+  format1.replace(format_at, 10, "#format\n1\n");
+  // A v2 body with the #format section dropped.
+  std::string unversioned = v2;
+  unversioned.erase(format_at, 10);
+
+  for (const std::string* text : {&v1, &format1, &unversioned}) {
+    std::istringstream in(*text);
+    Result<TrainedModel> loaded = LoadModel(&in, kb_.kb.ontology());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().code() == StatusCode::kInvalidArgument ||
+                loaded.status().code() == StatusCode::kDataLoss)
+        << loaded.status().ToString();
+  }
 }
 
 TEST_F(ModelIoTest, TruncatedFileIsRejectedNotSilentlyEmpty) {

@@ -1,9 +1,8 @@
 // Parity tests: a KB opened from its mmap'd image must answer every query
 // byte-identically to the heap-frozen KB that wrote the image. The two
-// backings share serving code by construction (both read the flat image),
-// so these tests concentrate on the one divergent path — mention matching,
-// which is hash-accelerated on the heap KB and binary-searched on the
-// mapped KB — plus end-to-end pipeline output.
+// backings share serving code by construction (both read the flat image,
+// mention matching included), so these tests check that the image survives
+// the save/map round trip query by query, plus end-to-end pipeline output.
 
 #include <gtest/gtest.h>
 
@@ -87,9 +86,9 @@ TEST_F(KbImageParityTest, CatalogMatches) {
 }
 
 TEST_F(KbImageParityTest, MentionMatchingIsIdentical) {
-  // Every surface the matcher was built from, plus decorated and negative
-  // probes, must return the same id list (same ids, same order) from both
-  // the hash index and the image binary search.
+  // Every surface the name index was built from, plus decorated and
+  // negative probes, must return the same id list (same ids, same order)
+  // from the heap image and the mapped one.
   auto expect_same = [](std::string_view probe) {
     std::vector<EntityId> a = ToVector(heap_->MatchMentionsView(probe));
     std::vector<EntityId> b = ToVector(mapped_->MatchMentionsView(probe));

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <memory>
 #include <span>
+#include <string>
+#include <vector>
 
 namespace ceres {
 namespace {
@@ -117,6 +121,143 @@ TEST_F(KnowledgeBaseTest, MutationAfterFreezeDies) {
   kb_.Freeze();
   EXPECT_DEATH(kb_.AddEntity(film_type_, "Late"), "");
   EXPECT_DEATH(kb_.AddTriple(film_, directed_, lee_), "");
+}
+
+// Mention matching (§3.1.1 step 1). Every case runs on a heap-frozen KB
+// and on the same KB re-opened from its saved image: both backings answer
+// from the image's sorted name-key section, so they must agree exactly.
+class KbMentionMatchTest : public ::testing::Test {
+ protected:
+  using Ids = std::vector<EntityId>;
+
+  KbMentionMatchTest() : heap_(MakeOntology()) {}
+
+  ~KbMentionMatchTest() override {
+    if (!image_path_.empty()) std::remove(image_path_.c_str());
+  }
+
+  static Ontology MakeOntology() {
+    Ontology ontology;
+    ontology.AddEntityType("thing");
+    return ontology;
+  }
+
+  EntityId Add(std::string_view name) { return heap_.AddEntity(0, name); }
+
+  /// Freezes the KB, writes its image and maps it back; returns both.
+  std::vector<const KnowledgeBase*> FreezeBothBackings() {
+    heap_.Freeze();
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    image_path_ = ::testing::TempDir() + "/match_" + test->name() + ".kbi";
+    EXPECT_TRUE(heap_.SaveImage(image_path_).ok());
+    Result<KnowledgeBase> mapped = KnowledgeBase::OpenImage(image_path_);
+    EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();
+    mapped_ = std::make_unique<KnowledgeBase>(std::move(mapped).value());
+    EXPECT_TRUE(mapped_->mapped());
+    return {&heap_, mapped_.get()};
+  }
+
+  KnowledgeBase heap_;
+  std::unique_ptr<KnowledgeBase> mapped_;
+  std::string image_path_;
+};
+
+TEST_F(KbMentionMatchTest, ExactNormalizedMatch) {
+  const EntityId film = Add("Do the Right Thing");
+  for (const KnowledgeBase* kb : FreezeBothBackings()) {
+    SCOPED_TRACE(kb->mapped() ? "mapped" : "heap");
+    EXPECT_EQ(kb->MatchMentions("do the right thing"), Ids{film});
+    EXPECT_EQ(kb->MatchMentions("DO THE RIGHT THING!"), Ids{film});
+    EXPECT_TRUE(kb->MatchMentions("something else").empty());
+  }
+}
+
+TEST_F(KbMentionMatchTest, AmbiguousNameReturnsAllIdsInEntityIdOrder) {
+  const EntityId first = Add("Pilot");
+  const EntityId middle = Add("Selma");
+  const EntityId last = Add("Pilot");
+  // Registered after `last`, but ids come back in entity-id order.
+  heap_.AddAlias(middle, "pilot!");
+  for (const KnowledgeBase* kb : FreezeBothBackings()) {
+    SCOPED_TRACE(kb->mapped() ? "mapped" : "heap");
+    EXPECT_EQ(kb->MatchMentions("Pilot"), (Ids{first, middle, last}));
+  }
+}
+
+TEST_F(KbMentionMatchTest, DuplicateNameIdPairCollapses) {
+  const EntityId selma = Add("Selma");
+  heap_.AddAlias(selma, "Selma");
+  heap_.AddAlias(selma, "SELMA");
+  for (const KnowledgeBase* kb : FreezeBothBackings()) {
+    SCOPED_TRACE(kb->mapped() ? "mapped" : "heap");
+    EXPECT_EQ(kb->MatchMentions("Selma"), Ids{selma});
+  }
+}
+
+TEST_F(KbMentionMatchTest, AliasesMapToSameId) {
+  const EntityId twain = Add("Samuel Clemens");
+  heap_.AddAlias(twain, "Mark Twain");
+  for (const KnowledgeBase* kb : FreezeBothBackings()) {
+    SCOPED_TRACE(kb->mapped() ? "mapped" : "heap");
+    EXPECT_EQ(kb->MatchMentions("mark twain"), Ids{twain});
+    EXPECT_EQ(kb->MatchMentions("Samuel Clemens"), Ids{twain});
+  }
+}
+
+TEST_F(KbMentionMatchTest, TrailingYearStripped) {
+  const EntityId film = Add("Do the Right Thing");
+  for (const KnowledgeBase* kb : FreezeBothBackings()) {
+    SCOPED_TRACE(kb->mapped() ? "mapped" : "heap");
+    EXPECT_EQ(kb->MatchMentions("Do the Right Thing (1989)"), Ids{film});
+  }
+}
+
+TEST_F(KbMentionMatchTest, YearNotStrippedWhenNameHasYear) {
+  const EntityId with_year = Add("Class of 1984");
+  Add("Class of");
+  for (const KnowledgeBase* kb : FreezeBothBackings()) {
+    SCOPED_TRACE(kb->mapped() ? "mapped" : "heap");
+    // An exact hit wins; the year-free retry runs only on a miss.
+    EXPECT_EQ(kb->MatchMentions("Class of 1984"), Ids{with_year});
+  }
+}
+
+TEST_F(KbMentionMatchTest, AccentInsensitive) {
+  const EntityId amelie = Add("Amélie");
+  for (const KnowledgeBase* kb : FreezeBothBackings()) {
+    SCOPED_TRACE(kb->mapped() ? "mapped" : "heap");
+    EXPECT_EQ(kb->MatchMentions("Amelie"), Ids{amelie});
+    EXPECT_EQ(kb->MatchMentions("AMÉLIE"), Ids{amelie});
+  }
+}
+
+TEST_F(KbMentionMatchTest, EmptyAndBlankNamesNeverMatch) {
+  Add("");
+  Add("  !! ");
+  for (const KnowledgeBase* kb : FreezeBothBackings()) {
+    SCOPED_TRACE(kb->mapped() ? "mapped" : "heap");
+    EXPECT_TRUE(kb->MatchMentions("").empty());
+    EXPECT_TRUE(kb->MatchMentions("  !! ").empty());
+    EXPECT_TRUE(kb->MatchMentions("!!").empty());
+  }
+}
+
+TEST_F(KbMentionMatchTest, ViewStaysValidAcrossLaterLookups) {
+  const EntityId film = Add("Do the Right Thing");
+  const EntityId pilot_a = Add("Pilot");
+  const EntityId pilot_b = Add("Pilot");
+  for (const KnowledgeBase* kb : FreezeBothBackings()) {
+    SCOPED_TRACE(kb->mapped() ? "mapped" : "heap");
+    const std::span<const EntityId> hit = kb->MatchMentionsView("pilot");
+    EXPECT_EQ(Ids(hit.begin(), hit.end()), kb->MatchMentions("pilot"));
+    // The span is a view into the image, valid across lookups.
+    const std::span<const EntityId> other =
+        kb->MatchMentionsView("DO THE RIGHT THING (1989)");
+    EXPECT_EQ(Ids(other.begin(), other.end()), Ids{film});
+    EXPECT_EQ(Ids(hit.begin(), hit.end()), (Ids{pilot_a, pilot_b}));
+    EXPECT_TRUE(kb->MatchMentionsView("nobody").empty());
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "kb/knowledge_base.h"
+
 namespace ceres::obs {
 namespace {
 
@@ -221,6 +223,39 @@ TEST(MetricsRegistryTest, ConcurrentGetOfOneNameYieldsOneInstrument) {
 
 TEST(MetricsRegistryTest, DefaultRegistryIsASingleton) {
   EXPECT_EQ(&MetricsRegistry::Default(), &MetricsRegistry::Default());
+}
+
+TEST(KbMentionCountersTest, CountEveryLookupAndEveryHit) {
+  EnabledFlagGuard guard;
+  SetEnabled(true);
+  Ontology ontology;
+  const TypeId film = ontology.AddEntityType("film");
+  KnowledgeBase kb(std::move(ontology));
+  kb.AddEntity(film, "Do the Right Thing");
+  kb.AddEntity(film, "Crooklyn");
+  kb.Freeze();
+
+  MetricsRegistry& registry = MetricsRegistry::Default();
+  const int64_t lookups_before =
+      registry.CounterValue("ceres_kb_mention_lookups_total");
+  const int64_t hits_before =
+      registry.CounterValue("ceres_kb_mention_hits_total");
+  // Two hits (one through the year-stripping retry), two misses (one of
+  // them blank text); each call is one lookup.
+  EXPECT_FALSE(kb.MatchMentions("Crooklyn").empty());
+  EXPECT_FALSE(kb.MatchMentions("Do the Right Thing (1989)").empty());
+  EXPECT_TRUE(kb.MatchMentions("Nobody").empty());
+  EXPECT_TRUE(kb.MatchMentionsView("").empty());
+  EXPECT_EQ(registry.CounterValue("ceres_kb_mention_lookups_total"),
+            lookups_before + 4);
+  EXPECT_EQ(registry.CounterValue("ceres_kb_mention_hits_total"),
+            hits_before + 2);
+
+  // Recording off: lookups still answer but nothing is counted.
+  SetEnabled(false);
+  EXPECT_FALSE(kb.MatchMentions("Crooklyn").empty());
+  EXPECT_EQ(registry.CounterValue("ceres_kb_mention_lookups_total"),
+            lookups_before + 4);
 }
 
 }  // namespace

@@ -70,5 +70,21 @@ TEST(LowInformationTest, RealNamesPass) {
   EXPECT_FALSE(IsLowInformation("Crooklyn"));
 }
 
+TEST(StripTrailingYearTest, ViewVariantAgreesWithCopyingVariant) {
+  for (const char* input :
+       {"selma 2014", "selma", "2014", "top 100", "war 19999"}) {
+    EXPECT_EQ(StripTrailingYearView(input), StripTrailingYear(input))
+        << input;
+  }
+}
+
+TEST(StripTrailingYearTest, Behaviour) {
+  EXPECT_EQ(StripTrailingYear("selma 2014"), "selma");
+  EXPECT_EQ(StripTrailingYear("selma"), "selma");
+  EXPECT_EQ(StripTrailingYear("2014"), "2014");         // Nothing would remain.
+  EXPECT_EQ(StripTrailingYear("top 100"), "top 100");    // Not 4 digits.
+  EXPECT_EQ(StripTrailingYear("war 19999"), "war 19999");
+}
+
 }  // namespace
 }  // namespace ceres

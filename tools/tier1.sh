@@ -4,7 +4,8 @@
 # Configures and builds the tree (warnings-as-errors), runs the ceres_lint
 # static-analysis gate, runs the full test suite, then runs the serve and
 # chaos labels explicitly (they cover the online service and the
-# fault-injection paths and must never be skipped by label filters).
+# fault-injection paths and must never be skipped by label filters), the
+# bench smokes, and the benchmark's own output checks (perfbench/).
 #
 #   tools/tier1.sh                     # regular build in ./build
 #   CERES_SANITIZE=ON tools/tier1.sh   # address+UB sanitized build in
@@ -156,5 +157,14 @@ echo "== tier1: kb load smoke (image map vs parse)"
 # account for every request, and 429 shedding must balance exactly.
 echo "== tier1: serve qps smoke (HTTP front-end + page cache)"
 "$build_dir/bench/serve_qps" --smoke
+
+# The benchmark's own output checks over the current src/: its unit
+# checks, then a 1 s batch_dist run, which fails unless the distributed
+# output over mapped KB images equals RunSingleProcess byte for byte.
+# run.py builds into .bench_build/ and must run from the repo root.
+echo "== tier1: perfbench self-test + batch_dist output check"
+(cd "$repo_root" && python3 perfbench/run.py --self-test)
+(cd "$repo_root" && python3 perfbench/run.py --workload batch_dist \
+  --seed 1 --seconds 1 --trace 0)
 
 echo "== tier1: all gates passed"
