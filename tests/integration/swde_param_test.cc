@@ -17,13 +17,24 @@
 namespace ceres {
 namespace {
 
+// gtest lists a parameter without a PrintTo as its raw bytes, and ctest
+// takes that listing into the test names; the padding is an explicit,
+// zeroed member so those names do not carry stack bytes.
 struct VerticalCase {
+  VerticalCase(synth::SwdeVertical vertical_in, double min_f1_in)
+      : vertical(vertical_in), min_f1(min_f1_in) {}
+
   synth::SwdeVertical vertical;
+  int32_t zero_padding = 0;
   // Quality floor for the aggregate page-hit F1 over the KB-covered
   // predicates at tiny scale (well below the full-scale numbers, but the
   // property must hold even on small corpora).
   double min_f1;
 };
+static_assert(sizeof(VerticalCase) ==
+                  sizeof(synth::SwdeVertical) + sizeof(int32_t) +
+                      sizeof(double),
+              "VerticalCase must have no implicit padding");
 
 std::string CaseName(const ::testing::TestParamInfo<VerticalCase>& info) {
   std::string name = synth::SwdeVerticalName(info.param.vertical);

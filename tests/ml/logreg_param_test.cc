@@ -14,10 +14,20 @@
 namespace ceres {
 namespace {
 
+// gtest lists a parameter without a PrintTo as its raw bytes, and ctest
+// takes that listing into the test names. Implicit padding would print as
+// whatever the stack held, so the names would change from build to build;
+// the padding is therefore an explicit, zeroed member.
 struct SweepCase {
+  SweepCase(int32_t num_classes_in, double l2_c_in)
+      : num_classes(num_classes_in), l2_c(l2_c_in) {}
+
   int32_t num_classes;
+  int32_t zero_padding = 0;
   double l2_c;
 };
+static_assert(sizeof(SweepCase) == 2 * sizeof(int32_t) + sizeof(double),
+              "SweepCase must have no implicit padding");
 
 std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
   char buffer[64];
