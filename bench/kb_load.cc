@@ -115,10 +115,15 @@ int64_t SelfRssKb() {
 // incremental cost of one more worker on the machine: the parsed heap for
 // the text path, the faulted-in (shareable, file-backed) image pages for
 // the mapped path.
+//
+// The probe forks, exits and reaps its child directly, outside src/dist/:
+// the dist coordinator runs pipeline shards, not arbitrary closures, and
+// the child here must start from this process's address space for the
+// delta to mean anything. Each raw call carries a lint allow-comment.
 int64_t ForkedWorkerRssKb(const std::string& path, bool map) {
   int fds[2];
   if (::pipe(fds) != 0) return -1;
-  const pid_t pid = ::fork();
+  const pid_t pid = ::fork();  // ceres-lint: allow(raw-process)
   if (pid < 0) {
     ::close(fds[0]);
     ::close(fds[1]);
@@ -143,14 +148,15 @@ int64_t ForkedWorkerRssKb(const std::string& path, bool map) {
     }
     const ssize_t written = ::write(fds[1], &rss, sizeof(rss));
     ::close(fds[1]);
-    ::_exit(written == sizeof(rss) && rss >= 0 ? 0 : 1);
+    const int code = written == sizeof(rss) && rss >= 0 ? 0 : 1;
+    ::_exit(code);  // ceres-lint: allow(raw-process)
   }
   ::close(fds[1]);
   int64_t rss = -1;
   const ssize_t got = ::read(fds[0], &rss, sizeof(rss));
   ::close(fds[0]);
   int wstatus = 0;
-  ::waitpid(pid, &wstatus, 0);
+  ::waitpid(pid, &wstatus, 0);  // ceres-lint: allow(raw-process)
   if (got != sizeof(rss) || !WIFEXITED(wstatus) ||
       WEXITSTATUS(wstatus) != 0) {
     return -1;

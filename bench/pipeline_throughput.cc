@@ -14,6 +14,8 @@
 //   * every multi-threaded run's PipelineResult — cluster assignment,
 //     topics, annotations, annotated pages, extractions, diagnostics
 //     counters and typed skips — is identical to the serial run's;
+//   * the serial run's L-BFGS work per model fit (iterations times fitted
+//     classes) stays under kMaxClassIterationsPerFit;
 //   * speedup gates, applied only when the host has at least as many
 //     hardware threads as the swept thread count (they are printed as
 //     SKIPPED otherwise): --smoke requires >= 1.5x at 4 threads; the full
@@ -26,6 +28,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -52,6 +55,14 @@ int g_violations = 0;
 // the gate immediately.
 constexpr double kMaxParseAllocsPerPage = 35.0;
 constexpr double kMaxPipelineAllocsPerPage = 900.0;
+// Solver work per model fit on the serial run: L-BFGS iterations times the
+// classes the fit solved for. Deterministic, so it gates training work on
+// any host, noisy or 1-core. Fitting only the classes a cluster's labels
+// contain measured 1,600 (smoke) and 1,800 (full) per fit, 8-9 classes at
+// the 200-iteration cap; fitting all 22 Movie classes measured 4,400. The
+// iteration count alone does not separate the two on this corpus: both
+// stop at the cap.
+constexpr double kMaxClassIterationsPerFit = 2400.0;
 
 void Require(bool ok, const char* what) {
   if (!ok) {
@@ -198,6 +209,23 @@ int main(int argc, char** argv) {
       return 1;
     }
 
+    // Solver work of the run's fits. A class absent from a cluster's
+    // labels is not fitted; its intercept is -inf.
+    int64_t fit_iterations = 0;
+    int64_t class_iterations = 0;
+    for (const ClusterModel& cluster : run->models) {
+      const LogisticRegression& model = cluster.model.model;
+      int64_t fitted = 0;
+      for (int32_t cls = 0; cls < model.num_classes(); ++cls) {
+        if (std::isfinite(model.BiasAt(cls))) ++fitted;
+      }
+      fit_iterations += cluster.model.fit.iterations;
+      class_iterations += cluster.model.fit.iterations * fitted;
+    }
+    const size_t fits = run->models.size();
+    const double class_iterations_per_fit =
+        fits > 0 ? static_cast<double>(class_iterations) / fits : 0;
+
     bool identical = true;
     if (threads == 1) {
       serial = std::move(run).value();
@@ -234,7 +262,7 @@ int main(int argc, char** argv) {
         trace.TotalMicros({"pipeline", "clusters", "cluster", "extract"});
     const double run_allocs_per_page =
         num_pages > 0 ? static_cast<double>(run_allocs) / num_pages : 0;
-    char line[640];
+    char line[704];
     std::snprintf(
         line, sizeof(line),
         "{\"bench\":\"pipeline_throughput\",\"mode\":\"%s\","
@@ -244,7 +272,9 @@ int main(int argc, char** argv) {
         "\"stage_us\":{\"clustering\":%lld,\"topic\":%lld,"
         "\"annotate\":%lld,\"train\":%lld,\"extract\":%lld},"
         "\"allocs\":{\"counting\":%s,\"parse_per_page\":%.0f,"
-        "\"pipeline_per_page\":%.0f}}",
+        "\"pipeline_per_page\":%.0f},"
+        "\"train\":{\"fits\":%zu,\"lbfgs_iterations\":%lld,"
+        "\"class_iterations\":%lld}}",
         smoke ? "smoke" : "full", threads, num_pages, seconds, pages_per_sec,
         speedup, hardware, identical ? "true" : "false",
         static_cast<long long>(clustering_us),
@@ -253,7 +283,8 @@ int main(int argc, char** argv) {
         static_cast<long long>(train_us),
         static_cast<long long>(extract_us),
         alloc_counting_live ? "true" : "false", parse_allocs_per_page,
-        run_allocs_per_page);
+        run_allocs_per_page, fits, static_cast<long long>(fit_iterations),
+        static_cast<long long>(class_iterations));
     bench_json.Emit(line);
     Require(clustering_us + topic_us + annotate_us + train_us + extract_us > 0,
             "trace recorded no stage timings");
@@ -269,6 +300,12 @@ int main(int argc, char** argv) {
               "parse allocations per page above ceiling");
       Require(run_allocs_per_page <= kMaxPipelineAllocsPerPage,
               "pipeline allocations per page above ceiling");
+    }
+
+    // Training-work gate; unlike train_us it is deterministic.
+    if (threads == 1) {
+      Require(class_iterations_per_fit <= kMaxClassIterationsPerFit,
+              "L-BFGS class-iterations per fit above ceiling");
     }
 
     // Speedup gates only bind when the host can actually run that many

@@ -266,16 +266,22 @@ Result<TrainedModel> LoadModel(std::istream* in, const Ontology& ontology) {
         int64_t cls = -1;
         double value = 0;
         if (fields.size() != 3 || !ParseInt(fields[0], &cls) || cls < 0 ||
-            cls >= num_classes || !ParseDouble(fields[2], &value) ||
-            !std::isfinite(value)) {
+            cls >= num_classes || !ParseDouble(fields[2], &value)) {
           return MalformedLine(line_number, line, "bad weight line");
         }
         int64_t feature = -1;
-        if (fields[1] == "bias") {
+        const bool bias = fields[1] == "bias";
+        if (bias) {
           feature = num_features;
         } else if (!ParseInt(fields[1], &feature) || feature < 0 ||
                    feature >= num_features) {
           return MalformedLine(line_number, line, "bad weight index");
+        }
+        // The one non-finite value a trained model holds is the -inf
+        // intercept of a class its training labels never contained.
+        if (!std::isfinite(value) && !(bias && value < 0)) {
+          return MalformedLine(line_number, line,
+                               "non-finite weight (only a bias may be -inf)");
         }
         weights[static_cast<size_t>(cls) *
                     (static_cast<size_t>(num_features) + 1) +
@@ -312,6 +318,15 @@ Result<TrainedModel> LoadModel(std::istream* in, const Ontology& ontology) {
   if (section != Section::kEnd) {
     return Status::InvalidArgument(
         "missing #end marker — file truncated mid-transfer");
+  }
+  const size_t stride = static_cast<size_t>(num_features) + 1;
+  bool any_finite_bias = false;
+  for (size_t cls = 0; cls < static_cast<size_t>(num_classes); ++cls) {
+    any_finite_bias |= std::isfinite(weights[cls * stride + stride - 1]);
+  }
+  if (!any_finite_bias) {
+    return Status::InvalidArgument(
+        "every class has a -inf bias; no class can be predicted");
   }
   model.features.Freeze();
   Result<LogisticRegression> lr = LogisticRegression::FromWeights(

@@ -30,6 +30,11 @@ namespace ceres {
 ///   <class index> \t <feature index | "bias"> \t <value>   (non-zeros only)
 ///   #end
 ///
+/// Weights are finite, except that a bias may be `-inf`: the intercept of a
+/// class the training labels never contained. A NaN or `+inf` value, a
+/// `-inf` feature weight, and a model whose every bias is `-inf` are
+/// rejected with kInvalidArgument.
+///
 /// The `#format` section is mandatory and must hold 2. Any other version,
 /// and a file without `#format` (the retired version-1 layout, which
 /// stored string feature names), is rejected with kInvalidArgument.

@@ -152,6 +152,7 @@ Result<TrainedModel> TrainExtractor(
       trained.model.Train(examples, trained.features.size(),
                           trained.classes.num_classes(), config.logreg);
   if (!fit.ok()) return fit.status();
+  trained.fit = *fit;
   return trained;
 }
 

@@ -49,6 +49,9 @@ struct TrainedModel {
   ClassMap classes;
   FeatureConfig feature_config;
   std::unordered_set<std::string> frequent_strings;
+  /// Solver statistics of the fit that produced `model`. Not persisted: a
+  /// model loaded from disk carries the default (zero) statistics.
+  LbfgsResult fit;
 };
 
 /// Rebuilds the featurizer a persisted model was trained with.

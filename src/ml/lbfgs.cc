@@ -30,6 +30,7 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
   LbfgsResult result;
   std::vector<double> grad(dim, 0.0);
   double fx = objective(*x, &grad);
+  result.evaluations = 1;
 
   // Curvature history: s_i = x_{i+1} - x_i, y_i = g_{i+1} - g_i.
   std::deque<std::vector<double>> s_hist;
@@ -96,6 +97,7 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
         x_next[j] = (*x)[j] + step * direction[j];
       }
       fx_next = objective(x_next, &grad_next);
+      ++result.evaluations;
       if (fx_next <= fx + config.armijo_c * step * directional) {
         accepted = true;
         break;

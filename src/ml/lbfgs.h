@@ -28,6 +28,9 @@ struct LbfgsConfig {
 struct LbfgsResult {
   bool converged = false;
   int iterations = 0;
+  /// Objective calls, counting the initial point and every line-search
+  /// trial (backtracks included).
+  int evaluations = 0;
   double final_objective = 0.0;
 };
 

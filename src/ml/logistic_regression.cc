@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -19,6 +21,27 @@ void SoftmaxInPlace(std::vector<double>* logits) {
     sum += v;
   }
   for (double& v : *logits) v /= sum;
+}
+
+// Training is not a hot path per call, but the counter handles are still
+// resolved once per process, as on the KB lookup path.
+void CountFit(const LbfgsResult& fit, const LbfgsConfig& solver) {
+  if (!obs::Enabled()) return;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  static obs::Counter* const fits =
+      registry.GetCounter("ceres_train_fits_total");
+  static obs::Counter* const capped =
+      registry.GetCounter("ceres_train_fits_capped_total");
+  static obs::Counter* const iterations =
+      registry.GetCounter("ceres_train_lbfgs_iterations_total");
+  static obs::Counter* const evaluations =
+      registry.GetCounter("ceres_train_objective_evals_total");
+  fits->Increment();
+  if (!fit.converged && fit.iterations >= solver.max_iterations) {
+    capped->Increment();
+  }
+  iterations->Increment(fit.iterations);
+  evaluations->Increment(fit.evaluations);
 }
 
 }  // namespace
@@ -43,43 +66,59 @@ Result<LbfgsResult> LogisticRegression::Train(
     }
   }
 
+  // Like scikit-learn's classes_ = unique(y), only the classes the labels
+  // contain are fitted. An absent class's intercept is unregularized and
+  // has no finite optimum (the loss keeps falling as it goes to -inf), so
+  // fitting it would only run the solver to its iteration cap. It gets the
+  // limit instead: zero weights and a -inf intercept, probability exactly 0.
+  // The fitted classes' minimum equals the full objective's infimum.
+  //
+  // dense_of maps a class id onto its index among the fitted classes, in
+  // ascending class id, or -1 for an absent class.
+  std::vector<int32_t> dense_of(static_cast<size_t>(num_classes), -1);
+  for (const LabeledExample& example : examples) {
+    dense_of[static_cast<size_t>(example.label)] = 0;
+  }
+  int32_t num_fitted = 0;
+  for (int32_t& dense : dense_of) {
+    if (dense == 0) dense = num_fitted++;
+  }
+
   num_features_ = num_features;
   num_classes_ = num_classes;
   const int32_t stride = num_features_ + 1;  // +1 intercept.
-  const size_t dim = static_cast<size_t>(num_classes_) * stride;
-  std::vector<double> params(dim, 0.0);
+  std::vector<double> params(static_cast<size_t>(num_fitted) * stride, 0.0);
   const double lambda = 1.0 / std::max(config.l2_c, 1e-12);
 
   LbfgsObjective objective = [&](const std::vector<double>& w,
                                  std::vector<double>* grad) {
     std::fill(grad->begin(), grad->end(), 0.0);
     double loss = 0;
-    std::vector<double> logits(static_cast<size_t>(num_classes_));
+    std::vector<double> logits(static_cast<size_t>(num_fitted));
     for (const LabeledExample& example : examples) {
-      for (int32_t k = 0; k < num_classes_; ++k) {
+      const int32_t label = dense_of[static_cast<size_t>(example.label)];
+      for (int32_t k = 0; k < num_fitted; ++k) {
         const double* wk = w.data() + static_cast<size_t>(k) * stride;
         logits[static_cast<size_t>(k)] =
             example.features.Dot(wk, num_features_) + wk[num_features_];
       }
       SoftmaxInPlace(&logits);
       const double p_true =
-          std::max(logits[static_cast<size_t>(example.label)], 1e-300);
+          std::max(logits[static_cast<size_t>(label)], 1e-300);
       loss -= example.weight * std::log(p_true);
-      for (int32_t k = 0; k < num_classes_; ++k) {
-        double err = logits[static_cast<size_t>(k)] -
-                     (k == example.label ? 1.0 : 0.0);
+      for (int32_t k = 0; k < num_fitted; ++k) {
+        double err = logits[static_cast<size_t>(k)] - (k == label ? 1.0 : 0.0);
         err *= example.weight;
         double* gk = grad->data() + static_cast<size_t>(k) * stride;
         example.features.AxpyInto(err, gk, num_features_);
         gk[num_features_] += err;
       }
     }
-    // L2 penalty: lambda/2 * ||W||^2 over weights (and optionally biases).
-    for (int32_t k = 0; k < num_classes_; ++k) {
+    // L2 penalty: lambda/2 * ||W||^2 over the weights, not the intercepts.
+    for (int32_t k = 0; k < num_fitted; ++k) {
       const double* wk = w.data() + static_cast<size_t>(k) * stride;
       double* gk = grad->data() + static_cast<size_t>(k) * stride;
-      const int32_t limit = config.regularize_bias ? stride : num_features_;
-      for (int32_t f = 0; f < limit; ++f) {
+      for (int32_t f = 0; f < num_features_; ++f) {
         loss += 0.5 * lambda * wk[f] * wk[f];
         gk[f] += lambda * wk[f];
       }
@@ -87,8 +126,26 @@ Result<LbfgsResult> LogisticRegression::Train(
     return loss;
   };
 
-  LbfgsResult solver_result = MinimizeLbfgs(objective, &params, config.solver);
-  weights_ = std::move(params);
+  // A single observed class has nothing to solve: its probability is 1 at
+  // the all-zero point, which is the objective's minimum (0).
+  LbfgsResult solver_result;
+  solver_result.converged = true;
+  if (num_fitted > 1) {
+    solver_result = MinimizeLbfgs(objective, &params, config.solver);
+  }
+  CountFit(solver_result, config.solver);
+
+  weights_.assign(static_cast<size_t>(num_classes_) * stride, 0.0);
+  for (int32_t k = 0; k < num_classes_; ++k) {
+    double* row = weights_.data() + static_cast<size_t>(k) * stride;
+    const int32_t dense = dense_of[static_cast<size_t>(k)];
+    if (dense < 0) {
+      row[num_features_] = -std::numeric_limits<double>::infinity();
+      continue;
+    }
+    std::copy_n(params.data() + static_cast<size_t>(dense) * stride, stride,
+                row);
+  }
   trained_ = true;
   return solver_result;
 }

@@ -14,11 +14,9 @@ namespace ceres {
 /// (§4.2). Defaults match the paper's scikit-learn setup: LBFGS solver, L2
 /// regularization with C = 1.
 struct LogRegConfig {
-  /// Inverse regularization strength; the penalty is ||W||^2 / (2 C).
+  /// Inverse regularization strength; the penalty is ||W||^2 / (2 C). As in
+  /// scikit-learn, the per-class intercepts beta_k0 are not regularized.
   double l2_c = 1.0;
-  /// Whether the per-class intercepts beta_k0 are regularized (scikit-learn
-  /// does not regularize intercepts; neither do we by default).
-  bool regularize_bias = false;
   LbfgsConfig solver;
 };
 
@@ -42,8 +40,11 @@ class LogisticRegression {
   LogisticRegression() = default;
 
   /// Fits the model on `examples`. num_features bounds the feature indices,
-  /// num_classes the labels. Returns solver statistics or an error for
-  /// malformed inputs (no examples, label out of range).
+  /// num_classes the labels. Only the classes the labels contain are fitted
+  /// (scikit-learn's `classes_`); an absent class gets zero weights and a
+  /// -inf intercept, so its probability is exactly 0. A single observed
+  /// class needs no solve (iterations == 0). Returns solver statistics or
+  /// an error for malformed inputs (no examples, label out of range).
   Result<LbfgsResult> Train(const std::vector<LabeledExample>& examples,
                             int32_t num_features, int32_t num_classes,
                             const LogRegConfig& config = {});
@@ -76,7 +77,7 @@ class LogisticRegression {
   int32_t num_features_ = 0;
   int32_t num_classes_ = 0;
   /// Layout: class-major; weights_[k * (num_features_ + 1) + f], with the
-  /// intercept stored at f == num_features_.
+  /// intercept stored at f == num_features_ (-inf for an unfitted class).
   std::vector<double> weights_;
   bool trained_ = false;
 };

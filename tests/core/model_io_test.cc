@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -57,12 +58,29 @@ class ModelIoTest : public ::testing::Test {
   std::unique_ptr<TrainedModel> model_;
 };
 
+// Number of classes the model never saw a label for (-inf intercept).
+int32_t AbsentClasses(const TrainedModel& model) {
+  int32_t absent = 0;
+  for (int32_t cls = 0; cls < model.model.num_classes(); ++cls) {
+    if (model.model.BiasAt(cls) == -std::numeric_limits<double>::infinity()) {
+      ++absent;
+    }
+  }
+  return absent;
+}
+
 TEST_F(ModelIoTest, RoundTripPredictionsIdentical) {
+  // Two film pages annotate only a few of the ontology's predicates, so
+  // several classes are unfitted and carry a -inf intercept.
+  ASSERT_GT(AbsentClasses(*model_), 0);
+  ASSERT_LT(AbsentClasses(*model_), model_->model.num_classes());
   std::ostringstream out;
   ASSERT_TRUE(SaveModel(*model_, kb_.kb.ontology(), &out).ok());
+  EXPECT_NE(out.str().find("\tbias\t-inf\n"), std::string::npos);
   std::istringstream in(out.str());
   Result<TrainedModel> loaded = LoadModel(&in, kb_.kb.ontology());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->model.weights(), model_->model.weights());
 
   EXPECT_EQ(loaded->features.size(), model_->features.size());
   EXPECT_TRUE(loaded->features.frozen());
@@ -76,12 +94,46 @@ TEST_F(ModelIoTest, RoundTripPredictionsIdentical) {
       {&unseen}, {0}, model_.get(), *featurizer_, ExtractionConfig{});
   std::vector<Extraction> b = ExtractFromPages(
       {&unseen}, {0}, &loaded.value(), restored, ExtractionConfig{});
+  ASSERT_FALSE(a.empty());
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].node, b[i].node);
     EXPECT_EQ(a[i].predicate, b[i].predicate);
-    EXPECT_NEAR(a[i].confidence, b[i].confidence, 1e-12);
+    EXPECT_EQ(a[i].object, b[i].object);
+    EXPECT_EQ(a[i].confidence, b[i].confidence);
   }
+}
+
+TEST_F(ModelIoTest, NonFiniteWeightsAreRejectedTyped) {
+  std::ostringstream out;
+  ASSERT_TRUE(SaveModel(*model_, kb_.kb.ontology(), &out).ok());
+  const std::string full = out.str();
+  const size_t weights_at = full.find("#weights\n");
+  const size_t end_at = full.find("#end\n");
+  ASSERT_NE(weights_at, std::string::npos);
+  ASSERT_NE(end_at, std::string::npos);
+  auto load = [&](const std::string& text) {
+    std::istringstream in(text);
+    return LoadModel(&in, kb_.kb.ontology()).status().code();
+  };
+  // One extra line just before #end, overriding whatever the file set.
+  auto with_line = [&](const std::string& line) {
+    return full.substr(0, end_at) + line + "\n" + full.substr(end_at);
+  };
+  ASSERT_EQ(load(with_line("0\tbias\t-inf")), StatusCode::kOk);
+  for (const char* line : {"0\t0\tnan", "0\t0\t-nan", "0\t0\tinf",
+                           "0\t0\t-inf", "0\tbias\tnan", "0\tbias\tinf",
+                           "0\tbias\t+inf", "0\tbias\tinfinity"}) {
+    EXPECT_EQ(load(with_line(line)), StatusCode::kInvalidArgument) << line;
+  }
+
+  // Every class -inf: its softmax would be NaN everywhere.
+  std::string all_absent = full.substr(0, weights_at) + "#weights\n";
+  for (int32_t cls = 0; cls < model_->model.num_classes(); ++cls) {
+    all_absent += std::to_string(cls) + "\tbias\t-inf\n";
+  }
+  all_absent += "#end\n";
+  EXPECT_EQ(load(all_absent), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ModelIoTest, FeaturizerStateSurvivesRoundTrip) {

@@ -75,7 +75,9 @@ DomDocument RandomDocument(Rng* rng) {
       doc.SetText(id, tmp->node(tmp->size() - 1).text);
     }
     if (rng->Bernoulli(0.4)) {
-      doc.AddAttribute(id, "class", "c" + std::to_string(rng->Uniform(0, 5)));
+      std::string value = "c";
+      value += std::to_string(rng->Uniform(0, 5));
+      doc.AddAttribute(id, "class", value);
     }
     if (rng->Bernoulli(0.6)) open.push_back(id);
   }

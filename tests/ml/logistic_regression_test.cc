@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/random.h"
 
@@ -76,6 +77,102 @@ TEST(LogisticRegressionTest, ProbabilitiesSumToOne) {
     sum += p;
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
+}
+
+// Four examples over two features whose labels use classes {0, 3} of 5.
+std::vector<LabeledExample> TwoOfFiveExamples(int32_t first, int32_t second) {
+  return {Example({{0, 1.0}}, first), Example({{0, 1.0}, {1, 0.5}}, first),
+          Example({{1, 1.0}}, second), Example({{0, 0.2}, {1, 1.0}}, second)};
+}
+
+TEST(LogisticRegressionTest, FitsOnlyObservedClassesBitIdentically) {
+  LogisticRegression subset;
+  ASSERT_TRUE(subset.Train(TwoOfFiveExamples(0, 3), 2, 5).ok());
+  LogisticRegression remapped;
+  ASSERT_TRUE(remapped.Train(TwoOfFiveExamples(0, 1), 2, 2).ok());
+
+  const int32_t rows[] = {0, 3};
+  for (int32_t dense = 0; dense < 2; ++dense) {
+    for (int32_t f = 0; f < 2; ++f) {
+      EXPECT_EQ(subset.WeightAt(rows[dense], f), remapped.WeightAt(dense, f));
+    }
+    EXPECT_EQ(subset.BiasAt(rows[dense]), remapped.BiasAt(dense));
+  }
+  for (int32_t absent : {1, 2, 4}) {
+    for (int32_t f = 0; f < 2; ++f) EXPECT_EQ(subset.WeightAt(absent, f), 0.0);
+    EXPECT_EQ(subset.BiasAt(absent), -std::numeric_limits<double>::infinity());
+  }
+
+  SparseVector v;
+  v.Add(0, 0.7);
+  v.Add(1, 0.3);
+  v.Finalize();
+  const std::vector<double> probs = subset.PredictProbabilities(v);
+  const std::vector<double> reference = remapped.PredictProbabilities(v);
+  ASSERT_EQ(probs.size(), 5u);
+  double sum = 0;
+  for (double p : probs) {
+    EXPECT_FALSE(std::isnan(p));
+    sum += p;
+  }
+  EXPECT_NEAR(sum, 1.0, 1e-12);
+  for (int32_t absent : {1, 2, 4}) EXPECT_EQ(probs[absent], 0.0);
+  EXPECT_EQ(probs[0], reference[0]);
+  EXPECT_EQ(probs[3], reference[1]);
+}
+
+TEST(LogisticRegressionTest, SingleObservedClassNeedsNoSolve) {
+  std::vector<LabeledExample> examples{Example({{0, 1.0}}, 2),
+                                       Example({{1, 1.0}}, 2)};
+  LogisticRegression model;
+  Result<LbfgsResult> fit = model.Train(examples, 2, 4);
+  ASSERT_TRUE(fit.ok());
+  EXPECT_TRUE(fit->converged);
+  EXPECT_EQ(fit->iterations, 0);
+  EXPECT_EQ(fit->evaluations, 0);
+  SparseVector v;
+  v.Add(0, 3.0);
+  v.Finalize();
+  const std::vector<double> probs = model.PredictProbabilities(v);
+  EXPECT_EQ(probs[2], 1.0);
+  EXPECT_EQ(probs[0] + probs[1] + probs[3], 0.0);
+  EXPECT_EQ(model.Predict(v), std::make_pair(2, 1.0));
+}
+
+TEST(LogisticRegressionTest, AbsentClassesNoLongerRunToTheIterationCap) {
+  // 40 examples labelled with classes 0..7 of 22: a majority class plus
+  // seven minority ones, each example carrying 40 always-on features and 8
+  // noisy class-indicative ones. Fitting all 22 classes ran this problem to
+  // the 200-iteration cap without converging, still pushing the 14 absent
+  // intercepts down; the observed-class fit converges well below the cap.
+  constexpr int32_t kCommon = 40;
+  constexpr int32_t kMinority = 7;
+  Rng rng(5);
+  std::vector<LabeledExample> examples;
+  for (int i = 0; i < 40; ++i) {
+    LabeledExample example;
+    example.label =
+        rng.Bernoulli(0.7)
+            ? 0
+            : 1 + static_cast<int32_t>(rng.Uniform(0, kMinority - 1));
+    for (int32_t f = 0; f < kCommon; ++f) example.features.Add(f, 1.0);
+    for (int j = 0; j < 8; ++j) {
+      const int32_t f =
+          rng.Bernoulli(0.6)
+              ? example.label * 10 + static_cast<int32_t>(rng.Uniform(0, 9))
+              : static_cast<int32_t>(rng.Uniform(0, (kMinority + 1) * 10 - 1));
+      example.features.Add(kCommon + f, 1.0);
+    }
+    example.features.Finalize();
+    examples.push_back(std::move(example));
+  }
+  LogisticRegression model;
+  Result<LbfgsResult> fit =
+      model.Train(examples, kCommon + (kMinority + 1) * 10, 22);
+  ASSERT_TRUE(fit.ok());
+  EXPECT_TRUE(fit->converged);
+  EXPECT_LT(fit->iterations, LbfgsConfig{}.max_iterations);
+  EXPECT_GT(fit->evaluations, fit->iterations);
 }
 
 TEST(LogisticRegressionTest, RegularizationShrinksWeights) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "kb/knowledge_base.h"
+#include "ml/logistic_regression.h"
 
 namespace ceres::obs {
 namespace {
@@ -256,6 +257,58 @@ TEST(KbMentionCountersTest, CountEveryLookupAndEveryHit) {
   EXPECT_FALSE(kb.MatchMentions("Crooklyn").empty());
   EXPECT_EQ(registry.CounterValue("ceres_kb_mention_lookups_total"),
             lookups_before + 4);
+}
+
+TEST(TrainCountersTest, CountFitsIterationsEvaluationsAndCappedFits) {
+  EnabledFlagGuard guard;
+  SetEnabled(true);
+  auto example = [](int32_t feature, int32_t label) {
+    LabeledExample out;
+    out.features.Add(feature, 1.0);
+    out.features.Finalize();
+    out.label = label;
+    return out;
+  };
+  // Classes {0, 2} of 3 observed; class 1 is never fitted.
+  const std::vector<LabeledExample> examples{example(0, 0), example(1, 2),
+                                             example(0, 0), example(1, 2)};
+  MetricsRegistry& registry = MetricsRegistry::Default();
+  auto value = [&](const char* name) { return registry.CounterValue(name); };
+  const int64_t fits = value("ceres_train_fits_total");
+  const int64_t capped = value("ceres_train_fits_capped_total");
+  const int64_t iterations = value("ceres_train_lbfgs_iterations_total");
+  const int64_t evals = value("ceres_train_objective_evals_total");
+
+  LogisticRegression model;
+  Result<LbfgsResult> converged = model.Train(examples, 2, 3);
+  ASSERT_TRUE(converged.ok());
+  ASSERT_TRUE(converged->converged);
+  ASSERT_GT(converged->iterations, 0);
+  EXPECT_EQ(value("ceres_train_fits_total"), fits + 1);
+  EXPECT_EQ(value("ceres_train_fits_capped_total"), capped);
+  EXPECT_EQ(value("ceres_train_lbfgs_iterations_total"),
+            iterations + converged->iterations);
+  EXPECT_EQ(value("ceres_train_objective_evals_total"),
+            evals + converged->evaluations);
+
+  // A two-iteration cap stops the same problem short of convergence.
+  LogRegConfig tight;
+  tight.solver.max_iterations = 2;
+  Result<LbfgsResult> cut = model.Train(examples, 2, 3, tight);
+  ASSERT_TRUE(cut.ok());
+  ASSERT_FALSE(cut->converged);
+  EXPECT_EQ(cut->iterations, 2);
+  EXPECT_EQ(value("ceres_train_fits_total"), fits + 2);
+  EXPECT_EQ(value("ceres_train_fits_capped_total"), capped + 1);
+  EXPECT_EQ(value("ceres_train_lbfgs_iterations_total"),
+            iterations + converged->iterations + 2);
+  EXPECT_EQ(value("ceres_train_objective_evals_total"),
+            evals + converged->evaluations + cut->evaluations);
+
+  // Recording off: fits still run but nothing is counted.
+  SetEnabled(false);
+  ASSERT_TRUE(model.Train(examples, 2, 3).ok());
+  EXPECT_EQ(value("ceres_train_fits_total"), fits + 2);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -216,6 +217,43 @@ TEST_F(ModelRegistryTest, EvictionAndHotSwapUnderConcurrentReaders) {
     Result<int64_t> latest = LatestModelVersion(root, site);
     ASSERT_TRUE(latest.ok());
     EXPECT_EQ((*model)->version, *latest) << site;
+  }
+}
+
+TEST_F(ModelRegistryTest, AbsentClassModelServesIdenticallyAfterReload) {
+  // The tiny film site annotates a few predicates only: the unfitted
+  // classes carry a -inf intercept, which must survive the store.
+  const LogisticRegression& trained = site_.model->model;
+  int32_t absent = 0;
+  for (int32_t cls = 0; cls < trained.num_classes(); ++cls) {
+    if (trained.BiasAt(cls) == -std::numeric_limits<double>::infinity()) {
+      ++absent;
+    }
+  }
+  ASSERT_GT(absent, 0);
+
+  const std::string root = NewRoot("absent_classes");
+  ModelRegistry registry(site_.kb.kb.ontology(), {root});
+  ASSERT_TRUE(registry.Publish("films.example", *site_.model).ok());
+  registry.Invalidate("films.example");
+  Result<std::shared_ptr<const SiteModel>> loaded =
+      registry.Get("films.example");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->model.model.weights(), trained.weights());
+
+  DomDocument unseen =
+      ceres::testing::ParseOrDie(TrainedFilmSite::UnseenPageHtml());
+  TrainedModel reloaded = (*loaded)->model;
+  std::vector<Extraction> expected = ExtractFromPages(
+      {&unseen}, {0}, site_.model.get(), *site_.featurizer, {});
+  std::vector<Extraction> served = ExtractFromPages(
+      {&unseen}, {0}, &reloaded, (*loaded)->featurizer, {});
+  ASSERT_EQ(served.size(), expected.size());
+  for (size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i].node, expected[i].node);
+    EXPECT_EQ(served[i].predicate, expected[i].predicate);
+    EXPECT_EQ(served[i].object, expected[i].object);
+    EXPECT_EQ(served[i].confidence, expected[i].confidence);
   }
 }
 
