@@ -37,7 +37,6 @@
 
 #include "bench/bench_common.h"
 #include "core/pipeline.h"
-#include "obs/trace.h"
 #include "synth/corpora.h"
 #include "util/alloc_counter.h"
 
@@ -190,11 +189,6 @@ int main(int argc, char** argv) {
     PipelineConfig config =
         bench::MakeConfig(bench::System::kCeresFull, split);
     config.parallel.threads = threads;
-    // Per-run trace tree: spans are always recorded when a tree is attached,
-    // independent of obs::Enabled(), so the counter hot paths stay disabled
-    // and the sweep measures the same code the no-observability run does.
-    obs::TraceTree trace;
-    config.trace = &trace;
     const uint64_t allocs_before_run = util::AllocationCount();
     const auto start = std::chrono::steady_clock::now();
     Result<PipelineResult> run =
@@ -249,45 +243,25 @@ int main(int argc, char** argv) {
     const double pages_per_sec =
         seconds > 0 ? static_cast<double>(num_pages) / seconds : 0;
     const double speedup = seconds > 0 ? serial_seconds / seconds : 0;
-    // Stage timings are summed across clusters, so with N workers the
-    // per-stage totals can exceed wall-clock seconds.
-    const int64_t clustering_us = trace.TotalMicros({"pipeline", "clustering"});
-    const int64_t topic_us =
-        trace.TotalMicros({"pipeline", "clusters", "cluster", "topic"});
-    const int64_t annotate_us =
-        trace.TotalMicros({"pipeline", "clusters", "cluster", "annotate"});
-    const int64_t train_us =
-        trace.TotalMicros({"pipeline", "clusters", "cluster", "train"});
-    const int64_t extract_us =
-        trace.TotalMicros({"pipeline", "clusters", "cluster", "extract"});
     const double run_allocs_per_page =
         num_pages > 0 ? static_cast<double>(run_allocs) / num_pages : 0;
-    char line[704];
+    char line[512];
     std::snprintf(
         line, sizeof(line),
         "{\"bench\":\"pipeline_throughput\",\"mode\":\"%s\","
         "\"threads\":%d,\"pages\":%zu,\"seconds\":%.3f,"
         "\"pages_per_sec\":%.1f,\"speedup\":%.2f,"
         "\"hardware_concurrency\":%u,\"identical_to_serial\":%s,"
-        "\"stage_us\":{\"clustering\":%lld,\"topic\":%lld,"
-        "\"annotate\":%lld,\"train\":%lld,\"extract\":%lld},"
         "\"allocs\":{\"counting\":%s,\"parse_per_page\":%.0f,"
         "\"pipeline_per_page\":%.0f},"
         "\"train\":{\"fits\":%zu,\"lbfgs_iterations\":%lld,"
         "\"class_iterations\":%lld}}",
         smoke ? "smoke" : "full", threads, num_pages, seconds, pages_per_sec,
         speedup, hardware, identical ? "true" : "false",
-        static_cast<long long>(clustering_us),
-        static_cast<long long>(topic_us),
-        static_cast<long long>(annotate_us),
-        static_cast<long long>(train_us),
-        static_cast<long long>(extract_us),
         alloc_counting_live ? "true" : "false", parse_allocs_per_page,
         run_allocs_per_page, fits, static_cast<long long>(fit_iterations),
         static_cast<long long>(class_iterations));
     bench_json.Emit(line);
-    Require(clustering_us + topic_us + annotate_us + train_us + extract_us > 0,
-            "trace recorded no stage timings");
 
     // Allocation gate: checkable even on a 1-core host, where the speedup
     // gates are skipped. The ceilings hold the arena-DOM + hashed-feature-ID
@@ -302,7 +276,7 @@ int main(int argc, char** argv) {
               "pipeline allocations per page above ceiling");
     }
 
-    // Training-work gate; unlike train_us it is deterministic.
+    // Training-work gate; unlike a timing it is deterministic.
     if (threads == 1) {
       Require(class_iterations_per_fit <= kMaxClassIterationsPerFit,
               "L-BFGS class-iterations per fit above ceiling");

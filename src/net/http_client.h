@@ -15,8 +15,7 @@ namespace ceres::net {
 /// same instance ride the same keep-alive socket until the server closes
 /// it (the client transparently reconnects for the *next* request and
 /// counts it in `reconnects()`). Close() between requests turns the same
-/// call pattern into connection-per-request — exactly the two modes the
-/// serving bench compares.
+/// call pattern into connection-per-request.
 ///
 /// `SendRaw` + `ReadResponse` expose the wire directly so protocol tests
 /// can deliver torn, malformed, or pipelined byte sequences that

@@ -28,7 +28,7 @@
 /// Recording is gated by a process-wide enable flag, default OFF, so
 /// instrumented hot paths (e.g. `KnowledgeBase::MatchMentionsView`) cost a
 /// single relaxed atomic load + branch when observability is not requested.
-/// Drivers that want metrics (`ceres_serve`, benches, tests) call
+/// Drivers that want metrics (`ceres_httpd`, perfbench, tests) call
 /// `SetEnabled(true)`.
 ///
 /// Naming scheme (see DESIGN.md "Observability"):

@@ -10,6 +10,7 @@
 
 #include "dom/html_parser.h"
 #include "dom/html_serializer.h"
+#include "obs/trace.h"
 #include "synth/corpora.h"
 #include "synth/kb_builder.h"
 
@@ -96,9 +97,10 @@ class PipelineParallelTest : public ::testing::Test {
   }
 
   static PipelineResult Run(const std::vector<DomDocument>& pages,
-                            int threads) {
+                            int threads, obs::TraceTree* trace = nullptr) {
     PipelineConfig config;
     config.parallel.threads = threads;
+    config.trace = trace;
     Result<PipelineResult> result = RunPipeline(pages, *seed_kb_, config);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).value();
@@ -201,6 +203,34 @@ TEST_F(PipelineParallelTest, SingleClusterInnerParallelismIdentical) {
   const PipelineResult serial = Run(site_a, /*threads=*/1);
   ASSERT_FALSE(serial.extractions.empty());
   ExpectSameResult(Run(site_a, /*threads=*/8), serial);
+}
+
+TEST_F(PipelineParallelTest, TraceRecordsOneSpanPerStageAttempt) {
+  const PipelineResult serial = Run(*pages_, /*threads=*/1);
+  obs::TraceTree trace;
+  const PipelineResult traced = Run(*pages_, /*threads=*/4, &trace);
+  ExpectSameResult(traced, serial);
+
+  int num_clusters = 0;
+  for (int cluster : traced.cluster_of_page) {
+    num_clusters = std::max(num_clusters, cluster + 1);
+  }
+  const auto attempted = [&traced](PipelineStage stage) {
+    return traced.diagnostics.stages[static_cast<int>(stage)].attempted;
+  };
+  EXPECT_EQ(trace.SpanCount({"pipeline"}), 1);
+  EXPECT_EQ(trace.SpanCount({"pipeline", "clustering"}), 1);
+  EXPECT_EQ(trace.SpanCount({"pipeline", "clusters", "cluster"}),
+            num_clusters);
+  EXPECT_EQ(trace.SpanCount({"pipeline", "clusters", "cluster", "topic"}),
+            attempted(PipelineStage::kTopicIdentification));
+  EXPECT_EQ(trace.SpanCount({"pipeline", "clusters", "cluster", "annotate"}),
+            attempted(PipelineStage::kAnnotation));
+  EXPECT_EQ(trace.SpanCount({"pipeline", "clusters", "cluster", "train"}),
+            attempted(PipelineStage::kTraining));
+  EXPECT_EQ(trace.SpanCount({"pipeline", "clusters", "cluster", "extract"}),
+            attempted(PipelineStage::kExtraction));
+  EXPECT_GT(attempted(PipelineStage::kExtraction), 0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // the save/map round trip query by query, plus end-to-end pipeline output.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -37,7 +38,11 @@ class KbImageParityTest : public ::testing::Test {
     kb_config.default_coverage = 0.9;
     heap_ = new KnowledgeBase(synth::BuildSeedKb(*world_, kb_config));
 
-    image_path_ = new std::string(::testing::TempDir() + "/parity.kbi");
+    // ctest runs each test of this suite as its own process, in parallel
+    // under -j; a per-process path keeps one process's TearDownTestSuite
+    // from removing the image another is still writing or mapping.
+    image_path_ = new std::string(::testing::TempDir() + "/parity_" +
+                                  std::to_string(getpid()) + ".kbi");
     ASSERT_TRUE(heap_->SaveImage(*image_path_).ok());
     KnowledgeBase::OpenOptions options;
     options.verify_checksum = true;

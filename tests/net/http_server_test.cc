@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "net/http_client.h"
+#include "obs/metrics.h"
 #include "serve/http_frontend.h"
 #include "serve/serve_test_util.h"
 #include "serve/sharded_service.h"
@@ -383,6 +384,40 @@ TEST_F(FrontendE2eTest, NearDupResendIsServedWithoutParseOrInference) {
     return body.substr(begin, end - begin);
   };
   EXPECT_EQ(triples_of(first.value().body), triples_of(second.value().body));
+}
+
+TEST_F(FrontendE2eTest, RepeatedPassIsAllCacheHitsWithExactCounts) {
+  obs::SetEnabled(true);
+  obs::MetricsRegistry::Default().Reset();
+  StartService(/*cache_enabled=*/true);
+  net::HttpClient client(kHost, frontend_->port());
+  constexpr int kVariants = 8;
+  const auto send_pass = [&] {
+    for (int variant = 0; variant < kVariants; ++variant) {
+      auto response = client.Roundtrip(ExtractRequest(variant));
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response.value().status, 200);
+    }
+  };
+
+  send_pass();
+  const PageCacheStats first = service_->stats().cache;
+  const int64_t first_completions = ShardCompletions();
+  EXPECT_EQ(first.hits + first.misses, kVariants);
+  // Only a cache miss reaches a shard, so parses == misses.
+  EXPECT_EQ(first_completions, first.misses);
+
+  // The same bytes again: every page is cached, no shard does any work.
+  send_pass();
+  const PageCacheStats second = service_->stats().cache;
+  EXPECT_EQ(second.hits - first.hits, kVariants);
+  EXPECT_EQ(second.misses, first.misses);
+  EXPECT_EQ(ShardCompletions(), first_completions);
+  EXPECT_EQ(obs::MetricsRegistry::Default()
+                .GetHistogram("ceres_net_request_us")
+                ->Count(),
+            2 * kVariants);
+  obs::SetEnabled(false);
 }
 
 TEST_F(FrontendE2eTest, ShedRequestNeverReachesTheShardService) {

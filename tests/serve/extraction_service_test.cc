@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/serve_test_util.h"
 
 namespace ceres::serve {
@@ -230,6 +231,71 @@ TEST_F(ExtractionServiceTest, ServesMultipleSitesIndependently) {
     EXPECT_TRUE(result.status.ok()) << result.status.ToString();
   }
   EXPECT_EQ(service.stats().completed, 12);
+}
+
+TEST_F(ExtractionServiceTest, PublishMidStreamServesTheNewVersionAfterward) {
+  ExtractionServiceConfig config;
+  config.worker_threads = 2;
+  ExtractionService service(registry_.get(), config);
+  ASSERT_TRUE(service.Start().ok());
+
+  std::vector<std::future<ServeResult>> before;
+  for (int i = 0; i < 16; ++i) before.push_back(service.Submit(Request(i)));
+  ServeResult first = before.front().get();
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_EQ(first.diagnostics.model_version, 1);
+
+  // The retrained model lands while the rest of the v1 traffic is queued
+  // or running; a request submitted after Publish returns is dequeued
+  // after the swap, so it must be served by v2.
+  Result<int64_t> swapped = registry_->Publish(kSite, *site_.model);
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  ASSERT_EQ(*swapped, 2);
+  std::vector<std::future<ServeResult>> after;
+  for (int i = 0; i < 16; ++i) {
+    after.push_back(service.Submit(Request(16 + i)));
+  }
+
+  for (size_t i = 1; i < before.size(); ++i) {
+    ServeResult result = before[i].get();
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  }
+  for (std::future<ServeResult>& future : after) {
+    ServeResult result = future.get();
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.diagnostics.model_version, 2);
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.submitted, 32);
+  EXPECT_EQ(stats.total_shed(), 0);
+  EXPECT_EQ(stats.completed + stats.total_shed(), stats.submitted);
+  EXPECT_EQ(registry_->stats().hot_swaps, 1);
+}
+
+TEST_F(ExtractionServiceTest, StageHistogramsCountEveryCompletedRequest) {
+  obs::SetEnabled(true);
+  obs::MetricsRegistry::Default().Reset();
+  ExtractionServiceConfig config;
+  config.worker_threads = 2;
+  // Inference is timed once per batch, so batches of one make its
+  // histogram count requests, like the per-request parse histogram.
+  config.max_batch = 1;
+  ExtractionService service(registry_.get(), config);
+  ASSERT_TRUE(service.Start().ok());
+
+  std::vector<std::future<ServeResult>> futures;
+  for (int i = 0; i < 12; ++i) futures.push_back(service.Submit(Request(i)));
+  for (std::future<ServeResult>& future : futures) {
+    EXPECT_TRUE(future.get().status.ok());
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, 12);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
+  EXPECT_EQ(metrics.GetHistogram("ceres_serve_parse_us")->Count(),
+            stats.completed);
+  EXPECT_EQ(metrics.GetHistogram("ceres_serve_inference_us")->Count(),
+            stats.completed);
+  obs::SetEnabled(false);
 }
 
 TEST_F(ExtractionServiceTest, StopShedsQueuedRequestsAndRejectsNewOnes) {

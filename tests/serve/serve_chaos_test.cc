@@ -90,6 +90,59 @@ TEST_F(ServeChaosTest, TruncatedModelFileShedsTypedAndServiceRecovers) {
       1);
 }
 
+TEST_F(ServeChaosTest, CorruptModelFileShedsOnlyItsOwnSite) {
+  constexpr char kHealthy[] = "healthy.example";
+  constexpr char kUnpublished[] = "unpublished.example";
+  ASSERT_TRUE(registry_->Publish(kHealthy, *site_.model).ok());
+  // Start cold, as after a restart: each published site is loaded from
+  // the store once and served warm from then on.
+  registry_->Invalidate(kSite);
+  registry_->Invalidate(kHealthy);
+
+  ExtractionServiceConfig config;
+  config.worker_threads = 4;
+  ExtractionService service(registry_.get(), config);
+  ASSERT_TRUE(service.Start().ok());
+  for (const char* site : {kSite, kHealthy}) {
+    ServeRequest request = Request();
+    request.site = site;
+    ServeResult result = service.Submit(std::move(request)).get();
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  }
+  CorruptModelFile(FaultType::kTruncate, 7);
+
+  const char* const kMix[] = {kSite, kHealthy, kUnpublished};
+  std::vector<std::string> sites;
+  std::vector<std::future<ServeResult>> futures;
+  for (int i = 0; i < 30; ++i) {
+    ServeRequest request = Request(i);
+    request.site = kMix[i % 3];
+    sites.push_back(request.site);
+    futures.push_back(service.Submit(std::move(request)));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    ServeResult result = futures[i].get();
+    if (sites[i] == kHealthy) {
+      EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+      continue;
+    }
+    EXPECT_EQ(result.diagnostics.shed_cause, ShedCause::kModelLoadFailed)
+        << sites[i];
+    EXPECT_EQ(result.status.code(), sites[i] == kUnpublished
+                                         ? StatusCode::kNotFound
+                                         : StatusCode::kInvalidArgument)
+        << result.status.ToString();
+  }
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, 2 + 10);
+  EXPECT_EQ(stats.shed[static_cast<int>(ShedCause::kModelLoadFailed)], 20);
+  EXPECT_EQ(stats.completed + stats.total_shed(), stats.submitted);
+  // Failed reloads and the unknown site never count as loads, and the
+  // healthy site is not reloaded while its neighbour fails.
+  EXPECT_EQ(registry_->stats().loads, 2);
+}
+
 TEST_F(ServeChaosTest, GarbledModelFileShedsInsteadOfCrashing) {
   // Garbling flips bytes all over the file; whatever line breaks first,
   // the load must come back as a typed error.

@@ -26,12 +26,14 @@
 //               [--rate N] [--burst N] [--cache-mb N] [--hamming N]
 //               [--no-cache] [--force-poll] [--verbose]
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -71,6 +73,14 @@ void PrintUsage() {
                "  [--no-cache] [--force-poll] [--verbose]\n");
 }
 
+/// Parses a TCP port: all digits and at most 65535. strtoul would wrap
+/// "70000" to 4464 and read "abc" as 0.
+bool ParsePort(const std::string& text, uint16_t* port) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *port);
+  return ec == std::errc() && ptr == end;
+}
+
 bool ParseArgs(int argc, char** argv, Options* options) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -81,8 +91,10 @@ bool ParseArgs(int argc, char** argv, Options* options) {
     };
     std::string value;
     if (arg == "--port" && next(&value)) {
-      options->port =
-          static_cast<uint16_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!ParsePort(value, &options->port)) {
+        std::fprintf(stderr, "bad --port: %s\n", value.c_str());
+        return false;
+      }
     } else if (arg == "--shards" && next(&value)) {
       options->shards =
           static_cast<int>(std::strtol(value.c_str(), nullptr, 10));

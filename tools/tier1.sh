@@ -4,8 +4,13 @@
 # Configures and builds the tree (warnings-as-errors), runs the ceres_lint
 # static-analysis gate, runs the full test suite, then runs the serve and
 # chaos labels explicitly (they cover the online service and the
-# fault-injection paths and must never be skipped by label filters), the
-# bench smokes, and the benchmark's own output checks (perfbench/).
+# fault-injection paths and must never be skipped by label filters). The
+# serving invariants are all ctest counts under the serve, chaos and net
+# labels; the smokes that remain are the batch ones: pipeline_throughput
+# (thread-count determinism, allocations and solver work per fit),
+# dist_recovery (crash retry and checkpointing), kb_load (image map vs
+# parse), and the benchmark's own output checks (perfbench/), which also
+# measure the serving path end to end.
 #
 #   tools/tier1.sh                     # regular build in ./build
 #   CERES_SANITIZE=ON tools/tier1.sh   # address+UB sanitized build in
@@ -137,11 +142,6 @@ echo "== tier1: eval/fusion/obs labels"
 echo "== tier1: pipeline throughput smoke (parallel batch determinism)"
 "$build_dir/bench/pipeline_throughput" --smoke
 
-# Serve-path smoke: exact accounting, per-cell stage timings in the BENCH
-# JSON, and typed shedding under an injected model fault.
-echo "== tier1: serve throughput smoke (stage timings + fault burst)"
-"$build_dir/bench/serve_throughput" --smoke
-
 # Distributed-recovery smoke: crashed workers respawn, shards retry, and
 # the merge stays byte-identical to the single-process reference.
 echo "== tier1: dist recovery smoke (crash retry + checkpointing)"
@@ -151,12 +151,6 @@ echo "== tier1: dist recovery smoke (crash retry + checkpointing)"
 # scale, and the forked-worker RSS probe.
 echo "== tier1: kb load smoke (image map vs parse)"
 "$build_dir/bench/kb_load" --smoke
-
-# Network serving smoke: loopback HTTP over the sharded service — warm
-# near-dup stream must hit the cache and beat the cold pass, drain must
-# account for every request, and 429 shedding must balance exactly.
-echo "== tier1: serve qps smoke (HTTP front-end + page cache)"
-"$build_dir/bench/serve_qps" --smoke
 
 # The benchmark's own output checks over the current src/: its unit
 # checks, then a 1 s batch_dist run, which fails unless the distributed
