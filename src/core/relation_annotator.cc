@@ -78,7 +78,7 @@ PredicateClusters ClusterPredicatePaths(
         return XPathEditDistance(path_occurrences[kept[a]].first,
                                  path_occurrences[kept[b]].first);
       },
-      num_clusters, Linkage::kSingle);
+      num_clusters);
 
   std::unordered_map<int, int64_t> weight;
   for (size_t i = 0; i < kept.size(); ++i) {

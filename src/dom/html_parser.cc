@@ -313,7 +313,8 @@ Result<DomDocument> ParseHtml(std::string_view html,
 
     bool is_void = VoidElements().count(tag) > 0;
     if ((tag == "script" || tag == "style") && !self_closing) {
-      // Raw-text element: consume to the matching close tag.
+      // Raw-text element: skip to the matching close tag. Its content is
+      // discarded; semi-structured extraction never reads it.
       const char* close_tag = tag == "script" ? "</script" : "</style";
       const size_t close_len = tag.size() + 2;
       size_t end = i;
@@ -329,9 +330,6 @@ Result<DomDocument> ParseHtml(std::string_view html,
           if (candidate == close_tag) break;
         }
         ++end;
-      }
-      if (!options.skip_script_content) {
-        AppendText(&doc, id, html.substr(i, end - i), &scratch);
       }
       size_t tag_end = html.find('>', end);
       i = tag_end == std::string_view::npos ? n : tag_end + 1;

@@ -10,9 +10,6 @@ namespace ceres {
 
 /// Options for ParseHtml.
 struct HtmlParseOptions {
-  /// When true (default) the contents of <script> and <style> elements are
-  /// discarded; semi-structured extraction never reads them.
-  bool skip_script_content = true;
   /// Maximum element count before the parser gives up with
   /// kResourceExhausted; guards against pathological inputs.
   int max_nodes = 1 << 20;
@@ -26,7 +23,8 @@ struct HtmlParseOptions {
 ///    auto-close their own kind; everything left open is closed at EOF);
 ///  * stray close tags with no matching open element are ignored;
 ///  * void elements (br, img, meta, ...) never take children;
-///  * comments and doctype declarations are skipped;
+///  * comments and doctype declarations are skipped, and so is the
+///    content of <script> and <style> elements;
 ///  * character entities (&amp;, &#233;, &#x1F600;, ...) are decoded.
 ///
 /// Character data attaches to the nearest open element as its `text` field,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <queue>
 
 #include "util/logging.h"
 
@@ -34,8 +33,7 @@ class DisjointSets {
 
 std::vector<int> AgglomerativeCluster(size_t num_items,
                                       const DistanceFn& distance,
-                                      size_t target_clusters,
-                                      Linkage linkage) {
+                                      size_t target_clusters) {
   CERES_CHECK(target_clusters >= 1);
   if (num_items == 0) return {};
   if (target_clusters >= num_items) {
@@ -54,10 +52,9 @@ std::vector<int> AgglomerativeCluster(size_t num_items,
   }
 
   // Lance–Williams style cluster-distance maintenance: track live clusters
-  // and, after each merge, recompute the merged cluster's distance to all
-  // other live clusters per the linkage rule.
+  // and, after each merge, set the merged cluster's distance to every other
+  // live cluster to the smaller of its two parts' (single linkage).
   std::vector<bool> alive(num_items, true);
-  std::vector<size_t> cluster_size(num_items, 1);
   DisjointSets sets(num_items);
 
   size_t live = num_items;
@@ -79,26 +76,9 @@ std::vector<int> AgglomerativeCluster(size_t num_items,
     // Merge bj into bi.
     for (size_t k = 0; k < num_items; ++k) {
       if (!alive[k] || k == bi || k == bj) continue;
-      double combined;
-      switch (linkage) {
-        case Linkage::kSingle:
-          combined = std::min(dist[bi][k], dist[bj][k]);
-          break;
-        case Linkage::kComplete:
-          combined = std::max(dist[bi][k], dist[bj][k]);
-          break;
-        case Linkage::kAverage:
-        default: {
-          double wi = static_cast<double>(cluster_size[bi]);
-          double wj = static_cast<double>(cluster_size[bj]);
-          combined = (wi * dist[bi][k] + wj * dist[bj][k]) / (wi + wj);
-          break;
-        }
-      }
-      dist[bi][k] = dist[k][bi] = combined;
+      dist[bi][k] = dist[k][bi] = std::min(dist[bi][k], dist[bj][k]);
     }
     sets.Union(bj, bi);
-    cluster_size[bi] += cluster_size[bj];
     alive[bj] = false;
     --live;
   }

@@ -9,22 +9,13 @@ namespace ceres {
 /// Pairwise distance callback over item indices.
 using DistanceFn = std::function<double(size_t, size_t)>;
 
-/// Linkage criterion for merging clusters.
-enum class Linkage {
-  /// Distance between clusters = minimum item-pair distance. This is the
-  /// paper's §3.2.2 procedure ("find two nodes with the closest distance
-  /// and merge the clusters they belong to").
-  kSingle,
-  /// Distance = maximum item-pair distance.
-  kComplete,
-  /// Distance = mean item-pair distance.
-  kAverage,
-};
-
 /// Agglomerative (bottom-up) clustering of `num_items` items.
 ///
 /// Starts from singleton clusters and repeatedly merges the closest pair of
-/// clusters until `target_clusters` remain. Returns a cluster id in
+/// clusters until `target_clusters` remain, by single linkage: the distance
+/// between two clusters is their minimum item-pair distance, the paper's
+/// §3.2.2 procedure ("find two nodes with the closest distance and merge
+/// the clusters they belong to"). Returns a cluster id in
 /// [0, target_clusters) for each item; ids are ordered by decreasing cluster
 /// size (cluster 0 is the largest), which is what the annotator's
 /// prefer-the-largest-cluster rule consumes.
@@ -33,8 +24,7 @@ enum class Linkage {
 /// (the relation annotator deduplicates XPaths first, keeping n small).
 std::vector<int> AgglomerativeCluster(size_t num_items,
                                       const DistanceFn& distance,
-                                      size_t target_clusters,
-                                      Linkage linkage = Linkage::kSingle);
+                                      size_t target_clusters);
 
 }  // namespace ceres
 

@@ -10,6 +10,20 @@ namespace ceres {
 
 namespace {
 
+// Fixed solver settings.
+/// Number of curvature pairs kept for the two-loop recursion.
+constexpr int kHistory = 10;
+/// Convergence: stop when ||g||_inf / max(1, ||x||_inf) falls below this.
+constexpr double kGradientTolerance = 1e-5;
+/// Convergence: stop when the relative objective decrease falls below this.
+constexpr double kObjectiveTolerance = 1e-9;
+/// Armijo sufficient-decrease constant for the backtracking line search.
+constexpr double kArmijoC = 1e-4;
+/// Line-search shrink factor.
+constexpr double kBacktrack = 0.5;
+/// Maximum backtracking steps per iteration.
+constexpr int kMaxLineSearch = 40;
+
 double Dot(const std::vector<double>& a, const std::vector<double>& b) {
   double sum = 0;
   for (size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
@@ -25,7 +39,7 @@ double InfNorm(const std::vector<double>& v) {
 }  // namespace
 
 LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
-                          std::vector<double>* x, const LbfgsConfig& config) {
+                          std::vector<double>* x, int max_iterations) {
   const size_t dim = x->size();
   LbfgsResult result;
   std::vector<double> grad(dim, 0.0);
@@ -41,10 +55,9 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
   std::vector<double> x_next(dim);
   std::vector<double> grad_next(dim, 0.0);
 
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
+  for (int iter = 0; iter < max_iterations; ++iter) {
     result.iterations = iter + 1;
-    if (InfNorm(grad) / std::max(1.0, InfNorm(*x)) <
-        config.gradient_tolerance) {
+    if (InfNorm(grad) / std::max(1.0, InfNorm(*x)) < kGradientTolerance) {
       result.converged = true;
       break;
     }
@@ -92,17 +105,17 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
     double step = iter == 0 ? std::min(1.0, 1.0 / InfNorm(grad)) : 1.0;
     double fx_next = fx;
     bool accepted = false;
-    for (int ls = 0; ls < config.max_line_search; ++ls) {
+    for (int ls = 0; ls < kMaxLineSearch; ++ls) {
       for (size_t j = 0; j < dim; ++j) {
         x_next[j] = (*x)[j] + step * direction[j];
       }
       fx_next = objective(x_next, &grad_next);
       ++result.evaluations;
-      if (fx_next <= fx + config.armijo_c * step * directional) {
+      if (fx_next <= fx + kArmijoC * step * directional) {
         accepted = true;
         break;
       }
-      step *= config.backtrack;
+      step *= kBacktrack;
     }
     if (!accepted) break;  // Line search failed; best point so far kept.
 
@@ -118,7 +131,7 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
       s_hist.push_back(std::move(s));
       y_hist.push_back(std::move(y));
       rho_hist.push_back(1.0 / sy);
-      if (static_cast<int>(s_hist.size()) > config.history) {
+      if (static_cast<int>(s_hist.size()) > kHistory) {
         s_hist.pop_front();
         y_hist.pop_front();
         rho_hist.pop_front();
@@ -130,8 +143,7 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
     grad = grad_next;
     fx = fx_next;
     if (improvement >= 0 &&
-        improvement <= config.objective_tolerance * std::max(1.0,
-                                                             std::fabs(fx))) {
+        improvement <= kObjectiveTolerance * std::max(1.0, std::fabs(fx))) {
       result.converged = true;
       break;
     }

@@ -25,7 +25,7 @@ void SoftmaxInPlace(std::vector<double>* logits) {
 
 // Training is not a hot path per call, but the counter handles are still
 // resolved once per process, as on the KB lookup path.
-void CountFit(const LbfgsResult& fit, const LbfgsConfig& solver) {
+void CountFit(const LbfgsResult& fit, int max_iterations) {
   if (!obs::Enabled()) return;
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   static obs::Counter* const fits =
@@ -37,7 +37,7 @@ void CountFit(const LbfgsResult& fit, const LbfgsConfig& solver) {
   static obs::Counter* const evaluations =
       registry.GetCounter("ceres_train_objective_evals_total");
   fits->Increment();
-  if (!fit.converged && fit.iterations >= solver.max_iterations) {
+  if (!fit.converged && fit.iterations >= max_iterations) {
     capped->Increment();
   }
   iterations->Increment(fit.iterations);
@@ -55,6 +55,16 @@ Result<LbfgsResult> LogisticRegression::Train(
   if (num_classes < 2) {
     return Status::InvalidArgument(
         StrCat("need at least 2 classes, got ", num_classes));
+  }
+  // A NaN C would make every objective value NaN, so no line-search step
+  // is ever accepted; a zero or negative one has no meaning as 1 / lambda.
+  if (!std::isfinite(config.l2_c) || config.l2_c <= 0) {
+    return Status::InvalidArgument(
+        StrCat("l2_c must be finite and positive, got ", config.l2_c));
+  }
+  if (config.max_iterations < 1) {
+    return Status::InvalidArgument(StrCat(
+        "max_iterations must be at least 1, got ", config.max_iterations));
   }
   for (const LabeledExample& example : examples) {
     if (example.label < 0 || example.label >= num_classes) {
@@ -88,7 +98,7 @@ Result<LbfgsResult> LogisticRegression::Train(
   num_classes_ = num_classes;
   const int32_t stride = num_features_ + 1;  // +1 intercept.
   std::vector<double> params(static_cast<size_t>(num_fitted) * stride, 0.0);
-  const double lambda = 1.0 / std::max(config.l2_c, 1e-12);
+  const double lambda = 1.0 / config.l2_c;
 
   LbfgsObjective objective = [&](const std::vector<double>& w,
                                  std::vector<double>* grad) {
@@ -131,9 +141,9 @@ Result<LbfgsResult> LogisticRegression::Train(
   LbfgsResult solver_result;
   solver_result.converged = true;
   if (num_fitted > 1) {
-    solver_result = MinimizeLbfgs(objective, &params, config.solver);
+    solver_result = MinimizeLbfgs(objective, &params, config.max_iterations);
   }
-  CountFit(solver_result, config.solver);
+  CountFit(solver_result, config.max_iterations);
 
   weights_.assign(static_cast<size_t>(num_classes_) * stride, 0.0);
   for (int32_t k = 0; k < num_classes_; ++k) {

@@ -17,7 +17,8 @@ struct LogRegConfig {
   /// Inverse regularization strength; the penalty is ||W||^2 / (2 C). As in
   /// scikit-learn, the per-class intercepts beta_k0 are not regularized.
   double l2_c = 1.0;
-  LbfgsConfig solver;
+  /// L-BFGS iteration cap per fit.
+  int max_iterations = 200;
 };
 
 /// One labelled training example: a finalized sparse feature vector and a
@@ -44,7 +45,9 @@ class LogisticRegression {
   /// (scikit-learn's `classes_`); an absent class gets zero weights and a
   /// -inf intercept, so its probability is exactly 0. A single observed
   /// class needs no solve (iterations == 0). Returns solver statistics or
-  /// an error for malformed inputs (no examples, label out of range).
+  /// kInvalidArgument for malformed inputs (no examples, label out of
+  /// range) and bad configs (`l2_c` not finite and positive,
+  /// `max_iterations` below 1).
   Result<LbfgsResult> Train(const std::vector<LabeledExample>& examples,
                             int32_t num_features, int32_t num_classes,
                             const LogRegConfig& config = {});

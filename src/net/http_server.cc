@@ -5,15 +5,11 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <string.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 #include <atomic>
 #include <chrono>
@@ -46,170 +42,6 @@ Status SetNonBlocking(int fd) {
     return ErrnoStatus("fcntl(O_NONBLOCK)");
   }
   return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// Poller backends: one interface, epoll on Linux, portable poll() as the
-// fallback (and as an always-buildable, always-tested second path).
-// ---------------------------------------------------------------------------
-
-struct PollEvent {
-  int fd = -1;
-  bool readable = false;
-  bool writable = false;
-  /// Peer fully gone (POLLHUP/POLLERR); the connection is unusable.
-  bool hangup = false;
-};
-
-class PollerBackend {
- public:
-  virtual ~PollerBackend() = default;
-  virtual Status AddFd(int fd, bool read, bool write) = 0;
-  virtual void UpdateFd(int fd, bool read, bool write) = 0;
-  virtual void RemoveFd(int fd) = 0;
-  /// Appends ready events to `events`; returns their number.
-  virtual Result<int> Wait(int timeout_ms, std::vector<PollEvent>* events) = 0;
-  virtual const char* name() const = 0;
-};
-
-class PollBackend final : public PollerBackend {
- public:
-  Status AddFd(int fd, bool read, bool write) override {
-    index_[fd] = fds_.size();
-    fds_.push_back(pollfd{fd, Events(read, write), 0});
-    return Status::Ok();
-  }
-
-  void UpdateFd(int fd, bool read, bool write) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    fds_[it->second].events = Events(read, write);
-  }
-
-  void RemoveFd(int fd) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    const size_t at = it->second;
-    index_.erase(it);
-    if (at + 1 != fds_.size()) {
-      fds_[at] = fds_.back();
-      index_[fds_[at].fd] = at;
-    }
-    fds_.pop_back();
-  }
-
-  Result<int> Wait(int timeout_ms, std::vector<PollEvent>* events) override {
-    const int ready = ::poll(fds_.data(),
-                             static_cast<nfds_t>(fds_.size()), timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) return 0;
-      return ErrnoStatus("poll");
-    }
-    int emitted = 0;
-    for (const pollfd& entry : fds_) {
-      if (entry.revents == 0) continue;
-      PollEvent event;
-      event.fd = entry.fd;
-      event.readable = (entry.revents & POLLIN) != 0;
-      event.writable = (entry.revents & POLLOUT) != 0;
-      event.hangup =
-          (entry.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      events->push_back(event);
-      if (++emitted == ready) break;
-    }
-    return emitted;
-  }
-
-  const char* name() const override { return "poll"; }
-
- private:
-  static short Events(bool read, bool write) {
-    short events = 0;
-    if (read) events |= POLLIN;
-    if (write) events |= POLLOUT;
-    return events;
-  }
-
-  std::vector<pollfd> fds_;
-  std::unordered_map<int, size_t> index_;
-};
-
-#if defined(__linux__)
-class EpollBackend final : public PollerBackend {
- public:
-  ~EpollBackend() override {
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  }
-
-  Status Init() {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0) return ErrnoStatus("epoll_create1");
-    return Status::Ok();
-  }
-
-  Status AddFd(int fd, bool read, bool write) override {
-    epoll_event event = Event(fd, read, write);
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) < 0) {
-      return ErrnoStatus("epoll_ctl(ADD)");
-    }
-    return Status::Ok();
-  }
-
-  void UpdateFd(int fd, bool read, bool write) override {
-    epoll_event event = Event(fd, read, write);
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &event);
-  }
-
-  void RemoveFd(int fd) override {
-    epoll_event unused = {};
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &unused);
-  }
-
-  Result<int> Wait(int timeout_ms, std::vector<PollEvent>* events) override {
-    epoll_event ready[64];
-    const int n = ::epoll_wait(epoll_fd_, ready, 64, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      return ErrnoStatus("epoll_wait");
-    }
-    for (int i = 0; i < n; ++i) {
-      PollEvent event;
-      event.fd = static_cast<int>(ready[i].data.fd);
-      event.readable = (ready[i].events & EPOLLIN) != 0;
-      event.writable = (ready[i].events & EPOLLOUT) != 0;
-      event.hangup = (ready[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-      events->push_back(event);
-    }
-    return n;
-  }
-
-  const char* name() const override { return "epoll"; }
-
- private:
-  static epoll_event Event(int fd, bool read, bool write) {
-    epoll_event event = {};
-    if (read) event.events |= EPOLLIN;
-    if (write) event.events |= EPOLLOUT;
-    event.data.fd = fd;
-    return event;
-  }
-
-  int epoll_fd_ = -1;
-};
-#endif  // defined(__linux__)
-
-Result<std::unique_ptr<PollerBackend>> MakePoller(bool force_poll) {
-#if defined(__linux__)
-  if (!force_poll) {
-    auto backend = std::make_unique<EpollBackend>();
-    Status init = backend->Init();
-    if (!init.ok()) return init;
-    return std::unique_ptr<PollerBackend>(std::move(backend));
-  }
-#else
-  (void)force_poll;
-#endif
-  return std::unique_ptr<PollerBackend>(std::make_unique<PollBackend>());
 }
 
 Result<int> CreateListenSocket(const HttpServerConfig& config,
@@ -333,6 +165,7 @@ struct HttpServer::Loop {
   ~Loop() {
     // Normal teardown happens in TearDown() (run by the loop thread); this
     // only releases fds when Init() failed before the thread started.
+    if (epoll_fd >= 0) ::close(epoll_fd);
     if (listen_fd >= 0) ::close(listen_fd);
     if (wake_read_fd >= 0) ::close(wake_read_fd);
     if (wake_write_fd >= 0) ::close(wake_write_fd);
@@ -350,8 +183,8 @@ struct HttpServer::Loop {
   // --- loop-thread state ---
   Handler handler;
   const HttpServerConfig config;
-  std::unique_ptr<PollerBackend> poller;
   RateLimiter limiter;
+  int epoll_fd = -1;
   int listen_fd = -1;
   int wake_read_fd = -1;
   int wake_write_fd = -1;
@@ -374,7 +207,10 @@ struct HttpServer::Loop {
 
   void SignalDrainDoneIfIdle();
   void AcceptReady();
-  void HandleEvent(const PollEvent& event);
+  /// Registers `fd` with the epoll set, readable interest only.
+  Status Watch(int fd);
+  void Unwatch(int fd);
+  void HandleEvent(const epoll_event& event);
   void ReadReady(Connection* conn);
   void ApplyInbox();
   void ApplyResponse(uint64_t conn_id, HttpResponse response);
@@ -389,10 +225,8 @@ struct HttpServer::Loop {
 };
 
 Status HttpServer::Loop::Init() {
-  Result<std::unique_ptr<PollerBackend>> backend =
-      MakePoller(config.force_poll);
-  if (!backend.ok()) return backend.status();
-  poller = std::move(backend).value();
+  epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd < 0) return ErrnoStatus("epoll_create1");
 
   uint16_t bound_port = 0;
   Result<int> listener = CreateListenSocket(config, &bound_port);
@@ -408,9 +242,9 @@ Status HttpServer::Loop::Init() {
   nonblocking = SetNonBlocking(wake_write_fd);
   if (!nonblocking.ok()) return nonblocking;
 
-  Status added = poller->AddFd(listen_fd, /*read=*/true, /*write=*/false);
+  Status added = Watch(listen_fd);
   if (!added.ok()) return added;
-  added = poller->AddFd(wake_read_fd, /*read=*/true, /*write=*/false);
+  added = Watch(wake_read_fd);
   if (!added.ok()) return added;
 
   inbox = std::make_shared<Responder::Inbox>();
@@ -431,6 +265,21 @@ Status HttpServer::Loop::Init() {
   return Status::Ok();
 }
 
+Status HttpServer::Loop::Watch(int fd) {
+  epoll_event event = {};
+  event.events = EPOLLIN;
+  event.data.fd = fd;
+  if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event) < 0) {
+    return ErrnoStatus("epoll_ctl(ADD)");
+  }
+  return Status::Ok();
+}
+
+void HttpServer::Loop::Unwatch(int fd) {
+  epoll_event unused = {};
+  (void)::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, &unused);
+}
+
 void HttpServer::Loop::SignalDrainDoneIfIdle() {
   if (!drain.load(std::memory_order_acquire) || !connections.empty()) {
     return;
@@ -443,35 +292,38 @@ void HttpServer::Loop::SignalDrainDoneIfIdle() {
 }
 
 void HttpServer::Loop::Serve() {
-  std::vector<PollEvent> events;
+  epoll_event events[64];
   while (!stop.load(std::memory_order_acquire)) {
     if (drain.load(std::memory_order_acquire) && !drain_seen) {
       drain_seen = true;
       drain_started_us = NowMicros();
       if (listen_fd >= 0) {
-        poller->RemoveFd(listen_fd);
+        Unwatch(listen_fd);
         ::close(listen_fd);
         listen_fd = -1;
       }
     }
-    events.clear();
-    Result<int> waited = poller->Wait(/*timeout_ms=*/50, &events);
-    if (!waited.ok()) {
-      LogInfo(StrCat("http loop wait failed: ",
-                     waited.status().ToString()));
-      break;
+    int ready = ::epoll_wait(epoll_fd, events, 64, /*timeout=*/50);
+    if (ready < 0) {
+      if (errno != EINTR) {
+        LogInfo(StrCat("http loop wait failed: ",
+                       ErrnoStatus("epoll_wait").ToString()));
+        break;
+      }
+      ready = 0;
     }
-    for (const PollEvent& event : events) {
+    for (int i = 0; i < ready; ++i) {
       if (stop.load(std::memory_order_acquire)) break;
-      if (event.fd == listen_fd) {
+      const int fd = events[i].data.fd;
+      if (fd == listen_fd) {
         AcceptReady();
-      } else if (event.fd == wake_read_fd) {
+      } else if (fd == wake_read_fd) {
         char scratch[256];
         while (::read(wake_read_fd, scratch, sizeof(scratch)) > 0) {
         }
         ApplyInbox();
       } else {
-        HandleEvent(event);
+        HandleEvent(events[i]);
       }
     }
     ApplyInbox();  // responses may have landed while handling events
@@ -490,16 +342,17 @@ void HttpServer::Loop::TearDown() {
     inbox->wake_fd = -1;
   }
   for (auto& [id, conn] : connections) {
-    poller->RemoveFd(conn.fd);
+    Unwatch(conn.fd);
     ::close(conn.fd);
     stats.closed.fetch_add(1, std::memory_order_relaxed);
   }
   connections.clear();
   by_fd.clear();
+  if (epoll_fd >= 0) ::close(epoll_fd);
   if (listen_fd >= 0) ::close(listen_fd);
   if (wake_read_fd >= 0) ::close(wake_read_fd);
   if (wake_write_fd >= 0) ::close(wake_write_fd);
-  listen_fd = wake_read_fd = wake_write_fd = -1;
+  epoll_fd = listen_fd = wake_read_fd = wake_write_fd = -1;
   MutexLock lock(drain_mu);
   drain_done = true;
   drain_cv.notify_all();
@@ -528,7 +381,7 @@ void HttpServer::Loop::AcceptReady() {
     }
     const int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    Status added = poller->AddFd(fd, /*read=*/true, /*write=*/false);
+    Status added = Watch(fd);
     if (!added.ok()) {
       ::close(fd);
       continue;
@@ -547,24 +400,24 @@ void HttpServer::Loop::AcceptReady() {
   }
 }
 
-void HttpServer::Loop::HandleEvent(const PollEvent& event) {
-  auto fd_it = by_fd.find(event.fd);
+void HttpServer::Loop::HandleEvent(const epoll_event& event) {
+  auto fd_it = by_fd.find(event.data.fd);
   if (fd_it == by_fd.end()) return;
   const uint64_t conn_id = fd_it->second;
   auto it = connections.find(conn_id);
   if (it == connections.end()) return;
   Connection* conn = &it->second;
 
-  if (event.hangup) {
+  if ((event.events & (EPOLLHUP | EPOLLERR)) != 0) {
     // Peer fully gone; nothing can be delivered. An in-flight response is
     // counted as dropped when the Responder finds no connection.
     CloseConnection(conn_id);
     return;
   }
-  if (event.writable) {
+  if ((event.events & EPOLLOUT) != 0) {
     if (!TryFlush(conn)) return;  // connection closed
   }
-  if (event.readable && conn->want_read) {
+  if ((event.events & EPOLLIN) != 0 && conn->want_read) {
     ReadReady(conn);
   }
 }
@@ -734,10 +587,14 @@ bool HttpServer::Loop::TryFlush(Connection* conn) {
 }
 
 void HttpServer::Loop::UpdateInterest(Connection* conn) {
-  poller->UpdateFd(conn->fd,
-                 conn->want_read && !conn->awaiting_handler &&
-                     !conn->close_after_write,
-                 conn->want_write);
+  epoll_event event = {};
+  if (conn->want_read && !conn->awaiting_handler &&
+      !conn->close_after_write) {
+    event.events |= EPOLLIN;
+  }
+  if (conn->want_write) event.events |= EPOLLOUT;
+  event.data.fd = conn->fd;
+  (void)::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn->fd, &event);
 }
 
 void HttpServer::Loop::SweepTimeouts() {
@@ -786,7 +643,7 @@ void HttpServer::Loop::SweepTimeouts() {
 void HttpServer::Loop::CloseConnection(uint64_t conn_id) {
   auto it = connections.find(conn_id);
   if (it == connections.end()) return;
-  poller->RemoveFd(it->second.fd);
+  Unwatch(it->second.fd);
   ::close(it->second.fd);
   by_fd.erase(it->second.fd);
   connections.erase(it);
@@ -821,7 +678,7 @@ Status HttpServer::Start() {
   started_ = true;
   loop_thread_ = std::thread([loop = loop_.get()] { loop->Serve(); });
   LogInfo(StrCat("http server listening on ", config_.bind_address, ":",
-                 bound_port_, " (", loop_->poller->name(), ")"));
+                 bound_port_, " (epoll)"));
   return Status::Ok();
 }
 

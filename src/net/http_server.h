@@ -16,8 +16,7 @@
 namespace ceres::net {
 
 /// An HTTP/1.1 front-end over non-blocking sockets and a single-threaded
-/// event loop — epoll where available, `poll` otherwise (or when
-/// `force_poll` asks for the portable backend explicitly).
+/// epoll event loop (Linux only).
 ///
 /// The loop owns every connection: it accepts, reads, parses (through the
 /// hard-limited RequestParser), enforces the per-client token bucket, and
@@ -60,9 +59,6 @@ struct HttpServerConfig {
   int64_t idle_timeout_ms = 30'000;
   int64_t header_timeout_ms = 10'000;
   int64_t drain_grace_ms = 200;
-  /// Use the portable poll() backend even where epoll exists (tested
-  /// fallback, not just a build-time escape hatch).
-  bool force_poll = false;
 };
 
 /// Monotonic counters describing the socket edge. Typed shed/close

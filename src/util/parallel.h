@@ -1,6 +1,7 @@
 #ifndef CERES_UTIL_PARALLEL_H_
 #define CERES_UTIL_PARALLEL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <exception>
@@ -18,11 +19,6 @@ namespace ceres {
 struct ParallelConfig {
   /// Worker threads; 0 = hardware concurrency.
   int threads = 0;
-  /// Sequential fast path: no worker threads are spawned unless every
-  /// worker would receive at least this many items. Spawning a thread per
-  /// handful of cheap items costs more than it saves; stages with tiny
-  /// per-item work set this higher.
-  size_t min_items_per_thread = 1;
 
   /// A config that always runs inline on the calling thread. Used by
   /// nested loops whose parent already fanned out.
@@ -33,19 +29,13 @@ struct ParallelConfig {
   }
 
   /// Worker threads ParallelFor would use for `n` items: the resolved
-  /// thread count, capped so each worker gets at least
-  /// `min_items_per_thread` items (and never more workers than items).
+  /// thread count, never more workers than items.
   size_t WorkerCount(size_t n) const {
     if (n == 0) return 0;
-    size_t workers =
+    const size_t workers =
         threads > 0 ? static_cast<size_t>(threads)
                     : std::max(1u, std::thread::hardware_concurrency());
-    if (workers > n) workers = n;
-    if (min_items_per_thread > 1) {
-      const size_t by_items = std::max<size_t>(1, n / min_items_per_thread);
-      if (workers > by_items) workers = by_items;
-    }
-    return workers;
+    return std::min(workers, n);
   }
 };
 

@@ -57,26 +57,9 @@ TEST(AgglomerativeTest, SingleLinkageChains) {
   auto distance = [&](size_t a, size_t b) {
     return std::fabs(points[a] - points[b]);
   };
-  std::vector<int> labels = AgglomerativeCluster(points.size(), distance, 2,
-                                                 Linkage::kSingle);
+  std::vector<int> labels = AgglomerativeCluster(points.size(), distance, 2);
   EXPECT_EQ(labels[0], labels[3]);
   EXPECT_NE(labels[0], labels[4]);
-}
-
-TEST(AgglomerativeTest, CompleteLinkageSplitsChain) {
-  // With complete linkage and 3 clusters, a long chain breaks apart while
-  // tight pairs stay together.
-  std::vector<double> points{0, 1, 10, 11, 20, 21};
-  auto distance = [&](size_t a, size_t b) {
-    return std::fabs(points[a] - points[b]);
-  };
-  std::vector<int> labels = AgglomerativeCluster(points.size(), distance, 3,
-                                                 Linkage::kComplete);
-  EXPECT_EQ(labels[0], labels[1]);
-  EXPECT_EQ(labels[2], labels[3]);
-  EXPECT_EQ(labels[4], labels[5]);
-  std::set<int> unique(labels.begin(), labels.end());
-  EXPECT_EQ(unique.size(), 3u);
 }
 
 TEST(AgglomerativeTest, LabelsOrderedByClusterSize) {

@@ -33,9 +33,7 @@ TEST(LbfgsTest, MinimizesRosenbrock) {
     return a * a + 100 * b * b;
   };
   std::vector<double> x{-1.2, 1.0};
-  LbfgsConfig config;
-  config.max_iterations = 500;
-  LbfgsResult result = MinimizeLbfgs(objective, &x, config);
+  LbfgsResult result = MinimizeLbfgs(objective, &x, /*max_iterations=*/500);
   EXPECT_NEAR(x[0], 1.0, 1e-3);
   EXPECT_NEAR(x[1], 1.0, 1e-3);
   EXPECT_LT(result.final_objective, 1e-6);
@@ -82,9 +80,7 @@ TEST(LbfgsTest, RespectsIterationCap) {
     return (x[0] - 100) * (x[0] - 100);
   };
   std::vector<double> x{0.0};
-  LbfgsConfig config;
-  config.max_iterations = 2;
-  LbfgsResult result = MinimizeLbfgs(objective, &x, config);
+  LbfgsResult result = MinimizeLbfgs(objective, &x, /*max_iterations=*/2);
   EXPECT_LE(result.iterations, 2);
 }
 

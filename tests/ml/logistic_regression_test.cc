@@ -171,7 +171,7 @@ TEST(LogisticRegressionTest, AbsentClassesNoLongerRunToTheIterationCap) {
       model.Train(examples, kCommon + (kMinority + 1) * 10, 22);
   ASSERT_TRUE(fit.ok());
   EXPECT_TRUE(fit->converged);
-  EXPECT_LT(fit->iterations, LbfgsConfig{}.max_iterations);
+  EXPECT_LT(fit->iterations, LogRegConfig{}.max_iterations);
   EXPECT_GT(fit->evaluations, fit->iterations);
 }
 
@@ -225,6 +225,37 @@ TEST(LogisticRegressionTest, ErrorsOnBadInput) {
 
   EXPECT_EQ(model.Train({Example({{0, 1.0}}, 0)}, 2, 1).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(LogisticRegressionTest, RejectsBadSolverConfig) {
+  // Each bad value must fail loudly, not yield a wrong model: a NaN l2_c
+  // makes every objective value NaN, so no line-search step is accepted
+  // and the weights stay all zero; max_iterations < 1 runs no iteration.
+  const std::vector<LabeledExample> examples{Example({{0, 1.0}}, 0),
+                                             Example({{1, 1.0}}, 1)};
+  for (double c : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    LogRegConfig config;
+    config.l2_c = c;
+    LogisticRegression model;
+    EXPECT_EQ(model.Train(examples, 2, 2, config).status().code(),
+              StatusCode::kInvalidArgument)
+        << "l2_c = " << c;
+    EXPECT_FALSE(model.trained());
+  }
+  for (int cap : {0, -5}) {
+    LogRegConfig config;
+    config.max_iterations = cap;
+    LogisticRegression model;
+    EXPECT_EQ(model.Train(examples, 2, 2, config).status().code(),
+              StatusCode::kInvalidArgument)
+        << "max_iterations = " << cap;
+    EXPECT_FALSE(model.trained());
+  }
+  LogRegConfig one_iteration;
+  one_iteration.max_iterations = 1;
+  LogisticRegression model;
+  EXPECT_TRUE(model.Train(examples, 2, 2, one_iteration).ok());
 }
 
 TEST(LogisticRegressionTest, ExampleWeightsMatter) {

@@ -255,22 +255,6 @@ TEST(HttpServerTest, DrainFlushesInFlightResponsesThenRefusesNew) {
   EXPECT_FALSE(late.Roundtrip(MakeRequest("GET", "/ping")).ok());
 }
 
-TEST(HttpServerTest, ForcePollBackendServesIdentically) {
-  net::HttpServerConfig config;
-  config.force_poll = true;
-  net::HttpServer server(EchoHandler(), config);
-  ASSERT_TRUE(server.Start().ok());
-  net::HttpClient client(kHost, server.port());
-  for (int i = 0; i < 5; ++i) {
-    auto response =
-        client.Roundtrip(MakeRequest("POST", "/echo", "poll-backend"));
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    EXPECT_EQ(response.value().status, 200);
-    EXPECT_EQ(response.value().body, "poll-backend");
-  }
-  EXPECT_EQ(server.stats().responses, 5);
-}
-
 // ---------------------------------------------------------------------------
 // Loopback end-to-end: HTTP front-end over the sharded extraction tier.
 // ---------------------------------------------------------------------------

@@ -293,7 +293,7 @@ TEST(TrainCountersTest, CountFitsIterationsEvaluationsAndCappedFits) {
 
   // A two-iteration cap stops the same problem short of convergence.
   LogRegConfig tight;
-  tight.solver.max_iterations = 2;
+  tight.max_iterations = 2;
   Result<LbfgsResult> cut = model.Train(examples, 2, 3, tight);
   ASSERT_TRUE(cut.ok());
   ASSERT_FALSE(cut->converged);

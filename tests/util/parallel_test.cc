@@ -98,17 +98,6 @@ TEST(ParallelConfigTest, WorkerCountNeverExceedsItems) {
   EXPECT_EQ(config.WorkerCount(0), 0u);
 }
 
-TEST(ParallelConfigTest, MinItemsPerThreadCapsWorkers) {
-  ParallelConfig config;
-  config.threads = 8;
-  config.min_items_per_thread = 10;
-  // 25 items / 10 per worker -> at most 2 workers.
-  EXPECT_EQ(config.WorkerCount(25), 2u);
-  // Fewer items than the floor: run inline rather than spawn.
-  EXPECT_EQ(config.WorkerCount(9), 1u);
-  EXPECT_EQ(config.WorkerCount(100), 8u);
-}
-
 TEST(ParallelConfigTest, SequentialAlwaysResolvesToOneWorker) {
   const ParallelConfig config = ParallelConfig::Sequential();
   EXPECT_EQ(config.WorkerCount(1), 1u);
@@ -143,15 +132,6 @@ TEST(ParallelConfigTest, ConfigOverloadCoversEveryIndexExactlyOnce) {
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
-}
-
-TEST(ParallelConfigTest, MinItemsFloorStillCoversAllItems) {
-  ParallelConfig config;
-  config.threads = 8;
-  config.min_items_per_thread = 64;
-  std::atomic<int> hits{0};
-  ParallelFor(100, config, [&](size_t) { ++hits; });
-  EXPECT_EQ(hits.load(), 100);
 }
 
 }  // namespace

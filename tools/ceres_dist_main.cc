@@ -22,17 +22,22 @@
 //     With --exec, workers are spawned by fork+exec of this same binary
 //     in --worker mode instead of plain fork. Exit 0 iff every check
 //     holds.
+//
+// A malformed or out-of-range numeric flag value (--workers below 1,
+// --shards below 0, a rate outside [0, 1], --scale <= 0) prints the usage
+// and exits 2.
 
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "dist/coordinator.h"
 #include "dist/worker.h"
+#include "flag_value.h"
 #include "kb/kb_io.h"
 #include "kb/knowledge_base.h"
 #include "robustness/fault_injector.h"
@@ -75,6 +80,7 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       return true;
     };
     std::string value;
+    bool ok = true;
     if (arg == "--worker") {
       options->worker = true;
     } else if (arg == "--kb") {
@@ -82,32 +88,37 @@ bool ParseArgs(int argc, char** argv, Options* options) {
     } else if (arg == "--kb-image") {
       if (!next(&options->kb_image_path)) return false;
     } else if (arg == "--workers") {
-      if (!next(&value)) return false;
-      options->workers = std::atoi(value.c_str());
+      ok = next(&value) &&
+           tools::ParseFlagValue(value, &options->workers, 1);
     } else if (arg == "--shards") {
-      if (!next(&value)) return false;
-      options->shards = std::atoi(value.c_str());
+      // 0 keeps the default: one shard per distinct site.
+      ok = next(&value) && tools::ParseFlagValue(value, &options->shards, 0);
     } else if (arg == "--crash-rate") {
-      if (!next(&value)) return false;
-      options->crash_rate = std::strtod(value.c_str(), nullptr);
+      ok = next(&value) &&
+           tools::ParseFlagValue(value, &options->crash_rate, 0.0, 1.0);
     } else if (arg == "--hang-rate") {
-      if (!next(&value)) return false;
-      options->hang_rate = std::strtod(value.c_str(), nullptr);
+      ok = next(&value) &&
+           tools::ParseFlagValue(value, &options->hang_rate, 0.0, 1.0);
     } else if (arg == "--checkpoint-dir") {
       if (!next(&options->checkpoint_dir)) return false;
     } else if (arg == "--exec") {
       options->exec_workers = true;
     } else if (arg == "--scale") {
-      if (!next(&value)) return false;
-      options->scale = std::strtod(value.c_str(), nullptr);
+      // Strictly positive: the smallest normal double is the floor.
+      ok = next(&value) &&
+           tools::ParseFlagValue(value, &options->scale,
+                                 std::numeric_limits<double>::min());
     } else if (arg == "--smoke") {
       options->scale = 0.2;
     } else if (arg == "--seed") {
-      if (!next(&value)) return false;
-      options->seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = next(&value) && tools::ParseFlagValue(value, &options->seed);
     } else if (arg == "--verbose") {
       options->verbose = true;
     } else {
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad %s: %s\n", arg.c_str(), value.c_str());
       return false;
     }
   }

@@ -22,18 +22,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <system_error>
 #include <thread>
 #include <vector>
 
+#include "flag_value.h"
 #include "net/http_client.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -60,14 +58,6 @@ void PrintUsage() {
                "  [--per-request]\n");
 }
 
-/// Parses a TCP port: all digits and at most 65535. strtoul would wrap
-/// "70000" to 4464 and read "abc" as 0.
-bool ParsePort(const std::string& text, uint16_t* port) {
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, *port);
-  return ec == std::errc() && ptr == end;
-}
-
 bool ParseArgs(int argc, char** argv, Options* options) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -77,19 +67,17 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       return true;
     };
     std::string value;
+    bool ok = true;
     if (arg == "--host" && next(&value)) {
       options->host = value;
-    } else if (arg == "--port" && next(&value)) {
-      if (!ParsePort(value, &options->port)) {
-        std::fprintf(stderr, "bad --port: %s\n", value.c_str());
-        return false;
-      }
-    } else if (arg == "--clients" && next(&value)) {
-      options->clients =
-          static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
-    } else if (arg == "--requests" && next(&value)) {
-      options->requests =
-          static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
+    } else if (arg == "--port") {
+      ok = next(&value) && tools::ParseFlagValue(value, &options->port, 1);
+    } else if (arg == "--clients") {
+      ok = next(&value) &&
+           tools::ParseFlagValue(value, &options->clients, 1);
+    } else if (arg == "--requests") {
+      ok = next(&value) &&
+           tools::ParseFlagValue(value, &options->requests, 1);
     } else if (arg == "--path" && next(&value)) {
       options->path = value;
     } else if (arg == "--site" && next(&value)) {
@@ -102,9 +90,12 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;
     }
+    if (!ok) {
+      std::fprintf(stderr, "bad %s: %s\n", arg.c_str(), value.c_str());
+      return false;
+    }
   }
-  return options->port != 0 && options->clients >= 1 &&
-         options->requests >= 1;
+  return options->port != 0;  // --port is required
 }
 
 int64_t Percentile(std::vector<int64_t>* sorted_micros, double p) {

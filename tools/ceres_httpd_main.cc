@@ -24,20 +24,22 @@
 //   ceres_httpd [--port 0] [--shards 2] [--threads 4] [--sites 3]
 //               [--scale 0.25] [--seed 100] [--store DIR]
 //               [--rate N] [--burst N] [--cache-mb N] [--hamming N]
-//               [--no-cache] [--force-poll] [--verbose]
+//               [--no-cache] [--verbose]
+//
+// A malformed or out-of-range numeric flag value prints the usage and
+// exits 2.
 
-#include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "dom/html_parser.h"
+#include "flag_value.h"
 #include "obs/metrics.h"
 #include "serve/http_frontend.h"
 #include "serve/sharded_service.h"
@@ -61,7 +63,6 @@ struct Options {
   size_t cache_mb = 32;
   int hamming = 3;
   bool no_cache = false;
-  bool force_poll = false;
   bool verbose = false;
 };
 
@@ -70,15 +71,7 @@ void PrintUsage() {
                "usage: ceres_httpd [--port N] [--shards N] [--threads N]\n"
                "  [--sites N] [--scale X] [--seed N] [--store DIR]\n"
                "  [--rate N] [--burst N] [--cache-mb N] [--hamming N]\n"
-               "  [--no-cache] [--force-poll] [--verbose]\n");
-}
-
-/// Parses a TCP port: all digits and at most 65535. strtoul would wrap
-/// "70000" to 4464 and read "abc" as 0.
-bool ParsePort(const std::string& text, uint16_t* port) {
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, *port);
-  return ec == std::errc() && ptr == end;
+               "  [--no-cache] [--verbose]\n");
 }
 
 bool ParseArgs(int argc, char** argv, Options* options) {
@@ -90,49 +83,53 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       return true;
     };
     std::string value;
-    if (arg == "--port" && next(&value)) {
-      if (!ParsePort(value, &options->port)) {
-        std::fprintf(stderr, "bad --port: %s\n", value.c_str());
-        return false;
-      }
-    } else if (arg == "--shards" && next(&value)) {
-      options->shards =
-          static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
-    } else if (arg == "--threads" && next(&value)) {
-      options->threads =
-          static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
-    } else if (arg == "--sites" && next(&value)) {
-      options->sites =
-          static_cast<size_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (arg == "--scale" && next(&value)) {
-      options->scale = std::strtod(value.c_str(), nullptr);
-    } else if (arg == "--seed" && next(&value)) {
-      options->seed = std::strtoull(value.c_str(), nullptr, 10);
+    bool ok = true;
+    if (arg == "--port") {
+      ok = next(&value) && tools::ParseFlagValue(value, &options->port);
+    } else if (arg == "--shards") {
+      ok = next(&value) && tools::ParseFlagValue(value, &options->shards, 1);
+    } else if (arg == "--threads") {
+      ok = next(&value) &&
+           tools::ParseFlagValue(value, &options->threads, 1);
+    } else if (arg == "--sites") {
+      ok = next(&value) && tools::ParseFlagValue(value, &options->sites, 1);
+    } else if (arg == "--scale") {
+      // Strictly positive: the smallest normal double is the floor.
+      ok = next(&value) &&
+           tools::ParseFlagValue(value, &options->scale,
+                                 std::numeric_limits<double>::min());
+    } else if (arg == "--seed") {
+      ok = next(&value) && tools::ParseFlagValue(value, &options->seed);
     } else if (arg == "--store" && next(&value)) {
       options->store = value;
-    } else if (arg == "--rate" && next(&value)) {
-      options->rate = std::strtod(value.c_str(), nullptr);
-    } else if (arg == "--burst" && next(&value)) {
-      options->burst = std::strtod(value.c_str(), nullptr);
-    } else if (arg == "--cache-mb" && next(&value)) {
-      options->cache_mb =
-          static_cast<size_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (arg == "--hamming" && next(&value)) {
-      options->hamming =
-          static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
+    } else if (arg == "--rate") {
+      ok = next(&value) && tools::ParseFlagValue(value, &options->rate, 0.0);
+    } else if (arg == "--burst") {
+      ok = next(&value) &&
+           tools::ParseFlagValue(value, &options->burst, 1.0);
+    } else if (arg == "--cache-mb") {
+      // Capped so the byte count (cache_mb << 20) cannot overflow.
+      ok = next(&value) &&
+           tools::ParseFlagValue(value, &options->cache_mb, 1,
+                                 std::numeric_limits<size_t>::max() >> 20);
+    } else if (arg == "--hamming") {
+      // A fingerprint has 64 bits; a larger threshold matches everything.
+      ok = next(&value) &&
+           tools::ParseFlagValue(value, &options->hamming, 0, 64);
     } else if (arg == "--no-cache") {
       options->no_cache = true;
-    } else if (arg == "--force-poll") {
-      options->force_poll = true;
     } else if (arg == "--verbose") {
       options->verbose = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;
     }
+    if (!ok) {
+      std::fprintf(stderr, "bad %s: %s\n", arg.c_str(), value.c_str());
+      return false;
+    }
   }
-  return options->shards >= 1 && options->threads >= 1 &&
-         options->sites >= 1;
+  return true;
 }
 
 volatile std::sig_atomic_t g_signal = 0;
@@ -222,7 +219,6 @@ int main(int argc, char** argv) {
 
   serve::FrontendConfig frontend_config;
   frontend_config.http.port = options.port;
-  frontend_config.http.force_poll = options.force_poll;
   frontend_config.http.rate_limit.tokens_per_second = options.rate;
   frontend_config.http.rate_limit.burst = options.burst;
   serve::ExtractionFrontend frontend(&service, frontend_config);
