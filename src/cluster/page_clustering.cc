@@ -8,6 +8,10 @@ namespace ceres {
 
 namespace {
 
+// Signature cap per page; very large pages are represented by their first
+// this-many distinct tag paths.
+constexpr size_t kMaxSignatureSize = 4096;
+
 uint64_t HashString(const std::string& s) {
   uint64_t h = 1469598103934665603ull;
   for (char c : s) {
@@ -73,7 +77,7 @@ std::vector<int> ClusterPages(const std::vector<DomDocument>& pages,
       counts.push_back(0);
     } else {
       std::unordered_set<uint64_t> signature =
-          PageSignature(pages[i], config.max_signature_size);
+          PageSignature(pages[i], kMaxSignatureSize);
       for (size_t c = 0; c < leaders.size(); ++c) {
         if (SignatureSimilarity(signature, leaders[c]) >=
             config.similarity_threshold) {

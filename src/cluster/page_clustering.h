@@ -17,9 +17,6 @@ struct PageClusteringConfig {
   /// Two pages belong to the same template when the Jaccard similarity of
   /// their structural signatures reaches this value.
   double similarity_threshold = 0.6;
-  /// Signature cap per page; very large pages are represented by their
-  /// first this-many distinct tag paths.
-  size_t max_signature_size = 4096;
   /// Cooperative time budget. When it expires mid-run, every not-yet
   /// clustered page is assigned a fresh singleton cluster (degrading
   /// gracefully: such clusters fall below any min-size filter downstream).

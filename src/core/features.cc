@@ -12,6 +12,12 @@ namespace ceres {
 
 namespace {
 
+// A normalized string is "frequent on the website" when it occurs on at
+// least this fraction of pages.
+constexpr double kFrequentStringPageFraction = 0.2;
+// At most this many frequent strings are mined per site.
+constexpr size_t kMaxFrequentStrings = 200;
+
 // Tracked attribute names, pre-interned so DomDocument::Attribute resolves
 // them by pointer comparison against the parser-interned names.
 const std::array<std::string_view, 5>& TrackedAttributes() {
@@ -97,7 +103,7 @@ FeatureExtractor::FeatureExtractor(
   // template label, no matter how small the site is.
   const double min_pages = std::max(
       pages.size() > 1 ? 2.0 : 1.0,
-      config_.frequent_string_page_fraction * static_cast<double>(pages.size()));
+      kFrequentStringPageFraction * static_cast<double>(pages.size()));
   std::vector<std::pair<std::string, size_t>> qualified;
   for (auto& [text, count] : page_counts) {
     if (static_cast<double>(count) >= min_pages) {
@@ -109,8 +115,8 @@ FeatureExtractor::FeatureExtractor(
               if (a.second != b.second) return a.second > b.second;
               return a.first < b.first;
             });
-  if (qualified.size() > config_.max_frequent_strings) {
-    qualified.resize(config_.max_frequent_strings);
+  if (qualified.size() > kMaxFrequentStrings) {
+    qualified.resize(kMaxFrequentStrings);
   }
   for (auto& [text, count] : qualified) {
     frequent_strings_.insert(std::move(text));

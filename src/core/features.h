@@ -25,11 +25,6 @@ struct FeatureConfig {
   bool structural_features = true;
   /// Enable the node-text features built from frequent site strings.
   bool text_features = true;
-  /// A normalized string is "frequent on the website" when it occurs on at
-  /// least this fraction of pages.
-  double frequent_string_page_fraction = 0.2;
-  /// At most this many frequent strings are mined per site.
-  size_t max_frequent_strings = 200;
   /// Ancestor levels examined for text features (nearby-node search).
   int text_feature_levels = 3;
   /// Cooperative time budget for lexicon mining, checked per page: once

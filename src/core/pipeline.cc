@@ -252,16 +252,6 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
       annotation_docs.push_back(&pages[static_cast<size_t>(page)]);
     }
 
-    // Optional pre-filter: skip clusters that do not look like detail
-    // pages at all (chart/index clusters).
-    if (config.filter_non_detail_clusters &&
-        !LooksLikeDetailPages(annotation_docs, config.detail_detector)) {
-      skip_cluster(
-          PipelineStage::kClustering,
-          Status::FailedPrecondition("does not look like detail pages"));
-      return;
-    }
-
     // 2. Entity matching + topic identification on annotation pages.
     obs::TraceSpan topic_span(cluster_span, "topic");
     ++count(PipelineStage::kTopicIdentification).attempted;

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/detail_page_detector.h"
 #include "cluster/page_clustering.h"
 #include "core/extractor.h"
 #include "core/relation_annotator.h"
@@ -29,11 +28,6 @@ struct PipelineConfig {
   bool cluster_pages = true;
   /// Clusters smaller than this are skipped entirely.
   size_t min_cluster_size = 5;
-  /// Pre-filter template clusters that do not look like detail pages
-  /// (chart/index clusters) before spending annotation effort — the §7
-  /// future-work extension. Off by default for paper fidelity.
-  bool filter_non_detail_clusters = false;
-  DetailPageConfig detail_detector;
 
   PageClusteringConfig clustering;
   TopicConfig topic;
@@ -49,9 +43,9 @@ struct PipelineConfig {
   /// Pages to extract from; empty = all.
   std::vector<PageIndex> extraction_pages;
 
-  /// Whole-run cooperative deadline (time budget and/or cancellation
-  /// token). Once it expires, remaining clusters are recorded as typed
-  /// skips in the diagnostics instead of being processed.
+  /// Whole-run cooperative time budget. Once it expires, remaining
+  /// clusters are recorded as typed skips in the diagnostics instead of
+  /// being processed.
   Deadline deadline;
   /// Per-cluster time budget; zero = unlimited. Each cluster runs under
   /// the earlier of this budget and the whole-run deadline, so one
@@ -72,8 +66,8 @@ struct PipelineConfig {
   /// matching, lexicon mining, extraction) instead. Workers write
   /// pre-sized per-cluster slots merged in cluster-id order, so the
   /// PipelineResult is identical at any thread count; the whole-run
-  /// deadline and cancel token are observed inside every worker. Default
-  /// Sequential() preserves the historical single-threaded behavior.
+  /// deadline is observed inside every worker. Default Sequential()
+  /// preserves the historical single-threaded behavior.
   ParallelConfig parallel = ParallelConfig::Sequential();
 };
 
@@ -108,9 +102,9 @@ struct QuarantinedPage {
 };
 
 /// A cluster the pipeline gave up on: at which stage and why. The reason
-/// Status is typed (kFailedPrecondition for size/detail filters, kNotFound
-/// for zero annotations, kDeadlineExceeded / kCancelled for timeouts, the
-/// trainer's own code for training failures).
+/// Status is typed (kFailedPrecondition for the size filter, kNotFound for
+/// zero annotations, kDeadlineExceeded for timeouts, the trainer's own code
+/// for training failures).
 struct ClusterSkip {
   int cluster = -1;
   PipelineStage stage = PipelineStage::kClustering;

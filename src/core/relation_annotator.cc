@@ -17,6 +17,22 @@ namespace ceres {
 
 namespace {
 
+// A predicate counts as "frequently duplicated" when more than this fraction
+// of its (page, object) tasks have multiple mentions; ties in local evidence
+// are then resolved by XPath clustering, otherwise dropped (Algorithm 2
+// lines 24–29).
+constexpr double kDuplicatedPredicateFraction = 0.5;
+
+// Informativeness guard (§3.2.2 case 2): when one object value occurs as a
+// value of a predicate on more than this fraction of annotated pages, its
+// annotations must additionally fall in the predicate's largest XPath
+// cluster (catches genre lists and search boxes repeated on every page).
+constexpr double kDuplicatePageFraction = 0.5;
+
+// Cap on distinct XPaths clustered per predicate; the most frequent paths
+// are kept when exceeded.
+constexpr size_t kMaxClusterPaths = 1200;
+
 // One (page, predicate, object) annotation decision.
 struct Task {
   PageIndex page = 0;
@@ -193,7 +209,7 @@ AnnotationResult AnnotateRelations(
       }
       const bool frequently_duplicated =
           static_cast<double>(duplicated) >
-          config.duplicated_predicate_fraction *
+          kDuplicatedPredicateFraction *
               static_cast<double>(task_indices.size());
 
       // Does some object value recur across most annotated pages?
@@ -202,7 +218,7 @@ AnnotationResult AnnotateRelations(
       for (const auto& [object, page_set] : pages_of_object) {
         if (annotated_page_count > 1 &&
             static_cast<double>(page_set.size()) >
-                config.duplicate_page_fraction *
+                kDuplicatePageFraction *
                     static_cast<double>(annotated_page_count)) {
           suspicious_value = true;
           suspicious_objects.insert(object);
@@ -247,7 +263,7 @@ AnnotationResult AnnotateRelations(
           i = j;
         }
         clusters = ClusterPredicatePaths(paths, max_mentions_per_object,
-                                         config.max_cluster_paths);
+                                         kMaxClusterPaths);
         clusters_ready = true;
       };
 

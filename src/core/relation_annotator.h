@@ -18,23 +18,6 @@ struct AnnotatorConfig {
   /// bypassing local/global disambiguation.
   bool use_relation_filtering = true;
 
-  /// A predicate counts as "frequently duplicated" when more than this
-  /// fraction of its (page, object) tasks have multiple mentions; ties in
-  /// local evidence are then resolved by XPath clustering, otherwise
-  /// dropped (Algorithm 2 lines 24–29).
-  double duplicated_predicate_fraction = 0.5;
-
-  /// Informativeness guard (§3.2.2 case 2): when one object value occurs as
-  /// a value of a predicate on more than this fraction of annotated pages,
-  /// its annotations must additionally fall in the predicate's largest
-  /// XPath cluster (catches genre lists and search boxes repeated on every
-  /// page).
-  double duplicate_page_fraction = 0.5;
-
-  /// Cap on distinct XPaths clustered per predicate; the most frequent
-  /// paths are kept when exceeded.
-  size_t max_cluster_paths = 1200;
-
   /// Cooperative time budget, checked at page/task granularity. On expiry
   /// the annotator stops early and sets
   /// AnnotationResult::deadline_expired.

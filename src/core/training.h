@@ -35,7 +35,7 @@ struct TrainingConfig {
   LogRegConfig logreg;
   /// Cooperative time budget, checked at page granularity while building
   /// training examples and again before fitting; expiry fails the training
-  /// with kDeadlineExceeded / kCancelled.
+  /// with kDeadlineExceeded.
   Deadline deadline;
 };
 

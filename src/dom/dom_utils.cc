@@ -1,57 +1,6 @@
 #include "dom/dom_utils.h"
 
-#include <algorithm>
-
 namespace ceres {
-
-NodeId LowestCommonAncestor(const DomDocument& doc, NodeId a, NodeId b) {
-  int depth_a = doc.Depth(a);
-  int depth_b = doc.Depth(b);
-  while (depth_a > depth_b) {
-    a = doc.node(a).parent;
-    --depth_a;
-  }
-  while (depth_b > depth_a) {
-    b = doc.node(b).parent;
-    --depth_b;
-  }
-  while (a != b) {
-    a = doc.node(a).parent;
-    b = doc.node(b).parent;
-  }
-  return a;
-}
-
-std::vector<NodeId> AncestorChain(const DomDocument& doc, NodeId id) {
-  std::vector<NodeId> chain;
-  NodeId cur = doc.node(id).parent;
-  while (cur != kInvalidNode) {
-    chain.push_back(cur);
-    cur = doc.node(cur).parent;
-  }
-  return chain;
-}
-
-std::vector<NodeId> SiblingWindow(const DomDocument& doc, NodeId id,
-                                  int width) {
-  const DomNode& node = doc.node(id);
-  if (node.parent == kInvalidNode) return {};
-  std::vector<NodeId> out;
-  // Up to `width` siblings on each side, in ascending child_position
-  // order, via the intrusive sibling links.
-  NodeId cur = node.prev_sibling;
-  for (int i = 0; i < width && cur != kInvalidNode; ++i) {
-    out.push_back(cur);
-    cur = doc.node(cur).prev_sibling;
-  }
-  std::reverse(out.begin(), out.end());
-  cur = node.next_sibling;
-  for (int i = 0; i < width && cur != kInvalidNode; ++i) {
-    out.push_back(cur);
-    cur = doc.node(cur).next_sibling;
-  }
-  return out;
-}
 
 NodeId HighestExclusiveAncestor(const DomDocument& doc, NodeId mention,
                                 const std::vector<NodeId>& others) {
@@ -65,22 +14,6 @@ NodeId HighestExclusiveAncestor(const DomDocument& doc, NodeId mention,
     cur = doc.node(cur).parent;
   }
   return best;
-}
-
-std::vector<NodeId> Subtree(const DomDocument& doc, NodeId id) {
-  std::vector<NodeId> out;
-  std::vector<NodeId> pending{id};
-  while (!pending.empty()) {
-    NodeId cur = pending.back();
-    pending.pop_back();
-    out.push_back(cur);
-    // Children pushed in reverse (via prev_sibling) so preorder pops.
-    for (NodeId child = doc.node(cur).last_child; child != kInvalidNode;
-         child = doc.node(child).prev_sibling) {
-      pending.push_back(child);
-    }
-  }
-  return out;
 }
 
 int CountInSubtree(const DomDocument& doc, NodeId root,

@@ -7,23 +7,10 @@
 
 namespace ceres {
 
-/// Lowest common ancestor of two nodes; both must belong to `doc`.
-NodeId LowestCommonAncestor(const DomDocument& doc, NodeId a, NodeId b);
-
-/// The chain of ancestors of `id` from its parent up to the root,
-/// nearest first.
-std::vector<NodeId> AncestorChain(const DomDocument& doc, NodeId id);
-
-/// Siblings of `id` within `width` positions on either side (excluding `id`
-/// itself), ordered left-to-right. Used by the §4.2 structural feature
-/// window.
-std::vector<NodeId> SiblingWindow(const DomDocument& doc, NodeId id,
-                                  int width);
-
-/// Calls `fn(sibling)` for each node SiblingWindow would return, in the
-/// same left-to-right order, without materializing a vector. This is the
-/// hot-path form: the featurizer visits the window for every (node, level)
-/// pair of every text field.
+/// Calls `fn(sibling)` for each sibling of `id` within `width` positions on
+/// either side (excluding `id` itself), left to right — the §4.2 structural
+/// feature window. The featurizer visits the window for every (node, level)
+/// pair of every text field, so nothing is materialized.
 template <typename Fn>
 void ForEachSiblingInWindow(const DomDocument& doc, NodeId id, int width,
                             Fn&& fn) {
@@ -52,9 +39,6 @@ void ForEachSiblingInWindow(const DomDocument& doc, NodeId id, int width,
 /// its parent's subtree contains another mention.
 NodeId HighestExclusiveAncestor(const DomDocument& doc, NodeId mention,
                                 const std::vector<NodeId>& others);
-
-/// All nodes of the subtree rooted at `id` (inclusive), preorder.
-std::vector<NodeId> Subtree(const DomDocument& doc, NodeId id);
 
 /// Count of nodes from `candidates` that lie in the subtree rooted at
 /// `root` (inclusive).

@@ -12,6 +12,13 @@ namespace ceres::fusion {
 
 namespace {
 
+// Initial reliability assumed for every site.
+constexpr double kInitialSiteReliability = 0.8;
+// Reliability is clamped into [floor, ceiling] so no site is treated as
+// perfect or as pure noise.
+constexpr double kReliabilityFloor = 0.05;
+constexpr double kReliabilityCeiling = 0.95;
+
 // Canonical key of a triple across sites: normalized subject (with a
 // trailing year stripped, so "Film (1989)" and "Film" merge), predicate,
 // normalized object.
@@ -56,7 +63,7 @@ FusionResult FuseExtractions(const std::vector<SiteExtractions>& sites,
       result.deadline_expired = true;
       break;
     }
-    reliability.emplace(site.site, config.initial_site_reliability);
+    reliability.emplace(site.site, kInitialSiteReliability);
     for (const Extraction& extraction : site.extractions) {
       if (extraction.predicate == kNamePredicate) continue;
       if (extraction.confidence < config.min_extraction_confidence) continue;
@@ -91,8 +98,7 @@ FusionResult FuseExtractions(const std::vector<SiteExtractions>& sites,
       auto count_it = belief_count.find(site);
       if (count_it == belief_count.end() || count_it->second == 0) continue;
       double mean = belief_sum[site] / static_cast<double>(count_it->second);
-      r = std::clamp(mean, config.reliability_floor,
-                     config.reliability_ceiling);
+      r = std::clamp(mean, kReliabilityFloor, kReliabilityCeiling);
     }
   }
 

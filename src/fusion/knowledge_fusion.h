@@ -40,22 +40,15 @@ struct FusionConfig {
   /// Iterations of the alternating site-reliability / triple-belief
   /// estimate (2–5 suffice; 0 disables reliability weighting).
   int reliability_iterations = 3;
-  /// Initial reliability assumed for every site.
-  double initial_site_reliability = 0.8;
-  /// Reliability is clamped into [floor, ceiling] so no site is treated as
-  /// perfect or as pure noise.
-  double reliability_floor = 0.05;
-  double reliability_ceiling = 0.95;
   /// Keep losing objects of functional-predicate conflicts (flagged
   /// `conflicting`) instead of dropping them.
   bool keep_conflicts = false;
-  /// Cooperative time budget / cancellation for the merge step, so a
-  /// coordinator-level deadline also covers fusion (the last pipeline
-  /// stage). Checked at site granularity while collecting support and per
-  /// reliability iteration; on expiry the pass degrades gracefully — it
-  /// stops ingesting further sites / refining reliability, finishes
-  /// scoring and conflict resolution over what it has, and sets
-  /// `FusionResult::deadline_expired`.
+  /// Cooperative time budget for the merge step, so a coordinator-level
+  /// deadline also covers fusion (the last pipeline stage). Checked at site
+  /// granularity while collecting support and per reliability iteration;
+  /// on expiry the pass degrades gracefully — it stops ingesting further
+  /// sites / refining reliability, finishes scoring and conflict resolution
+  /// over what it has, and sets `FusionResult::deadline_expired`.
   Deadline deadline;
 };
 

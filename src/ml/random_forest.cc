@@ -12,6 +12,9 @@ namespace ceres {
 
 namespace {
 
+// Nodes with fewer than twice this many examples become leaves.
+constexpr int64_t kMinSamplesLeaf = 2;
+
 // True when the example's sparse vector contains `feature` with a non-zero
 // value. Entries are sorted after Finalize(), so binary search applies.
 bool HasFeature(const SparseVector& features, int32_t feature) {
@@ -62,20 +65,15 @@ Status RandomForest::Train(const std::vector<LabeledExample>& examples,
   num_classes_ = num_classes;
   trees_.clear();
   trees_.resize(static_cast<size_t>(config.num_trees));
-  const int candidates_per_split =
-      config.features_per_split > 0
-          ? config.features_per_split
-          : std::max(1, static_cast<int>(std::ceil(
-                            std::sqrt(static_cast<double>(num_features)))));
+  const int candidates_per_split = std::max(
+      1, static_cast<int>(
+             std::ceil(std::sqrt(static_cast<double>(num_features)))));
 
   Rng rng(config.seed);
   for (Tree& tree : trees_) {
     Rng tree_rng = rng.Fork();
-    // Bootstrap sample.
-    const size_t sample_size = std::max<size_t>(
-        1, static_cast<size_t>(config.bagging_fraction *
-                               static_cast<double>(examples.size())));
-    std::vector<int> sample(sample_size);
+    // Bootstrap sample, as large as the training set.
+    std::vector<int> sample(examples.size());
     for (int& index : sample) {
       index = static_cast<int>(tree_rng.Index(examples.size()));
     }
@@ -117,7 +115,7 @@ Status RandomForest::Train(const std::vector<LabeledExample>& examples,
       const int64_t total = static_cast<int64_t>(indices.size());
       const double parent_gini = Gini(counts, total);
       if (pending.depth >= config.max_depth ||
-          total < 2 * config.min_samples_leaf || parent_gini == 0.0) {
+          total < 2 * kMinSamplesLeaf || parent_gini == 0.0) {
         make_leaf(&tree.nodes[static_cast<size_t>(pending.node)], indices);
         continue;
       }

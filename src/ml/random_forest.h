@@ -16,19 +16,15 @@ namespace ceres {
 struct RandomForestConfig {
   int num_trees = 20;
   int max_depth = 12;
-  /// Nodes with fewer examples become leaves.
-  int min_samples_leaf = 2;
-  /// Candidate features per split: ceil(sqrt(num_features)) when 0.
-  int features_per_split = 0;
-  /// Bootstrap-sample fraction per tree.
-  double bagging_fraction = 1.0;
   uint64_t seed = 13;
 };
 
 /// A bagged ensemble of binary-split decision trees over sparse feature
 /// vectors. Splits test feature *presence* (value != 0), which matches the
-/// one-hot structural/text features of the DOM extractor. Prediction
-/// averages the per-tree leaf class distributions.
+/// one-hot structural/text features of the DOM extractor. Each tree fits a
+/// full-size bootstrap sample and tries ceil(sqrt(num_features)) candidate
+/// features per split. Prediction averages the per-tree leaf class
+/// distributions.
 class RandomForest {
  public:
   RandomForest() = default;

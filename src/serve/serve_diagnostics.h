@@ -14,8 +14,7 @@ enum class ShedCause {
   kNone = 0,
   /// Admission control: the global pending queue was at capacity.
   kQueueFull,
-  /// The request's deadline was already expired (or its token cancelled)
-  /// when it was submitted.
+  /// The request's deadline was already expired when it was submitted.
   kDeadlineBeforeAdmission,
   /// The deadline expired while the request sat in a site queue.
   kTimedOutInQueue,

@@ -1,7 +1,6 @@
 #include "text/tokenizer.h"
 
 #include "text/normalize.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace ceres {
@@ -10,26 +9,6 @@ std::vector<std::string> Tokenize(std::string_view text) {
   std::string norm = NormalizeText(text);
   if (norm.empty()) return {};
   return Split(norm, ' ');
-}
-
-std::vector<std::string> WordShingles(std::string_view text, size_t k) {
-  CERES_CHECK(k >= 1);
-  std::vector<std::string> tokens = Tokenize(text);
-  if (tokens.empty()) return {};
-  if (tokens.size() <= k) {
-    return {Join(tokens, " ")};
-  }
-  std::vector<std::string> shingles;
-  shingles.reserve(tokens.size() - k + 1);
-  for (size_t i = 0; i + k <= tokens.size(); ++i) {
-    std::string s = tokens[i];
-    for (size_t j = 1; j < k; ++j) {
-      s += ' ';
-      s += tokens[i + j];
-    }
-    shingles.push_back(std::move(s));
-  }
-  return shingles;
 }
 
 }  // namespace ceres

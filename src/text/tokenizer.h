@@ -12,11 +12,6 @@ namespace ceres {
 /// feature generator (§4.2).
 std::vector<std::string> Tokenize(std::string_view text);
 
-/// Word-level shingles of size `k` over the normalized tokens of `text`,
-/// joined with single spaces. Returns whole-token list as one shingle when
-/// there are fewer than `k` tokens. Requires k >= 1.
-std::vector<std::string> WordShingles(std::string_view text, size_t k);
-
 }  // namespace ceres
 
 #endif  // CERES_TEXT_TOKENIZER_H_

@@ -5,10 +5,7 @@
 namespace ceres {
 
 Status Deadline::Check(std::string_view stage) const {
-  if (cancelled()) {
-    return Status::Cancelled(std::string(stage) + ": cancellation requested");
-  }
-  if (time_expired()) {
+  if (expired()) {
     return Status::DeadlineExceeded(std::string(stage) +
                                     ": deadline exceeded");
   }

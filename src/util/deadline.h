@@ -1,101 +1,61 @@
 #ifndef CERES_UTIL_DEADLINE_H_
 #define CERES_UTIL_DEADLINE_H_
 
-#include <atomic>
 #include <chrono>
-#include <memory>
 #include <string_view>
 
 #include "util/status.h"
 
 namespace ceres {
 
-/// A shared cancellation flag. Copies refer to the same flag, so a caller
-/// can hand a token into a long-running pipeline stage and cancel it from
-/// another thread; the stage observes the request at its next cooperative
-/// check. Cancellation is one-way: a token never resets.
-class CancelToken {
- public:
-  CancelToken() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
-
-  void Cancel() const { flag_->store(true, std::memory_order_release); }
-  bool cancelled() const { return flag_->load(std::memory_order_acquire); }
-
- private:
-  std::shared_ptr<std::atomic<bool>> flag_;
-};
-
-/// A cooperative time budget plus optional cancellation, threaded through
-/// the pipeline configs. Deadlines are cheap values: copying one shares the
-/// underlying cancel token (if any) and the fixed expiry point.
+/// A cooperative time budget threaded through the pipeline configs: one
+/// fixed expiry point, so copies are free and never allocate.
 ///
 /// Library loops call `expired()` (cheap) at iteration granularity, or
-/// `Check(stage)` to produce a typed Status (kDeadlineExceeded /
-/// kCancelled) for diagnostics. A default-constructed Deadline never
-/// expires and has no token.
+/// `Check(stage)` to produce a typed kDeadlineExceeded Status for
+/// diagnostics. A default-constructed Deadline never expires.
 class Deadline {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Never expires, not cancellable.
-  Deadline() : at_(Clock::time_point::max()) {}
+  /// Never expires.
+  Deadline() = default;
 
   static Deadline Infinite() { return Deadline(); }
 
-  /// Expires `budget` from now. Non-positive budgets are already expired.
-  static Deadline After(Clock::duration budget) {
+  /// Expires `budget` from now. Non-positive budgets are already expired;
+  /// a budget that would run past the clock's range never expires.
+  template <typename Rep, typename Period>
+  static Deadline After(std::chrono::duration<Rep, Period> budget) {
+    const Clock::time_point now = Clock::now();
+    // Compared in floating point: converting a huge budget to the clock's
+    // nanosecond count first would overflow.
+    const std::chrono::duration<double> headroom =
+        Clock::time_point::max() - now;
     Deadline deadline;
-    deadline.at_ = Clock::now() + budget;
-    return deadline;
-  }
-
-  static Deadline At(Clock::time_point at) {
-    Deadline deadline;
-    deadline.at_ = at;
-    return deadline;
-  }
-
-  /// A copy of this deadline that additionally observes `token`.
-  Deadline WithToken(CancelToken token) const {
-    Deadline deadline = *this;
-    deadline.token_ = std::move(token);
-    deadline.has_token_ = true;
-    return deadline;
-  }
-
-  /// Whichever of the two deadlines expires first; keeps both tokens'
-  /// effects when only one side has a token (the earlier side's token wins
-  /// when both have one, matching "the stricter bound governs").
-  Deadline Earlier(const Deadline& other) const {
-    const Deadline& strict = at_ <= other.at_ ? *this : other;
-    const Deadline& loose = at_ <= other.at_ ? other : *this;
-    Deadline deadline = strict;
-    if (!deadline.has_token_ && loose.has_token_) {
-      deadline.token_ = loose.token_;
-      deadline.has_token_ = true;
+    if (budget <= budget.zero()) {
+      deadline.at_ = now;
+    } else if (budget < headroom) {
+      deadline.at_ = now + std::chrono::duration_cast<Clock::duration>(budget);
     }
     return deadline;
   }
 
-  bool infinite() const {
-    return at_ == Clock::time_point::max() && !has_token_;
+  /// Whichever of the two deadlines expires first.
+  Deadline Earlier(const Deadline& other) const {
+    return at_ <= other.at_ ? *this : other;
   }
-  bool cancelled() const { return has_token_ && token_.cancelled(); }
-  bool time_expired() const {
+
+  /// True once the budget is spent.
+  bool expired() const {
     return at_ != Clock::time_point::max() && Clock::now() >= at_;
   }
-  /// True when the budget is spent or cancellation was requested.
-  bool expired() const { return cancelled() || time_expired(); }
 
-  /// OK while live; kCancelled / kDeadlineExceeded naming `stage` once
-  /// expired. The cancellation check runs first so an explicit cancel is
-  /// reported as such even after the time budget also ran out.
+  /// OK while live; kDeadlineExceeded naming `stage` once expired.
   Status Check(std::string_view stage) const;
 
  private:
-  Clock::time_point at_;
-  CancelToken token_;
-  bool has_token_ = false;
+  Clock::time_point at_ = Clock::time_point::max();
 };
 
 }  // namespace ceres

@@ -113,32 +113,6 @@ TEST_F(PipelineAblationTest, DominantXPathAblationChangesTopicChoice) {
   EXPECT_GE(prf_with.precision() + 1e-9, prf_without.precision());
 }
 
-TEST_F(PipelineAblationTest, DetailFilterKeepsDetailClusters) {
-  PipelineConfig config;
-  config.filter_non_detail_clusters = true;
-  PipelineResult filtered = Run(config);
-  // The IMDb-like site is all detail pages: the filter must not reject it.
-  EXPECT_GT(filtered.extractions.size(), 0u);
-}
-
-TEST(PipelineDetailFilterTest, ChartOnlySiteSkippedEntirely) {
-  synth::Corpus corpus = synth::MakeLongTailCorpus(0.15);
-  for (const synth::SyntheticSite& site : corpus.sites) {
-    if (site.name != "boxofficemojo.com") continue;
-    std::vector<DomDocument> pages;
-    for (const synth::GeneratedPage& page : site.pages) {
-      pages.push_back(std::move(ParseHtml(page.html)).value());
-    }
-    PipelineConfig config;
-    config.filter_non_detail_clusters = true;
-    Result<PipelineResult> result =
-        RunPipeline(pages, corpus.seed_kb, config);
-    ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result->extractions.empty());
-    EXPECT_TRUE(result->annotations.empty());
-  }
-}
-
 TEST_F(PipelineAblationTest, HigherExtractionThresholdNeverAddsVolume) {
   PipelineConfig low;
   low.extraction.confidence_threshold = 0.3;

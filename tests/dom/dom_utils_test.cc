@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dom/html_parser.h"
 
 namespace ceres {
@@ -28,42 +30,29 @@ class DomUtilsTest : public ::testing::Test {
     return kInvalidNode;
   }
 
+  std::vector<NodeId> Window(NodeId id, int width) const {
+    std::vector<NodeId> window;
+    ForEachSiblingInWindow(doc_, id, width,
+                           [&](NodeId sibling) { window.push_back(sibling); });
+    return window;
+  }
+
   DomDocument doc_;
 };
 
-TEST_F(DomUtilsTest, LowestCommonAncestor) {
-  NodeId a1 = ById("a1");
-  NodeId a2 = ById("a2");
-  NodeId l1 = ById("l1");
-  EXPECT_EQ(LowestCommonAncestor(doc_, a1, a2), ById("a"));
-  // Spans and list items meet at body.
-  NodeId body = doc_.node(ById("a")).parent;
-  EXPECT_EQ(LowestCommonAncestor(doc_, a1, l1), body);
-  EXPECT_EQ(LowestCommonAncestor(doc_, a1, a1), a1);
-  EXPECT_EQ(LowestCommonAncestor(doc_, a1, ById("a")), ById("a"));
-}
-
-TEST_F(DomUtilsTest, AncestorChainNearestFirst) {
-  NodeId l1 = ById("l1");
-  std::vector<NodeId> chain = AncestorChain(doc_, l1);
-  ASSERT_EQ(chain.size(), 4u);  // ul, div#b, body, html.
-  EXPECT_EQ(doc_.node(chain[0]).tag, "ul");
-  EXPECT_EQ(chain[1], ById("b"));
-  EXPECT_EQ(doc_.node(chain[3]).tag, "html");
-  EXPECT_TRUE(AncestorChain(doc_, doc_.root()).empty());
-}
-
 TEST_F(DomUtilsTest, SiblingWindowRespectsWidth) {
-  NodeId l2 = ById("l2");
-  std::vector<NodeId> window = SiblingWindow(doc_, l2, 5);
-  EXPECT_EQ(window.size(), 2u);
-  window = SiblingWindow(doc_, l2, 1);
-  EXPECT_EQ(window.size(), 2u);
-  NodeId l1 = ById("l1");
-  window = SiblingWindow(doc_, l1, 1);
-  ASSERT_EQ(window.size(), 1u);
-  EXPECT_EQ(window[0], l2);
-  EXPECT_TRUE(SiblingWindow(doc_, doc_.root(), 3).empty());
+  const NodeId l1 = ById("l1");
+  const NodeId l2 = ById("l2");
+  const NodeId l3 = ById("l3");
+  using Ids = std::vector<NodeId>;
+  EXPECT_EQ(Window(l2, 5), (Ids{l1, l3}));
+  EXPECT_EQ(Window(l2, 1), (Ids{l1, l3}));
+  // Edge siblings: one side is empty, the other is cut at `width` and
+  // comes out left to right.
+  EXPECT_EQ(Window(l1, 1), (Ids{l2}));
+  EXPECT_EQ(Window(l3, 1), (Ids{l2}));
+  EXPECT_EQ(Window(l3, 5), (Ids{l1, l2}));
+  EXPECT_TRUE(Window(doc_.root(), 3).empty());
 }
 
 TEST_F(DomUtilsTest, HighestExclusiveAncestor) {
@@ -77,15 +66,6 @@ TEST_F(DomUtilsTest, HighestExclusiveAncestor) {
   EXPECT_EQ(HighestExclusiveAncestor(doc_, l1, {l1, a1}), ById("b"));
   // With no competitors it climbs to the root.
   EXPECT_EQ(HighestExclusiveAncestor(doc_, l1, {l1}), doc_.root());
-}
-
-TEST_F(DomUtilsTest, SubtreePreorder) {
-  NodeId b = ById("b");
-  std::vector<NodeId> subtree = Subtree(doc_, b);
-  ASSERT_EQ(subtree.size(), 5u);  // div, ul, 3×li.
-  EXPECT_EQ(subtree[0], b);
-  EXPECT_EQ(doc_.node(subtree[1]).tag, "ul");
-  EXPECT_EQ(subtree[2], ById("l1"));
 }
 
 TEST_F(DomUtilsTest, CountInSubtree) {

@@ -148,15 +148,6 @@ TEST_F(ExtractionServiceTest, PreExpiredDeadlineIsShedAtAdmission) {
   EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(result.diagnostics.shed_cause,
             ShedCause::kDeadlineBeforeAdmission);
-
-  CancelToken token;
-  token.Cancel();
-  ServeRequest cancelled = Request();
-  cancelled.deadline = Deadline().WithToken(token);
-  result = service.Submit(std::move(cancelled)).get();
-  EXPECT_EQ(result.status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(result.diagnostics.shed_cause,
-            ShedCause::kDeadlineBeforeAdmission);
 }
 
 TEST_F(ExtractionServiceTest, DeadlineExpiringInQueueShedsTyped) {

@@ -20,24 +20,5 @@ TEST(TokenizerTest, EmptyInput) {
   EXPECT_TRUE(Tokenize("!!!").empty());
 }
 
-TEST(WordShinglesTest, BigramsOfFourTokens) {
-  EXPECT_EQ(WordShingles("a b c d", 2),
-            (std::vector<std::string>{"a b", "b c", "c d"}));
-}
-
-TEST(WordShinglesTest, ShortInputCollapses) {
-  EXPECT_EQ(WordShingles("a b", 3), (std::vector<std::string>{"a b"}));
-  EXPECT_EQ(WordShingles("solo", 2), (std::vector<std::string>{"solo"}));
-}
-
-TEST(WordShinglesTest, UnigramsEqualTokens) {
-  EXPECT_EQ(WordShingles("x y z", 1),
-            (std::vector<std::string>{"x", "y", "z"}));
-}
-
-TEST(WordShinglesTest, EmptyInput) {
-  EXPECT_TRUE(WordShingles("", 2).empty());
-}
-
 }  // namespace
 }  // namespace ceres

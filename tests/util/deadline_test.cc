@@ -13,20 +13,17 @@ using std::chrono::milliseconds;
 
 TEST(DeadlineTest, DefaultNeverExpires) {
   Deadline deadline;
-  EXPECT_TRUE(deadline.infinite());
   EXPECT_FALSE(deadline.expired());
-  EXPECT_FALSE(deadline.cancelled());
   EXPECT_TRUE(deadline.Check("stage").ok());
 }
 
 TEST(DeadlineTest, NonPositiveBudgetIsAlreadyExpired) {
   Deadline deadline = Deadline::After(milliseconds(0));
-  EXPECT_FALSE(deadline.infinite());
-  EXPECT_TRUE(deadline.time_expired());
   EXPECT_TRUE(deadline.expired());
   Status status = deadline.Check("clustering");
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(status.message().find("clustering"), std::string::npos);
+  EXPECT_TRUE(Deadline::After(milliseconds(-1)).expired());
 }
 
 TEST(DeadlineTest, GenerousBudgetIsLive) {
@@ -35,11 +32,15 @@ TEST(DeadlineTest, GenerousBudgetIsLive) {
   EXPECT_TRUE(deadline.Check("stage").ok());
 }
 
-TEST(DeadlineTest, AtHonoursAbsoluteTimePoint) {
-  Deadline past = Deadline::At(Deadline::Clock::now() - milliseconds(1));
-  EXPECT_TRUE(past.expired());
-  Deadline future = Deadline::At(Deadline::Clock::now() + hours(1));
-  EXPECT_FALSE(future.expired());
+TEST(DeadlineTest, HugeBudgetNeverExpires) {
+  // Such budgets overflow the clock's nanosecond count if converted
+  // before they are added; they must saturate to "never" instead.
+  for (Deadline deadline : {Deadline::After(milliseconds::max()),
+                            Deadline::After(hours::max())}) {
+    EXPECT_FALSE(deadline.expired());
+    EXPECT_TRUE(deadline.Check("stage").ok());
+    EXPECT_TRUE(Deadline::After(milliseconds(0)).Earlier(deadline).expired());
+  }
 }
 
 TEST(DeadlineTest, ShortBudgetExpiresOverTime) {
@@ -48,50 +49,12 @@ TEST(DeadlineTest, ShortBudgetExpiresOverTime) {
   EXPECT_TRUE(deadline.expired());
 }
 
-TEST(CancelTokenTest, CopiesShareTheFlag) {
-  CancelToken token;
-  CancelToken copy = token;
-  EXPECT_FALSE(copy.cancelled());
-  token.Cancel();
-  EXPECT_TRUE(copy.cancelled());
-}
-
-TEST(DeadlineTest, CancellationExpiresAnInfiniteDeadline) {
-  CancelToken token;
-  Deadline deadline = Deadline().WithToken(token);
-  EXPECT_FALSE(deadline.infinite());
-  EXPECT_FALSE(deadline.expired());
-  token.Cancel();
-  EXPECT_TRUE(deadline.cancelled());
-  EXPECT_TRUE(deadline.expired());
-  Status status = deadline.Check("annotation");
-  EXPECT_EQ(status.code(), StatusCode::kCancelled);
-  EXPECT_NE(status.message().find("annotation"), std::string::npos);
-}
-
-TEST(DeadlineTest, CancellationReportedEvenWhenTimeAlsoExpired) {
-  CancelToken token;
-  token.Cancel();
-  Deadline deadline = Deadline::After(milliseconds(0)).WithToken(token);
-  EXPECT_EQ(deadline.Check("stage").code(), StatusCode::kCancelled);
-}
-
 TEST(DeadlineTest, EarlierPicksTheStricterBound) {
   Deadline loose = Deadline::After(hours(1));
   Deadline strict = Deadline::After(milliseconds(0));
   EXPECT_TRUE(loose.Earlier(strict).expired());
   EXPECT_TRUE(strict.Earlier(loose).expired());
   EXPECT_FALSE(loose.Earlier(Deadline()).expired());
-}
-
-TEST(DeadlineTest, EarlierAdoptsTheLooseSidesToken) {
-  CancelToken token;
-  Deadline with_token = Deadline().WithToken(token);
-  Deadline bounded = Deadline::After(hours(1));
-  Deadline combined = bounded.Earlier(with_token);
-  EXPECT_FALSE(combined.expired());
-  token.Cancel();
-  EXPECT_TRUE(combined.cancelled());
 }
 
 }  // namespace

@@ -272,8 +272,7 @@ int main(int argc, char** argv) {
             "run_deadline_expired is set");
     bool typed_skip = false;
     for (const ClusterSkip& skip : expired->diagnostics.skipped_clusters) {
-      if (skip.reason.code() == StatusCode::kDeadlineExceeded ||
-          skip.reason.code() == StatusCode::kCancelled) {
+      if (skip.reason.code() == StatusCode::kDeadlineExceeded) {
         typed_skip = true;
       }
     }
