@@ -25,6 +25,13 @@ namespace ceres::dist {
 
 namespace {
 
+/// A shard is quarantined after this many failed attempts.
+constexpr int kMaxAttemptsPerShard = 3;
+/// Exponential retry backoff: attempt n re-dispatches no sooner than
+/// base * 2^(n-1) after the failure, capped at kRetryBackoffMax.
+constexpr std::chrono::milliseconds kRetryBackoffBase{10};
+constexpr std::chrono::milliseconds kRetryBackoffMax{500};
+
 /// Cached instrument pointers (see obs/metrics.h: cache once, record
 /// lock-free). Recording is gated on obs::Enabled() at the call sites.
 struct DistMetrics {
@@ -80,6 +87,47 @@ class SigPipeGuard {
   bool saved_ok_ = false;
 };
 
+/// The sharding both the coordinator and the single-process reference run:
+/// per shard id, the shard's corpus indices in ascending (= corpus) order.
+/// `num_shards` 0 means one shard per site.
+std::vector<std::vector<size_t>> ShardMembers(
+    const std::vector<ShardSite>& corpus, int num_shards) {
+  if (num_shards <= 0) num_shards = static_cast<int>(corpus.size());
+  std::vector<std::vector<size_t>> members(static_cast<size_t>(num_shards));
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    members[static_cast<size_t>(ShardOfSite(corpus[i].site, num_shards))]
+        .push_back(i);
+  }
+  return members;
+}
+
+/// The merge both paths share: lays the per-site extractions of
+/// `out->shards` out in corpus order and fuses them on a default
+/// FusionConfig under the run deadline.
+void MergeAndFuse(const std::vector<ShardSite>& corpus,
+                  const Ontology& ontology, const Deadline& deadline,
+                  DistResult* out) {
+  std::unordered_map<std::string_view, const SiteResult*> by_site;
+  for (const ShardResult& shard : out->shards) {
+    for (const SiteResult& site : shard.sites) {
+      by_site.emplace(site.site, &site);
+    }
+  }
+  out->site_extractions.reserve(by_site.size());
+  for (const ShardSite& site : corpus) {
+    auto it = by_site.find(site.site);
+    if (it == by_site.end()) continue;
+    fusion::SiteExtractions extracted;
+    extracted.site = it->second->site;
+    extracted.extractions = it->second->extractions;
+    out->site_extractions.push_back(std::move(extracted));
+  }
+  fusion::FusionConfig fusion_config;
+  fusion_config.deadline = deadline;
+  out->fused =
+      fusion::FuseExtractions(out->site_extractions, ontology, fusion_config);
+}
+
 enum class SlotState { kPending, kRunning, kDone, kQuarantined };
 
 struct ShardSlot {
@@ -134,9 +182,6 @@ class Coordinator {
     if (config_.num_workers < 1) {
       return Status::InvalidArgument("num_workers must be >= 1");
     }
-    if (config_.max_attempts_per_shard < 1) {
-      return Status::InvalidArgument("max_attempts_per_shard must be >= 1");
-    }
     if (config_.num_shards < 0) {
       return Status::InvalidArgument("num_shards must be >= 0");
     }
@@ -159,20 +204,14 @@ class Coordinator {
   }
 
   void BuildShards() {
-    const int32_t num_shards =
-        config_.num_shards > 0 ? config_.num_shards
-                               : static_cast<int32_t>(corpus_.size());
-    slots_.resize(static_cast<size_t>(std::max(num_shards, 0)));
+    std::vector<std::vector<size_t>> members =
+        ShardMembers(corpus_, config_.num_shards);
+    slots_.resize(members.size());
     for (size_t s = 0; s < slots_.size(); ++s) {
       slots_[s].id = static_cast<int32_t>(s);
-    }
-    for (size_t i = 0; i < corpus_.size(); ++i) {
-      const int32_t shard = ShardOfSite(corpus_[i].site, num_shards);
-      slots_[static_cast<size_t>(shard)].corpus_indices.push_back(i);
-    }
-    // A shard with no sites has nothing to run (or checkpoint).
-    for (ShardSlot& slot : slots_) {
-      if (slot.corpus_indices.empty()) slot.state = SlotState::kDone;
+      slots_[s].corpus_indices = std::move(members[s]);
+      // A shard with no sites has nothing to run (or checkpoint).
+      if (slots_[s].corpus_indices.empty()) slots_[s].state = SlotState::kDone;
     }
   }
 
@@ -262,20 +301,6 @@ class Coordinator {
         if (other.to_fd >= 0) (void)::close(other.to_fd);
         if (other.from_fd >= 0) (void)::close(other.from_fd);
       }
-      if (!config_.worker_command.empty()) {
-        (void)::dup2(to_pipe[0], STDIN_FILENO);
-        (void)::dup2(from_pipe[1], STDOUT_FILENO);
-        (void)::close(to_pipe[0]);
-        (void)::close(from_pipe[1]);
-        std::vector<char*> argv;
-        argv.reserve(config_.worker_command.size() + 1);
-        for (const std::string& arg : config_.worker_command) {
-          argv.push_back(const_cast<char*>(arg.c_str()));
-        }
-        argv.push_back(nullptr);
-        (void)::execvp(argv[0], argv.data());
-        _exit(127);
-      }
       Status status = RunWorkerLoop(to_pipe[0], from_pipe[1], kb_);
       _exit(status.ok() ? 0 : 1);
     }
@@ -346,18 +371,17 @@ class Coordinator {
     diagnostics_.failures.push_back(
         ShardFailure{shard, static_cast<int32_t>(slot.attempts), reason});
     slot.last_error = reason;
-    if (slot.attempts >= config_.max_attempts_per_shard) {
+    if (slot.attempts >= kMaxAttemptsPerShard) {
       slot.state = SlotState::kQuarantined;
       if (obs::Enabled()) DistMetrics::Get().shards_quarantined->Increment();
       return;
     }
     slot.state = SlotState::kPending;
-    auto backoff = config_.retry_backoff_base;
-    for (int i = 1; i < slot.attempts && backoff < config_.retry_backoff_max;
-         ++i) {
+    auto backoff = kRetryBackoffBase;
+    for (int i = 1; i < slot.attempts && backoff < kRetryBackoffMax; ++i) {
       backoff *= 2;
     }
-    backoff = std::min(backoff, config_.retry_backoff_max);
+    backoff = std::min(backoff, kRetryBackoffMax);
     slot.eligible_at = obs::MonotonicNow() + backoff;
     slot.has_backoff = true;
   }
@@ -534,8 +558,7 @@ class Coordinator {
     worker->last_seen = obs::MonotonicNow();
     switch (frame.type) {
       case FrameType::kHeartbeat:
-      case FrameType::kProgress:
-        // Liveness is the payload; the decoded contents are advisory.
+        // Empty: refreshing last_seen above is all a heartbeat does.
         return;
       case FrameType::kWorkerError: {
         if (worker->shard >= 0) {
@@ -636,15 +659,11 @@ class Coordinator {
 
   DistResult Merge() {
     DistResult out;
-    std::unordered_map<std::string_view, const SiteResult*> by_site;
     for (ShardSlot& slot : slots_) {
       switch (slot.state) {
         case SlotState::kDone:
           if (!slot.corpus_indices.empty()) {
-            for (const SiteResult& site : slot.result.sites) {
-              by_site.emplace(site.site, &site);
-            }
-            out.shards.push_back(slot.result);
+            out.shards.push_back(std::move(slot.result));
           }
           break;
         case SlotState::kQuarantined: {
@@ -664,20 +683,7 @@ class Coordinator {
           break;
       }
     }
-    out.site_extractions.reserve(by_site.size());
-    for (const ShardSite& site : corpus_) {
-      auto it = by_site.find(site.site);
-      if (it == by_site.end()) continue;
-      fusion::SiteExtractions extracted;
-      extracted.site = it->second->site;
-      extracted.extractions = it->second->extractions;
-      out.site_extractions.push_back(std::move(extracted));
-    }
-    fusion::FusionConfig fusion_config = config_.fusion;
-    fusion_config.deadline =
-        fusion_config.deadline.Earlier(config_.deadline);
-    out.fused =
-        fusion::FuseExtractions(out.site_extractions, ontology_, fusion_config);
+    MergeAndFuse(corpus_, ontology_, config_.deadline, &out);
     out.diagnostics = std::move(diagnostics_);
     return out;
   }
@@ -730,47 +736,21 @@ Result<DistResult> RunSingleProcess(const std::vector<ShardSite>& corpus,
                                     const KnowledgeBase& kb,
                                     const Ontology& ontology,
                                     const DistConfig& config) {
-  // Same sharding, same per-site entry point, same merge — no processes.
-  const int32_t num_shards = config.num_shards > 0
-                                 ? config.num_shards
-                                 : static_cast<int32_t>(corpus.size());
-  std::vector<std::vector<size_t>> shard_members(
-      static_cast<size_t>(std::max(num_shards, 0)));
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    shard_members[static_cast<size_t>(ShardOfSite(corpus[i].site, num_shards))]
-        .push_back(i);
-  }
+  // Same sharding, same shard runner, same merge — no processes.
+  const std::vector<std::vector<size_t>> members =
+      ShardMembers(corpus, config.num_shards);
   DistResult out;
-  std::unordered_map<std::string_view, const SiteResult*> by_site;
-  for (int32_t shard = 0; shard < num_shards; ++shard) {
-    const std::vector<size_t>& members =
-        shard_members[static_cast<size_t>(shard)];
-    if (members.empty()) continue;
+  for (size_t shard = 0; shard < members.size(); ++shard) {
+    if (members[shard].empty()) continue;
     ShardTask task;
-    task.shard = shard;
+    task.shard = static_cast<int32_t>(shard);
     task.options = config.pipeline;
-    for (size_t index : members) task.sites.push_back(corpus[index]);
+    for (size_t index : members[shard]) task.sites.push_back(corpus[index]);
     CERES_ASSIGN_OR_RETURN(ShardResult result, RunShard(task, kb));
     out.shards.push_back(std::move(result));
     ++out.diagnostics.shards_completed;
   }
-  for (const ShardResult& shard : out.shards) {
-    for (const SiteResult& site : shard.sites) {
-      by_site.emplace(site.site, &site);
-    }
-  }
-  for (const ShardSite& site : corpus) {
-    auto it = by_site.find(site.site);
-    if (it == by_site.end()) continue;
-    fusion::SiteExtractions extracted;
-    extracted.site = it->second->site;
-    extracted.extractions = it->second->extractions;
-    out.site_extractions.push_back(std::move(extracted));
-  }
-  fusion::FusionConfig fusion_config = config.fusion;
-  fusion_config.deadline = fusion_config.deadline.Earlier(config.deadline);
-  out.fused =
-      fusion::FuseExtractions(out.site_extractions, ontology, fusion_config);
+  MergeAndFuse(corpus, ontology, config.deadline, &out);
   return out;
 }
 

@@ -19,11 +19,13 @@
 /// "Distributed batch extraction").
 ///
 /// The coordinator shards a corpus by site hash, runs shards on a pool of
-/// worker processes over pipes (wire.h protocol), and survives worker
-/// crashes, hangs, and torn frames: a deadline-based watchdog reclaims
-/// silent workers, failed shards retry under exponential backoff with a
-/// per-shard attempt budget, exhausted shards land in quarantine, and
-/// per-shard checkpoints make a restarted run skip completed work. The
+/// forked worker processes over pipes (wire.h protocol), and survives
+/// worker crashes, hangs, and torn frames: a deadline-based watchdog
+/// reclaims silent workers, failed shards retry under exponential backoff
+/// with a per-shard budget of three attempts, exhausted shards land in
+/// quarantine, and per-shard checkpoints make a restarted run skip
+/// completed work. Each forked child runs RunWorkerLoop on a copy-on-write
+/// view of the caller's KB (a mapped KB image's pages stay shared). The
 /// surviving shards merge through fusion::FuseExtractions byte-identical
 /// to a single-process run over the same corpus.
 namespace ceres::dist {
@@ -36,15 +38,9 @@ struct DistConfig {
   /// ShardOfSite (stable FNV-1a hash), so the sharding — and therefore the
   /// checkpoint layout — is reproducible across runs and processes.
   int num_shards = 0;
-  /// A shard is quarantined after this many failed attempts.
-  int max_attempts_per_shard = 3;
   /// Watchdog: a worker with an assigned shard that has sent no frame for
   /// this long is presumed hung, killed, and its shard retried.
   std::chrono::milliseconds worker_liveness_timeout{2000};
-  /// Exponential retry backoff: attempt n re-dispatches no sooner than
-  /// base * 2^(n-1) after the failure, capped at `retry_backoff_max`.
-  std::chrono::milliseconds retry_backoff_base{10};
-  std::chrono::milliseconds retry_backoff_max{500};
   /// Directory for per-shard checkpoints (created if missing); empty
   /// disables checkpointing. A rerun with the same corpus, sharding, and
   /// directory loads completed shards instead of re-running them.
@@ -52,21 +48,15 @@ struct DistConfig {
   /// Pipeline knobs applied by every worker to every site; the single
   /// source the single-process reference path also uses (worker.h).
   WorkerPipelineOptions pipeline;
-  /// Fusion pass over the merged per-site extractions. Its deadline is
-  /// tightened to the run deadline automatically.
-  fusion::FusionConfig fusion;
   /// Planned process faults for chaos tests and bench/dist_recovery.
   /// Worker-acted faults travel inside the assign-shard frame; the
   /// checkpoint fault is acted by the coordinator itself.
   ProcessFaultPlan faults;
   /// Whole-run budget. On expiry the run degrades gracefully: workers are
   /// stopped, unfinished shards are recorded, completed shards still merge.
+  /// The fusion pass over the merge runs on a default FusionConfig under
+  /// this deadline.
   Deadline deadline;
-  /// Non-empty = spawn workers by fork+exec of this argv (a `ceres_dist
-  /// --worker` style command reading frames on stdin, writing frames on
-  /// stdout, with its own KB). Empty = fork only: the child runs
-  /// RunWorkerLoop in-process on a copy-on-write view of the caller's KB.
-  std::vector<std::string> worker_command;
 };
 
 /// One failed shard attempt, in failure order.
@@ -92,7 +82,7 @@ struct DistDiagnostics {
   /// Every failed attempt, typed (worker death, watchdog kill, torn
   /// frame, worker-reported pipeline error), in failure order.
   std::vector<ShardFailure> failures;
-  /// Shards that exhausted max_attempts_per_shard, shard-id order.
+  /// Shards that failed all three attempts, shard-id order.
   std::vector<QuarantinedShard> quarantined_shards;
   /// Shards still pending or running when the run deadline expired,
   /// shard-id order.

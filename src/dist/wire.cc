@@ -16,6 +16,14 @@ constexpr char kFrameMagic = static_cast<char>(0xCE);
 constexpr size_t kFrameHeaderBytes = 1 + 1 + 4;
 constexpr size_t kFrameChecksumBytes = 8;
 
+// The smallest encoding of one element of each counted payload list (every
+// string empty). Decoders check a wire count against these before sizing a
+// container, so a lying count cannot become a huge allocation.
+constexpr size_t kMinShardSiteBytes = 4 + 4;           // site, page count
+constexpr size_t kMinRawPageBytes = 4 + 4;             // url, html
+constexpr size_t kMinSiteResultBytes = 4 + 3 * 8 + 4;  // site, 3 i64, count
+constexpr size_t kMinExtractionBytes = 3 * 4 + 4 + 4 + 8;  // 3 i32, 2 str, f64
+
 uint32_t LoadU32(const char* p) {
   uint32_t v = 0;
   for (int i = 3; i >= 0; --i) {
@@ -62,6 +70,24 @@ Status ReadFully(int fd, char* data, size_t n) {
   return status;
 }
 
+/// The frame type a header's type byte names, or kInternal for a byte
+/// outside the enum. The checksum covers only the payload, so this is the
+/// one check on the type byte.
+Status ParseFrameType(char byte, FrameType* type) {
+  const auto value = static_cast<uint8_t>(byte);
+  switch (static_cast<FrameType>(value)) {
+    case FrameType::kAssignShard:
+    case FrameType::kHeartbeat:
+    case FrameType::kResult:
+    case FrameType::kShutdown:
+    case FrameType::kWorkerError:
+      *type = static_cast<FrameType>(value);
+      return Status::Ok();
+  }
+  return Status::Internal(
+      StrCat("unknown frame type ", static_cast<int>(value)));
+}
+
 }  // namespace
 
 const char* FrameTypeName(FrameType type) {
@@ -70,8 +96,6 @@ const char* FrameTypeName(FrameType type) {
       return "assign-shard";
     case FrameType::kHeartbeat:
       return "heartbeat";
-    case FrameType::kProgress:
-      return "progress";
     case FrameType::kResult:
       return "result";
     case FrameType::kShutdown:
@@ -132,7 +156,7 @@ Result<Frame> ReadFrame(int fd) {
                                    "-byte cap"));
   }
   Frame frame;
-  frame.type = static_cast<FrameType>(header[1]);
+  CERES_RETURN_IF_ERROR(ParseFrameType(header[1], &frame.type));
   frame.payload.resize(len);
   if (len > 0) {
     CERES_RETURN_IF_ERROR(ReadFully(fd, frame.payload.data(), len));
@@ -163,7 +187,7 @@ Status FrameBuffer::Next(Frame* out) {
   }
   const size_t total = kFrameHeaderBytes + len + kFrameChecksumBytes;
   if (buffer_.size() < total) return Status::NotFound("incomplete frame");
-  out->type = static_cast<FrameType>(buffer_[1]);
+  CERES_RETURN_IF_ERROR(ParseFrameType(buffer_[1], &out->type));
   out->payload.assign(buffer_, kFrameHeaderBytes, len);
   const uint64_t checksum = LoadU64(buffer_.data() + kFrameHeaderBytes + len);
   buffer_.erase(0, total);
@@ -256,6 +280,12 @@ Status WireReader::Str(std::string* s) {
   return Status::Ok();
 }
 
+Status WireReader::Count(uint32_t* n, size_t min_element_bytes) {
+  CERES_RETURN_IF_ERROR(U32(n));
+  if (*n > (data_.size() - pos_) / min_element_bytes) return Underrun();
+  return Status::Ok();
+}
+
 // ---------------------------------------------------------------------------
 // Payload codecs.
 // ---------------------------------------------------------------------------
@@ -289,7 +319,8 @@ Result<ShardTask> DecodeShardTask(std::string_view payload) {
   uint8_t fault = 0;
   CERES_RETURN_IF_ERROR(r.U8(&fault));
   if (fault >= kNumProcessFaultTypes) {
-    return Status::Internal(StrCat("bad fault kind ", fault));
+    return Status::Internal(
+        StrCat("bad fault kind ", static_cast<int>(fault)));
   }
   task.fault = static_cast<ProcessFaultType>(fault);
   uint8_t cluster_pages = 0;
@@ -299,12 +330,12 @@ Result<ShardTask> DecodeShardTask(std::string_view payload) {
   CERES_RETURN_IF_ERROR(r.F64(&task.options.max_quarantine_fraction));
   CERES_RETURN_IF_ERROR(r.I64(&task.options.shard_time_budget_ms));
   uint32_t num_sites = 0;
-  CERES_RETURN_IF_ERROR(r.U32(&num_sites));
+  CERES_RETURN_IF_ERROR(r.Count(&num_sites, kMinShardSiteBytes));
   task.sites.resize(num_sites);
   for (ShardSite& site : task.sites) {
     CERES_RETURN_IF_ERROR(r.Str(&site.site));
     uint32_t num_pages = 0;
-    CERES_RETURN_IF_ERROR(r.U32(&num_pages));
+    CERES_RETURN_IF_ERROR(r.Count(&num_pages, kMinRawPageBytes));
     site.pages.resize(num_pages);
     for (RawPage& page : site.pages) {
       CERES_RETURN_IF_ERROR(r.Str(&page.url));
@@ -313,42 +344,6 @@ Result<ShardTask> DecodeShardTask(std::string_view payload) {
   }
   if (!r.AtEnd()) return Status::Internal("trailing bytes in shard task");
   return task;
-}
-
-std::string EncodeHeartbeat(const HeartbeatMsg& msg) {
-  WireWriter w;
-  w.PutI32(msg.shard);
-  w.PutI64(msg.seq);
-  return w.Take();
-}
-
-Result<HeartbeatMsg> DecodeHeartbeat(std::string_view payload) {
-  WireReader r(payload);
-  HeartbeatMsg msg;
-  CERES_RETURN_IF_ERROR(r.I32(&msg.shard));
-  CERES_RETURN_IF_ERROR(r.I64(&msg.seq));
-  if (!r.AtEnd()) return Status::Internal("trailing bytes in heartbeat");
-  return msg;
-}
-
-std::string EncodeProgress(const ProgressMsg& msg) {
-  WireWriter w;
-  w.PutI32(msg.shard);
-  w.PutI32(msg.sites_done);
-  w.PutI32(msg.sites_total);
-  w.PutStr(msg.site);
-  return w.Take();
-}
-
-Result<ProgressMsg> DecodeProgress(std::string_view payload) {
-  WireReader r(payload);
-  ProgressMsg msg;
-  CERES_RETURN_IF_ERROR(r.I32(&msg.shard));
-  CERES_RETURN_IF_ERROR(r.I32(&msg.sites_done));
-  CERES_RETURN_IF_ERROR(r.I32(&msg.sites_total));
-  CERES_RETURN_IF_ERROR(r.Str(&msg.site));
-  if (!r.AtEnd()) return Status::Internal("trailing bytes in progress");
-  return msg;
 }
 
 std::string EncodeShardResult(const ShardResult& result) {
@@ -378,7 +373,7 @@ Result<ShardResult> DecodeShardResult(std::string_view payload) {
   ShardResult result;
   CERES_RETURN_IF_ERROR(r.I32(&result.shard));
   uint32_t num_sites = 0;
-  CERES_RETURN_IF_ERROR(r.U32(&num_sites));
+  CERES_RETURN_IF_ERROR(r.Count(&num_sites, kMinSiteResultBytes));
   result.sites.resize(num_sites);
   for (SiteResult& site : result.sites) {
     CERES_RETURN_IF_ERROR(r.Str(&site.site));
@@ -386,7 +381,7 @@ Result<ShardResult> DecodeShardResult(std::string_view payload) {
     CERES_RETURN_IF_ERROR(r.I64(&site.quarantined_pages));
     CERES_RETURN_IF_ERROR(r.I64(&site.skipped_clusters));
     uint32_t num_extractions = 0;
-    CERES_RETURN_IF_ERROR(r.U32(&num_extractions));
+    CERES_RETURN_IF_ERROR(r.Count(&num_extractions, kMinExtractionBytes));
     site.extractions.resize(num_extractions);
     for (Extraction& e : site.extractions) {
       CERES_RETURN_IF_ERROR(r.I32(&e.page));

@@ -32,11 +32,10 @@ namespace ceres::dist {
 enum class FrameType : uint8_t {
   /// Coordinator -> worker: a ShardTask payload.
   kAssignShard = 1,
-  /// Worker -> coordinator: liveness signal (HeartbeatMsg).
+  /// Worker -> coordinator: liveness signal with an empty payload, sent
+  /// before a shard's first site and after each site.
   kHeartbeat = 2,
-  /// Worker -> coordinator: per-site progress (ProgressMsg); doubles as a
-  /// heartbeat.
-  kProgress = 3,
+  // 3 is retired; decoders reject it like any byte outside this enum.
   /// Worker -> coordinator: the finished ShardResult.
   kResult = 4,
   /// Coordinator -> worker: exit cleanly.
@@ -68,8 +67,8 @@ std::string EncodeFrame(FrameType type, std::string_view payload);
 Status WriteFrame(int fd, FrameType type, std::string_view payload);
 
 /// Blocking frame read. kNotFound on clean EOF at a frame boundary;
-/// kInternal on truncation mid-frame, bad magic, oversized length, or
-/// checksum mismatch.
+/// kInternal on truncation mid-frame, bad magic, unknown frame type,
+/// oversized length, or checksum mismatch.
 Result<Frame> ReadFrame(int fd);
 
 /// Incremental frame decoder for the coordinator's poll loop: bytes arrive
@@ -80,8 +79,8 @@ class FrameBuffer {
 
   /// Extracts the next complete frame. Ok = frame written to `out`;
   /// kNotFound = need more bytes (not an error); kInternal = the stream is
-  /// corrupt (bad magic / oversized length / checksum mismatch) and the
-  /// connection must be abandoned.
+  /// corrupt (bad magic / unknown frame type / oversized length / checksum
+  /// mismatch) and the connection must be abandoned.
   Status Next(Frame* out);
 
   /// Bytes currently buffered (a non-zero value at EOF means the peer died
@@ -129,6 +128,10 @@ class WireReader {
   Status I64(int64_t* v);
   Status F64(double* v);
   Status Str(std::string* s);
+  /// Reads a u32 element count and rejects it as underrun when `n`
+  /// elements of at least `min_element_bytes` each cannot fit in the bytes
+  /// left — so a lying count fails before the caller sizes a container.
+  Status Count(uint32_t* n, size_t min_element_bytes);
 
   bool AtEnd() const { return pos_ == data_.size(); }
 
@@ -150,7 +153,7 @@ struct ShardSite {
 /// The serializable pipeline knobs a worker applies to every site of its
 /// shard. Deliberately small: both the worker and the coordinator's
 /// single-process reference path build their PipelineConfig from this one
-/// struct (worker.h MakeDistPipelineConfig), which is what makes the
+/// struct (worker.cc MakeDistPipelineConfig), which is what makes the
 /// distributed merge byte-identical to a single-process run.
 struct WorkerPipelineOptions {
   bool cluster_pages = true;
@@ -174,20 +177,6 @@ struct ShardTask {
   std::vector<ShardSite> sites;
 };
 
-/// Worker liveness signal.
-struct HeartbeatMsg {
-  int32_t shard = -1;
-  int64_t seq = 0;
-};
-
-/// Worker per-site progress (also refreshes the liveness watchdog).
-struct ProgressMsg {
-  int32_t shard = 0;
-  int32_t sites_done = 0;
-  int32_t sites_total = 0;
-  std::string site;
-};
-
 /// One site's pipeline outcome inside a shard result.
 struct SiteResult {
   std::string site;
@@ -206,12 +195,6 @@ struct ShardResult {
 
 std::string EncodeShardTask(const ShardTask& task);
 Result<ShardTask> DecodeShardTask(std::string_view payload);
-
-std::string EncodeHeartbeat(const HeartbeatMsg& msg);
-Result<HeartbeatMsg> DecodeHeartbeat(std::string_view payload);
-
-std::string EncodeProgress(const ProgressMsg& msg);
-Result<ProgressMsg> DecodeProgress(std::string_view payload);
 
 std::string EncodeShardResult(const ShardResult& result);
 Result<ShardResult> DecodeShardResult(std::string_view payload);

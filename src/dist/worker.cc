@@ -7,7 +7,9 @@
 #include <string>
 #include <utility>
 
+#include "core/pipeline.h"
 #include "robustness/resilient_loader.h"
+#include "util/deadline.h"
 #include "util/string_util.h"
 
 namespace ceres::dist {
@@ -35,11 +37,11 @@ Deadline ShardDeadline(const WorkerPipelineOptions& options) {
       std::chrono::milliseconds(options.shard_time_budget_ms));
 }
 
-/// Acts out `fault` at its trigger point inside the site loop. Never
-/// returns for a firing fault: the worker process ends (or blocks forever,
-/// for the watchdog to reap). `sites_done` is the number of fully
-/// processed sites; faults fire halfway through the shard so the
-/// coordinator has seen real heartbeats and progress first.
+/// Acts out `fault` at its trigger point among the shard's site
+/// boundaries. Never returns for a firing fault: the worker process ends
+/// (or blocks forever, for the watchdog to reap). `sites_done` is the
+/// number of fully processed sites; faults fire halfway through the shard
+/// so the coordinator has seen real heartbeats first.
 void MaybeActFault(ProcessFaultType fault, size_t sites_done,
                    size_t sites_total) {
   const size_t halfway = sites_total / 2;
@@ -58,8 +60,10 @@ void MaybeActFault(ProcessFaultType fault, size_t sites_done,
   }
 }
 
-}  // namespace
-
+/// Builds the PipelineConfig every dist pipeline run uses. RunShard is the
+/// one caller for worker and single-process reference alike, and any knob
+/// added to WorkerPipelineOptions flows through here or it does not exist:
+/// that is the byte-identical guarantee.
 PipelineConfig MakeDistPipelineConfig(const WorkerPipelineOptions& options) {
   PipelineConfig config;
   config.cluster_pages = options.cluster_pages;
@@ -67,6 +71,8 @@ PipelineConfig MakeDistPipelineConfig(const WorkerPipelineOptions& options) {
   return config;
 }
 
+/// Runs the resilient pipeline over one site's raw pages and condenses the
+/// outcome into a SiteResult. `deadline` is the enclosing shard's budget.
 Result<SiteResult> RunSiteForDist(const ShardSite& site,
                                   const KnowledgeBase& kb,
                                   const WorkerPipelineOptions& options,
@@ -89,23 +95,27 @@ Result<SiteResult> RunSiteForDist(const ShardSite& site,
   return result;
 }
 
-Result<ShardResult> RunShard(const ShardTask& task, const KnowledgeBase& kb) {
+}  // namespace
+
+Result<ShardResult> RunShard(const ShardTask& task, const KnowledgeBase& kb,
+                             const SiteBoundaryHook& on_boundary) {
   const Deadline deadline = ShardDeadline(task.options);
   ShardResult result;
   result.shard = task.shard;
   result.sites.reserve(task.sites.size());
   for (const ShardSite& site : task.sites) {
+    if (on_boundary) CERES_RETURN_IF_ERROR(on_boundary(result.sites.size()));
     CERES_ASSIGN_OR_RETURN(
         SiteResult site_result,
         RunSiteForDist(site, kb, task.options, deadline),
         StrCat("shard ", task.shard));
     result.sites.push_back(std::move(site_result));
   }
+  if (on_boundary) CERES_RETURN_IF_ERROR(on_boundary(result.sites.size()));
   return result;
 }
 
 Status RunWorkerLoop(int in_fd, int out_fd, const KnowledgeBase& kb) {
-  int64_t heartbeat_seq = 0;
   for (;;) {
     Result<Frame> frame = ReadFrame(in_fd);
     if (!frame.ok()) {
@@ -126,43 +136,21 @@ Status RunWorkerLoop(int in_fd, int out_fd, const KnowledgeBase& kb) {
       return PrependContext(task.status(), "decoding shard task");
     }
 
-    HeartbeatMsg heartbeat;
-    heartbeat.shard = task->shard;
-    heartbeat.seq = heartbeat_seq++;
-    CERES_RETURN_IF_ERROR(WriteFrame(out_fd, FrameType::kHeartbeat,
-                                     EncodeHeartbeat(heartbeat)));
-
-    const Deadline deadline = ShardDeadline(task->options);
-    ShardResult result;
-    result.shard = task->shard;
-    result.sites.reserve(task->sites.size());
-    bool shard_failed = false;
-    for (size_t i = 0; i < task->sites.size(); ++i) {
-      MaybeActFault(task->fault, i, task->sites.size());
-      Result<SiteResult> site_result =
-          RunSiteForDist(task->sites[i], kb, task->options, deadline);
-      if (!site_result.ok()) {
-        CERES_RETURN_IF_ERROR(
-            WriteFrame(out_fd, FrameType::kWorkerError,
-                       PrependContext(site_result.status(),
-                                      StrCat("shard ", task->shard))
-                           .ToString()));
-        shard_failed = true;
-        break;
-      }
-      result.sites.push_back(std::move(site_result.value()));
-      ProgressMsg progress;
-      progress.shard = task->shard;
-      progress.sites_done = static_cast<int32_t>(i + 1);
-      progress.sites_total = static_cast<int32_t>(task->sites.size());
-      progress.site = task->sites[i].site;
-      CERES_RETURN_IF_ERROR(WriteFrame(out_fd, FrameType::kProgress,
-                                       EncodeProgress(progress)));
+    const size_t sites_total = task->sites.size();
+    Result<ShardResult> result =
+        RunShard(*task, kb, [&](size_t sites_done) -> Status {
+          CERES_RETURN_IF_ERROR(WriteFrame(out_fd, FrameType::kHeartbeat, ""));
+          MaybeActFault(task->fault, sites_done, sites_total);
+          return Status::Ok();
+        });
+    if (!result.ok()) {
+      // The coordinator retries the shard per its budget.
+      CERES_RETURN_IF_ERROR(WriteFrame(out_fd, FrameType::kWorkerError,
+                                       result.status().ToString()));
+      continue;
     }
-    if (shard_failed) continue;  // the coordinator retries per its budget
-    MaybeActFault(task->fault, task->sites.size(), task->sites.size());
 
-    const std::string payload = EncodeShardResult(result);
+    const std::string payload = EncodeShardResult(*result);
     if (task->fault == ProcessFaultType::kTruncatedResult) {
       // The interrupted-pipe-write fault: half the encoded frame, then
       // gone. The coordinator's FrameBuffer must flag the torn stream.

@@ -1,51 +1,44 @@
 #ifndef CERES_DIST_WORKER_H_
 #define CERES_DIST_WORKER_H_
 
-#include "core/pipeline.h"
+#include <cstddef>
+#include <functional>
+
 #include "dist/wire.h"
 #include "kb/knowledge_base.h"
-#include "util/deadline.h"
 #include "util/status.h"
 
 /// The worker side of the distributed extraction protocol (see wire.h and
 /// DESIGN.md "Distributed batch extraction").
 ///
 /// A worker is a loop over its inbound pipe: decode an assign-shard frame,
-/// run the CERES pipeline per site, stream heartbeat/progress frames, send
-/// the shard result, repeat until shutdown or EOF. The same per-site entry
-/// points are also called by the coordinator's single-process reference
-/// path, which is what makes the distributed merge byte-identical to a
-/// single-process run.
+/// run the shard through RunShard, send the shard result, repeat until
+/// shutdown or EOF. The coordinator's single-process reference path calls
+/// the same RunShard, which is what makes the distributed merge
+/// byte-identical to a single-process run.
 namespace ceres::dist {
 
-/// Builds the PipelineConfig every dist pipeline run uses — worker and
-/// single-process reference alike. Keeping this the single construction
-/// point is the byte-identical guarantee: any knob added to
-/// WorkerPipelineOptions flows through here or it does not exist.
-PipelineConfig MakeDistPipelineConfig(const WorkerPipelineOptions& options);
+/// Called at every site boundary of a shard: with `sites_done` = 0 before
+/// the first site, then after each site (1..n). An error stops the shard
+/// and becomes RunShard's result.
+using SiteBoundaryHook = std::function<Status(size_t sites_done)>;
 
-/// Runs the resilient pipeline over one site's raw pages and condenses the
-/// outcome into a SiteResult. Page indices in the extractions are
-/// site-local (the site's raw page order). A site whose batch empties out
-/// under the quarantine budget yields zero extractions, not an error.
-/// `deadline` is the enclosing shard's budget (RunShard derives it from
-/// `options.shard_time_budget_ms`); infinite by default.
-Result<SiteResult> RunSiteForDist(const ShardSite& site,
-                                  const KnowledgeBase& kb,
-                                  const WorkerPipelineOptions& options,
-                                  const Deadline& deadline = Deadline());
-
-/// Runs a whole shard in-process: every site through RunSiteForDist, in
-/// task order. Ignores `task.fault` — fault acting is the worker loop's
-/// job; this is the pure computation both process modes share.
-Result<ShardResult> RunShard(const ShardTask& task, const KnowledgeBase& kb);
+/// Runs a whole shard in-process: every site through the resilient
+/// pipeline, in task order, under the shard's time budget. Page indices in
+/// the extractions are site-local (the site's raw page order); a site whose
+/// batch empties out under the quarantine budget yields zero extractions,
+/// not an error. Ignores `task.fault`: fault acting is the worker loop's
+/// job, done from its `on_boundary` hook.
+Result<ShardResult> RunShard(const ShardTask& task, const KnowledgeBase& kb,
+                             const SiteBoundaryHook& on_boundary = {});
 
 /// The worker process main loop: reads frames from `in_fd`, writes frames
-/// to `out_fd`, until a shutdown frame or EOF. Acts out the process fault
-/// carried in each task (crash halfway, hang silently, truncate the result
-/// frame) — in a forked child these end the child, never the caller.
-/// Returns OK on clean shutdown; an error Status means the inbound stream
-/// was corrupt or a write failed (the worker should exit nonzero).
+/// to `out_fd`, until a shutdown frame or EOF. Sends an empty heartbeat
+/// frame at every site boundary and acts out the process fault carried in
+/// each task (crash halfway, hang silently, truncate the result frame) —
+/// in a forked child these end the child, never the caller. Returns OK on
+/// clean shutdown; an error Status means the inbound stream was corrupt or
+/// a write failed (the worker should exit nonzero).
 Status RunWorkerLoop(int in_fd, int out_fd, const KnowledgeBase& kb);
 
 }  // namespace ceres::dist

@@ -122,8 +122,9 @@ const char* ProcessFaultTypeName(ProcessFaultType fault);
 /// One planned process fault: `fault` fires whenever `shard` runs with an
 /// attempt number <= `attempts` (1-based), then stops — so a shard crashed
 /// on its first attempt succeeds on retry, and a shard with
-/// `attempts >= max_attempts_per_shard` exhausts its budget and lands in
-/// quarantine. Deterministic by construction: no randomness at fire time.
+/// `attempts >= 3` (the coordinator's per-shard attempt budget) exhausts
+/// its budget and lands in quarantine. Deterministic by construction: no
+/// randomness at fire time.
 struct ProcessFault {
   int shard = 0;
   ProcessFaultType fault = ProcessFaultType::kNone;
@@ -132,8 +133,8 @@ struct ProcessFault {
 
 /// A deterministic schedule of process-level faults, keyed by shard id and
 /// attempt number. The plan travels from the coordinator to workers inside
-/// the assign-shard frame, so a forked or exec'd worker misbehaves
-/// identically across runs.
+/// the assign-shard frame, so a forked worker misbehaves identically across
+/// runs.
 struct ProcessFaultPlan {
   std::vector<ProcessFault> faults;
 

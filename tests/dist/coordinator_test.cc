@@ -169,20 +169,20 @@ TEST_F(CoordinatorTest, TruncatedResultFrameIsRetried) {
 
 TEST_F(CoordinatorTest, ExhaustedAttemptBudgetQuarantinesShard) {
   DistConfig config = BaseConfig();
-  config.max_attempts_per_shard = 2;
   const int32_t victim =
       ShardOfSite(corpus_->sites[1].site,
                   static_cast<int32_t>(corpus_->sites.size()));
-  // Crashes on every allowed attempt: the shard must land in quarantine.
+  // Crashes on all three allowed attempts: the shard must land in
+  // quarantine.
   config.faults.faults.push_back(
-      ProcessFault{victim, ProcessFaultType::kWorkerCrash, 2});
+      ProcessFault{victim, ProcessFaultType::kWorkerCrash, 3});
 
   Result<DistResult> got = RunDist(config);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_EQ(got->diagnostics.quarantined_shards.size(), 1u);
   const QuarantinedShard& q = got->diagnostics.quarantined_shards[0];
   EXPECT_EQ(q.shard, victim);
-  EXPECT_EQ(q.attempts, 2);
+  EXPECT_EQ(q.attempts, 3);
   ASSERT_EQ(q.sites.size(), 1u);
   EXPECT_EQ(q.sites[0], corpus_->sites[1].site);
   EXPECT_FALSE(q.last_error.ok());
@@ -202,7 +202,6 @@ TEST_F(CoordinatorTest, WatchdogReclaimsHungWorker) {
   // kill is also kDeadlineExceeded and its retry still converges, so the
   // assertions below hold either way.
   config.worker_liveness_timeout = std::chrono::milliseconds(5000);
-  config.max_attempts_per_shard = 5;
   const int32_t victim =
       ShardOfSite(corpus_->sites[2].site,
                   static_cast<int32_t>(corpus_->sites.size()));
@@ -272,12 +271,6 @@ TEST(CoordinatorValidationTest, BadConfigRejected) {
   KnowledgeBase kb((Ontology()));
   DistConfig config;
   config.num_workers = 0;
-  EXPECT_EQ(RunDistributedExtraction({}, kb, kb.ontology(), config)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  config = DistConfig();
-  config.max_attempts_per_shard = 0;
   EXPECT_EQ(RunDistributedExtraction({}, kb, kb.ontology(), config)
                 .status()
                 .code(),

@@ -30,10 +30,10 @@ TEST(Fnv1a64Test, PinnedReferenceValues) {
 TEST(FrameTest, RoundTripThroughPipe) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  ASSERT_TRUE(WriteFrame(fds[1], FrameType::kProgress, "hello").ok());
+  ASSERT_TRUE(WriteFrame(fds[1], FrameType::kHeartbeat, "hello").ok());
   Result<Frame> frame = ReadFrame(fds[0]);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_EQ(frame->type, FrameType::kProgress);
+  EXPECT_EQ(frame->type, FrameType::kHeartbeat);
   EXPECT_EQ(frame->payload, "hello");
   ::close(fds[1]);
   // Clean EOF at a frame boundary is kNotFound, not an error.
@@ -91,6 +91,37 @@ TEST(FrameTest, BadMagicIsInternal) {
   ::close(fds[1]);
   EXPECT_EQ(ReadFrame(fds[0]).status().code(), StatusCode::kInternal);
   ::close(fds[0]);
+}
+
+TEST(FrameTest, UnknownFrameTypeIsInternal) {
+  // The checksum covers only the payload, so a bad type byte passes it;
+  // both decoders must reject the byte itself. 3 is the retired progress
+  // frame.
+  for (const uint8_t type : {uint8_t{0x7F}, uint8_t{3}}) {
+    std::string encoded = EncodeFrame(FrameType::kHeartbeat, "");
+    encoded[1] = static_cast<char>(type);
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    ASSERT_EQ(::write(fds[1], encoded.data(), encoded.size()),
+              static_cast<ssize_t>(encoded.size()));
+    ::close(fds[1]);
+    Result<Frame> read = ReadFrame(fds[0]);
+    ::close(fds[0]);
+    ASSERT_EQ(read.status().code(), StatusCode::kInternal) << int{type};
+    EXPECT_NE(read.status().message().find(
+                  StrCat("unknown frame type ", int{type})),
+              std::string::npos)
+        << read.status().ToString();
+
+    FrameBuffer buffer;
+    buffer.Append(encoded.data(), encoded.size());
+    Frame frame;
+    Status next = buffer.Next(&frame);
+    ASSERT_EQ(next.code(), StatusCode::kInternal) << int{type};
+    EXPECT_NE(next.message().find(StrCat("unknown frame type ", int{type})),
+              std::string::npos)
+        << next.ToString();
+  }
 }
 
 TEST(FrameBufferTest, DeliversFramesAcrossArbitraryChunks) {
@@ -230,31 +261,61 @@ TEST(PayloadTest, ShardResultRoundTripsDoublesExactly) {
   }
 }
 
-TEST(PayloadTest, HeartbeatAndProgressRoundTrip) {
-  HeartbeatMsg heartbeat;
-  heartbeat.shard = 4;
-  heartbeat.seq = 99;
-  Result<HeartbeatMsg> h = DecodeHeartbeat(EncodeHeartbeat(heartbeat));
-  ASSERT_TRUE(h.ok());
-  EXPECT_EQ(h->shard, 4);
-  EXPECT_EQ(h->seq, 99);
+TEST(PayloadTest, TrailingBytesRejected) {
+  std::string task = EncodeShardTask(MakeTask());
+  task.push_back('x');
+  EXPECT_EQ(DecodeShardTask(task).status().code(), StatusCode::kInternal);
 
-  ProgressMsg progress;
-  progress.shard = 4;
-  progress.sites_done = 2;
-  progress.sites_total = 8;
-  progress.site = "p.example";
-  Result<ProgressMsg> p = DecodeProgress(EncodeProgress(progress));
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p->sites_done, 2);
-  EXPECT_EQ(p->sites_total, 8);
-  EXPECT_EQ(p->site, "p.example");
+  ShardResult result;
+  result.shard = 1;
+  result.sites.push_back(SiteResult{"t.example", {}, 2, 0, 0});
+  std::string encoded = EncodeShardResult(result);
+  encoded.push_back('x');
+  EXPECT_EQ(DecodeShardResult(encoded).status().code(),
+            StatusCode::kInternal);
 }
 
-TEST(PayloadTest, TrailingBytesRejected) {
-  std::string encoded = EncodeHeartbeat(HeartbeatMsg{1, 2});
-  encoded.push_back('x');
-  EXPECT_EQ(DecodeHeartbeat(encoded).status().code(), StatusCode::kInternal);
+TEST(PayloadTest, LyingCountIsUnderrunNotAllocation) {
+  // A count of 0xFFFFFFFF followed by no elements must be rejected from the
+  // bytes left, before any container is sized to it.
+  WireWriter result;
+  result.PutI32(0);           // shard
+  result.PutU32(0xFFFFFFFF);  // sites
+  Result<ShardResult> decoded_result = DecodeShardResult(result.bytes());
+  ASSERT_EQ(decoded_result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(decoded_result.status().message().find("underrun"),
+            std::string::npos);
+
+  // The same lie one level down: one site claiming 0xFFFFFFFF extractions.
+  WireWriter extractions;
+  extractions.PutI32(0);
+  extractions.PutU32(1);
+  extractions.PutStr("s.example");
+  extractions.PutI64(1);
+  extractions.PutI64(0);
+  extractions.PutI64(0);
+  extractions.PutU32(0xFFFFFFFF);
+  EXPECT_EQ(DecodeShardResult(extractions.bytes()).status().code(),
+            StatusCode::kInternal);
+
+  // A shard task: a default task's header with its site count (0) cut
+  // off, then the lying count.
+  std::string header = EncodeShardTask(ShardTask{});
+  header.resize(header.size() - 4);
+  WireWriter sites;
+  sites.PutU32(0xFFFFFFFF);
+  Result<ShardTask> decoded_task = DecodeShardTask(header + sites.bytes());
+  ASSERT_EQ(decoded_task.status().code(), StatusCode::kInternal);
+  EXPECT_NE(decoded_task.status().message().find("underrun"),
+            std::string::npos);
+
+  // And one site claiming 0xFFFFFFFF pages.
+  WireWriter pages;
+  pages.PutU32(1);
+  pages.PutStr("p.example");
+  pages.PutU32(0xFFFFFFFF);
+  EXPECT_EQ(DecodeShardTask(header + pages.bytes()).status().code(),
+            StatusCode::kInternal);
 }
 
 }  // namespace

@@ -1,63 +1,39 @@
-// ceres_dist — coordinator/worker distributed extraction driver.
-//
-// Two modes:
-//
-//   ceres_dist --worker (--kb <path> | --kb-image <path>)
-//     Worker mode: speaks the wire.h frame protocol on stdin/stdout,
-//     running shards against the KB loaded from <path>. --kb parses the
-//     portable text format; --kb-image mmap's a frozen KB image
-//     read-only — O(1) startup regardless of KB size, and all workers on
-//     a machine share the image's page-cache pages instead of each
-//     holding a parsed heap copy. This is the argv the coordinator's
-//     fork+exec spawn mode targets; it is how a distributed run crosses
-//     machine or binary boundaries.
+// ceres_dist — distributed extraction demo and self-check.
 //
 //   ceres_dist [--workers N] [--shards N] [--crash-rate F] [--hang-rate F]
-//              [--checkpoint-dir D] [--exec] [--scale F] [--smoke]
-//              [--seed N] [--verbose]
-//     Driver mode: generates a synthetic SWDE movie corpus, runs it
-//     through the distributed coordinator (optionally with injected
-//     worker crashes/hangs), reruns it single-process, and verifies the
-//     merged extractions are byte-identical for non-quarantined shards.
-//     With --exec, workers are spawned by fork+exec of this same binary
-//     in --worker mode instead of plain fork. Exit 0 iff every check
-//     holds.
+//              [--checkpoint-dir D] [--scale F] [--smoke] [--seed N]
+//              [--verbose]
+//
+// Generates a synthetic SWDE movie corpus, runs it through the
+// distributed coordinator on forked worker processes (optionally with
+// injected worker crashes/hangs), reruns it single-process, and verifies
+// the merged extractions are byte-identical for non-quarantined shards.
+// Exit 0 iff every check holds.
 //
 // A malformed or out-of-range numeric flag value (--workers below 1,
 // --shards below 0, a rate outside [0, 1], --scale <= 0) prints the usage
 // and exits 2.
 
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "dist/coordinator.h"
-#include "dist/worker.h"
 #include "flag_value.h"
-#include "kb/kb_io.h"
-#include "kb/knowledge_base.h"
 #include "robustness/fault_injector.h"
 #include "synth/corpora.h"
-#include "util/string_util.h"
 
 namespace {
 
 using namespace ceres;  // NOLINT(build/namespaces)
 
 struct Options {
-  bool worker = false;
-  std::string kb_path;
-  std::string kb_image_path;
   int workers = 3;
   int shards = 0;
   double crash_rate = 0.0;
   double hang_rate = 0.0;
   std::string checkpoint_dir;
-  bool exec_workers = false;
   double scale = 1.0;
   uint64_t seed = 7;
   bool verbose = false;
@@ -65,10 +41,9 @@ struct Options {
 
 void PrintUsage() {
   std::fprintf(stderr,
-               "usage: ceres_dist --worker (--kb <path> | --kb-image <path>)\n"
-               "       ceres_dist [--workers N] [--shards N]\n"
+               "usage: ceres_dist [--workers N] [--shards N]\n"
                "  [--crash-rate F] [--hang-rate F] [--checkpoint-dir D]\n"
-               "  [--exec] [--scale F] [--smoke] [--seed N] [--verbose]\n");
+               "  [--scale F] [--smoke] [--seed N] [--verbose]\n");
 }
 
 bool ParseArgs(int argc, char** argv, Options* options) {
@@ -81,13 +56,7 @@ bool ParseArgs(int argc, char** argv, Options* options) {
     };
     std::string value;
     bool ok = true;
-    if (arg == "--worker") {
-      options->worker = true;
-    } else if (arg == "--kb") {
-      if (!next(&options->kb_path)) return false;
-    } else if (arg == "--kb-image") {
-      if (!next(&options->kb_image_path)) return false;
-    } else if (arg == "--workers") {
+    if (arg == "--workers") {
       ok = next(&value) &&
            tools::ParseFlagValue(value, &options->workers, 1);
     } else if (arg == "--shards") {
@@ -101,8 +70,6 @@ bool ParseArgs(int argc, char** argv, Options* options) {
            tools::ParseFlagValue(value, &options->hang_rate, 0.0, 1.0);
     } else if (arg == "--checkpoint-dir") {
       if (!next(&options->checkpoint_dir)) return false;
-    } else if (arg == "--exec") {
-      options->exec_workers = true;
     } else if (arg == "--scale") {
       // Strictly positive: the smallest normal double is the floor.
       ok = next(&value) &&
@@ -125,31 +92,6 @@ bool ParseArgs(int argc, char** argv, Options* options) {
   return true;
 }
 
-int RunWorkerMode(const Options& options) {
-  if (options.kb_path.empty() == options.kb_image_path.empty()) {
-    std::fprintf(stderr,
-                 "ceres_dist --worker requires exactly one of --kb <path> "
-                 "or --kb-image <path>\n");
-    return 2;
-  }
-  Result<KnowledgeBase> kb =
-      options.kb_image_path.empty()
-          ? LoadKbFromFile(options.kb_path)
-          : KnowledgeBase::OpenImage(options.kb_image_path);
-  if (!kb.ok()) {
-    std::fprintf(stderr, "ceres_dist --worker: %s\n",
-                 kb.status().ToString().c_str());
-    return 2;
-  }
-  Status status = dist::RunWorkerLoop(STDIN_FILENO, STDOUT_FILENO, *kb);
-  if (!status.ok()) {
-    std::fprintf(stderr, "ceres_dist --worker: %s\n",
-                 status.ToString().c_str());
-    return 1;
-  }
-  return 0;
-}
-
 bool SameExtractions(const std::vector<fusion::SiteExtractions>& a,
                      const std::vector<fusion::SiteExtractions>& b) {
   if (a.size() != b.size()) return false;
@@ -169,7 +111,7 @@ bool SameExtractions(const std::vector<fusion::SiteExtractions>& a,
   return true;
 }
 
-int RunDriverMode(const Options& options, const char* self) {
+int Run(const Options& options) {
   synth::Corpus corpus =
       synth::MakeSwdeCorpus(synth::SwdeVertical::kMovie, options.scale, 100);
   std::vector<dist::ShardSite> sites;
@@ -202,28 +144,12 @@ int RunDriverMode(const Options& options, const char* self) {
                                 hangs.faults.begin(), hangs.faults.end());
   }
   // The watchdog cannot tell "hung" from "computing": its timeout must
-  // exceed the slowest single site's pipeline time (progress frames are
+  // exceed the slowest single site's pipeline time (heartbeats are
   // per-site). The default 2 s clears the synthetic sites comfortably at
   // these scales; each injected hang then costs one timeout to reclaim.
 
-  std::string kb_file;
-  if (options.exec_workers) {
-    // Exec'd workers get the frozen image, not the text KB: each worker
-    // opens it with one mmap (no per-worker parse) and the kernel shares
-    // the backing pages across all of them.
-    kb_file = StrCat("/tmp/ceres_dist_kb_", ::getpid(), ".kbi");
-    Status saved = corpus.seed_kb.SaveImage(kb_file);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "saving KB image: %s\n",
-                   saved.ToString().c_str());
-      return 1;
-    }
-    config.worker_command = {self, "--worker", "--kb-image", kb_file};
-  }
-
   Result<dist::DistResult> distributed = dist::RunDistributedExtraction(
       sites, corpus.seed_kb, corpus.seed_kb.ontology(), config);
-  if (!kb_file.empty()) (void)::unlink(kb_file.c_str());
   if (!distributed.ok()) {
     std::fprintf(stderr, "distributed run: %s\n",
                  distributed.status().ToString().c_str());
@@ -233,7 +159,6 @@ int RunDriverMode(const Options& options, const char* self) {
   dist::DistConfig reference_config;
   reference_config.num_shards = config.num_shards;
   reference_config.pipeline = config.pipeline;
-  reference_config.fusion = config.fusion;
   Result<dist::DistResult> reference = dist::RunSingleProcess(
       sites, corpus.seed_kb, corpus.seed_kb.ontology(), reference_config);
   if (!reference.ok()) {
@@ -244,11 +169,10 @@ int RunDriverMode(const Options& options, const char* self) {
 
   const dist::DistDiagnostics& diag = distributed->diagnostics;
   std::printf(
-      "ceres_dist: %zu sites, %d shards, %d workers%s%s\n"
+      "ceres_dist: %zu sites, %d shards, %d workers, forked workers%s\n"
       "  completed=%lld quarantined=%zu retries=%lld restarts=%lld "
       "checkpoint_bytes=%lld fused_triples=%zu\n",
       sites.size(), num_shards, options.workers,
-      options.exec_workers ? ", exec workers" : ", forked workers",
       options.crash_rate > 0 || options.hang_rate > 0 ? ", faults injected"
                                                       : "",
       static_cast<long long>(diag.shards_completed),
@@ -287,6 +211,5 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
-  if (options.worker) return RunWorkerMode(options);
-  return RunDriverMode(options, argv[0]);
+  return Run(options);
 }
