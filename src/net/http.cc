@@ -8,6 +8,13 @@ namespace ceres::net {
 
 namespace {
 
+/// Hard input limits of both parsers; exceeding any of them is a typed
+/// parse error. The request-line limit also bounds a status line.
+constexpr size_t kMaxRequestLineBytes = 8u << 10;
+constexpr size_t kMaxHeaderSectionBytes = 64u << 10;
+constexpr size_t kMaxHeaders = 100;
+constexpr size_t kMaxBodyBytes = 8u << 20;
+
 char ToLowerAscii(char c) {
   return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
 }
@@ -52,17 +59,23 @@ bool IsToken(std::string_view text) {
 
 /// Strict non-negative decimal parse for Content-Length. Rejects signs,
 /// whitespace, and anything non-digit — a sloppy length parse on the trust
-/// boundary becomes request smuggling.
-bool ParseContentLength(std::string_view text, size_t limit, size_t* out) {
-  if (text.empty() || text.size() > 19) return false;
+/// boundary becomes request smuggling. Returns 0 and sets `*out` on
+/// success, 413 for a number above kMaxBodyBytes, and 400 for anything
+/// else (including more than 19 digits of a smaller number).
+int ParseContentLength(std::string_view text, size_t* out) {
+  if (text.empty()) return 400;
   uint64_t value = 0;
   for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+    if (c < '0' || c > '9') return 400;
+    // Saturates just past the limit: beyond it only "too large" matters.
+    if (value <= kMaxBodyBytes) {
+      value = value * 10 + static_cast<uint64_t>(c - '0');
+    }
   }
-  if (value > limit) return false;
+  if (value > kMaxBodyBytes) return 413;
+  if (text.size() > 19) return 400;
   *out = static_cast<size_t>(value);
-  return true;
+  return 0;
 }
 
 /// Parses one "Name: value" line into `headers`. Returns false on a
@@ -227,8 +240,6 @@ std::map<std::string, std::string> ParseQuery(std::string_view query) {
 // RequestParser
 // ---------------------------------------------------------------------------
 
-RequestParser::RequestParser(HttpLimits limits) : limits_(limits) {}
-
 void RequestParser::Reset() {
   state_ = ParseState::kNeedMore;
   phase_ = Phase::kRequestLine;
@@ -301,25 +312,9 @@ ParseState RequestParser::FinishHeaders() {
   const std::string* content_length = request_.FindHeader("content-length");
   body_length_ = 0;
   if (content_length != nullptr) {
-    size_t parsed = 0;
-    if (!ParseContentLength(*content_length, limits_.max_body_bytes,
-                            &parsed)) {
-      // Distinguish "not a number" (400) from "too large" (413).
-      uint64_t value = 0;
-      bool numeric = !content_length->empty();
-      for (char c : *content_length) {
-        if (c < '0' || c > '9') {
-          numeric = false;
-          break;
-        }
-        if (value < (1ull << 62)) value = value * 10 + (c - '0');
-      }
-      if (numeric && value > limits_.max_body_bytes) {
-        return Fail(413, "body exceeds limit");
-      }
-      return Fail(400, "malformed Content-Length");
-    }
-    body_length_ = parsed;
+    const int status = ParseContentLength(*content_length, &body_length_);
+    if (status == 413) return Fail(413, "body exceeds limit");
+    if (status != 0) return Fail(400, "malformed Content-Length");
   }
   phase_ = Phase::kBody;
   return Advance();
@@ -332,7 +327,7 @@ ParseState RequestParser::Advance() {
         std::string_view line;
         size_t consumed = 0;
         if (!NextLine(buffer_, 0, &line, &consumed)) {
-          if (buffer_.size() > limits_.max_request_line_bytes) {
+          if (buffer_.size() > kMaxRequestLineBytes) {
             return Fail(414, "request line exceeds limit");
           }
           return state_ = ParseState::kNeedMore;
@@ -341,7 +336,7 @@ ParseState RequestParser::Advance() {
         const std::string owned(line);
         buffer_.erase(0, consumed);
         if (owned.empty()) continue;  // tolerate leading blank line (RFC)
-        if (consumed > limits_.max_request_line_bytes) {
+        if (consumed > kMaxRequestLineBytes) {
           return Fail(414, "request line exceeds limit");
         }
         if (!ParseRequestLine(owned)) {
@@ -358,20 +353,19 @@ ParseState RequestParser::Advance() {
         std::string_view line;
         size_t consumed = 0;
         if (!NextLine(buffer_, 0, &line, &consumed)) {
-          if (header_bytes_ + buffer_.size() >
-              limits_.max_header_section_bytes) {
+          if (header_bytes_ + buffer_.size() > kMaxHeaderSectionBytes) {
             return Fail(431, "header section exceeds limit");
           }
           return state_ = ParseState::kNeedMore;
         }
         header_bytes_ += consumed;
-        if (header_bytes_ > limits_.max_header_section_bytes) {
+        if (header_bytes_ > kMaxHeaderSectionBytes) {
           return Fail(431, "header section exceeds limit");
         }
         const std::string owned(line);
         buffer_.erase(0, consumed);
         if (owned.empty()) return FinishHeaders();
-        if (request_.headers.size() >= limits_.max_headers) {
+        if (request_.headers.size() >= kMaxHeaders) {
           return Fail(431, "too many headers");
         }
         if (!ParseHeaderLine(owned, &request_.headers)) {
@@ -394,18 +388,6 @@ ParseState RequestParser::Advance() {
 // ---------------------------------------------------------------------------
 // ResponseParser
 // ---------------------------------------------------------------------------
-
-ResponseParser::ResponseParser(HttpLimits limits) : limits_(limits) {}
-
-void ResponseParser::Reset() {
-  state_ = ParseState::kNeedMore;
-  phase_ = Phase::kStatusLine;
-  buffer_.clear();
-  header_bytes_ = 0;
-  body_length_ = 0;
-  response_ = HttpResponse{};
-  error_.clear();
-}
 
 ParseState ResponseParser::Fail(std::string message) {
   state_ = ParseState::kError;
@@ -439,7 +421,7 @@ ParseState ResponseParser::Advance() {
         std::string_view line;
         size_t consumed = 0;
         if (!NextLine(buffer_, 0, &line, &consumed)) {
-          if (buffer_.size() > limits_.max_request_line_bytes) {
+          if (buffer_.size() > kMaxRequestLineBytes) {
             return Fail("status line exceeds limit");
           }
           return state_ = ParseState::kNeedMore;
@@ -471,20 +453,19 @@ ParseState ResponseParser::Advance() {
         std::string_view line;
         size_t consumed = 0;
         if (!NextLine(buffer_, 0, &line, &consumed)) {
-          if (header_bytes_ + buffer_.size() >
-              limits_.max_header_section_bytes) {
+          if (header_bytes_ + buffer_.size() > kMaxHeaderSectionBytes) {
             return Fail("header section exceeds limit");
           }
           return state_ = ParseState::kNeedMore;
         }
         header_bytes_ += consumed;
-        if (header_bytes_ > limits_.max_header_section_bytes) {
+        if (header_bytes_ > kMaxHeaderSectionBytes) {
           return Fail("header section exceeds limit");
         }
         const std::string owned(line);
         buffer_.erase(0, consumed);
         if (!owned.empty()) {
-          if (response_.headers.size() >= limits_.max_headers) {
+          if (response_.headers.size() >= kMaxHeaders) {
             return Fail("too many headers");
           }
           if (!ParseHeaderLine(owned, &response_.headers)) {
@@ -500,9 +481,7 @@ ParseState ResponseParser::Advance() {
           } else {
             return Fail("response without Content-Length");
           }
-        } else if (!ParseContentLength(*content_length,
-                                       limits_.max_body_bytes,
-                                       &body_length_)) {
+        } else if (ParseContentLength(*content_length, &body_length_) != 0) {
           return Fail("malformed or oversized Content-Length");
         }
         phase_ = Phase::kBody;

@@ -14,11 +14,12 @@ namespace ceres::net {
 ///
 /// The parser is the trust boundary of the serving front-end: every byte
 /// arriving on a socket flows through it before anything else looks at the
-/// request. It is therefore written defensively — explicit size limits on
-/// the request line, header section, header count, and body; no
-/// allocation proportional to anything the peer controls beyond those
-/// limits; malformed input produces a typed HTTP status (400/413/414/431/
-/// 501/505), never a crash or a silent partial parse. Torn input (a
+/// request. It is therefore written defensively — fixed size limits on
+/// the request (or status) line (8 KiB), the header section (64 KiB),
+/// the header count (100) and the body (8 MiB); no allocation
+/// proportional to anything the peer controls beyond those limits;
+/// malformed input produces a typed HTTP status (400/413/414/431/501/505),
+/// never a crash or a silent partial parse. Torn input (a
 /// request cut anywhere, even mid-token) parks the parser in kNeedMore;
 /// bytes may arrive one at a time.
 ///
@@ -27,14 +28,6 @@ namespace ceres::net {
 /// is rejected with 501 — the crawl-replay clients we serve never chunk,
 /// and refusing is safer than a half-tested decoder on the trust
 /// boundary.
-
-/// Hard input limits; exceeding any of them is a typed parse error.
-struct HttpLimits {
-  size_t max_request_line_bytes = 8u << 10;
-  size_t max_header_section_bytes = 64u << 10;
-  size_t max_headers = 100;
-  size_t max_body_bytes = 8u << 20;
-};
 
 /// One header; `name` is stored lowercased (field names are
 /// case-insensitive per RFC 9110), `value` is trimmed but case-preserved.
@@ -96,8 +89,6 @@ enum class ParseState {
 /// close.
 class RequestParser {
  public:
-  explicit RequestParser(HttpLimits limits = {});
-
   ParseState Consume(std::string_view bytes);
   ParseState state() const { return state_; }
 
@@ -127,7 +118,6 @@ class RequestParser {
   bool ParseRequestLine(std::string_view line);
   ParseState FinishHeaders();
 
-  const HttpLimits limits_;
   ParseState state_ = ParseState::kNeedMore;
   Phase phase_ = Phase::kRequestLine;
   std::string buffer_;          // unconsumed input
@@ -144,13 +134,10 @@ class RequestParser {
 /// elicit close-delimited bodies).
 class ResponseParser {
  public:
-  explicit ResponseParser(HttpLimits limits = {});
-
   ParseState Consume(std::string_view bytes);
   ParseState state() const { return state_; }
   HttpResponse TakeResponse();
   const std::string& error() const { return error_; }
-  void Reset();
 
  private:
   enum class Phase { kStatusLine, kHeaders, kBody };
@@ -158,7 +145,6 @@ class ResponseParser {
   ParseState Advance();
   ParseState Fail(std::string message);
 
-  const HttpLimits limits_;
   ParseState state_ = ParseState::kNeedMore;
   Phase phase_ = Phase::kStatusLine;
   std::string buffer_;

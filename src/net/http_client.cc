@@ -69,12 +69,6 @@ Status HttpClient::SendRaw(std::string_view bytes) {
   return Status::Ok();
 }
 
-Status HttpClient::ShutdownWrite() {
-  if (fd_ < 0) return Status::FailedPrecondition("not connected");
-  if (::shutdown(fd_, SHUT_WR) < 0) return ErrnoStatus("shutdown");
-  return Status::Ok();
-}
-
 Result<HttpResponse> HttpClient::ReadResponse(int timeout_ms) {
   if (fd_ < 0) return Status::FailedPrecondition("not connected");
   timeval tv = {};

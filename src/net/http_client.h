@@ -45,11 +45,6 @@ class HttpClient {
   /// Blocks until one full response arrives or `timeout_ms` passes.
   Result<HttpResponse> ReadResponse(int timeout_ms = 5000);
 
-  /// Half-closes the write side (FIN) while keeping the read side open —
-  /// lets tests hand the server an EOF mid- or post-request and still
-  /// collect the response.
-  Status ShutdownWrite();
-
   /// Times the keep-alive socket was found dead and reopened.
   int64_t reconnects() const { return reconnects_; }
 

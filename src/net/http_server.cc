@@ -26,6 +26,13 @@ namespace ceres::net {
 
 namespace {
 
+constexpr int kListenBacklog = 128;
+/// Accepted-connection cap; connections beyond it are closed at accept.
+constexpr size_t kMaxConnections = 1024;
+/// Under drain, how long an idle connection waits for bytes already in
+/// flight on the wire before it is closed.
+constexpr int64_t kDrainGraceMs = 200;
+
 int64_t NowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              obs::MonotonicNow().time_since_epoch())
@@ -64,7 +71,7 @@ Result<int> CreateListenSocket(const HttpServerConfig& config,
     ::close(fd);
     return status;
   }
-  if (::listen(fd, config.listen_backlog) < 0) {
+  if (::listen(fd, kListenBacklog) < 0) {
     Status status = ErrnoStatus("listen");
     ::close(fd);
     return status;
@@ -139,8 +146,6 @@ void HttpServer::Responder::Send(HttpResponse response) const {
 
 struct HttpServer::Loop {
   struct Connection {
-    explicit Connection(HttpLimits limits) : parser(limits) {}
-
     int fd = -1;
     uint64_t id = 0;
     std::string peer;  // dotted-quad peer address, the rate-limit key
@@ -188,22 +193,21 @@ struct HttpServer::Loop {
   int listen_fd = -1;
   int wake_read_fd = -1;
   int wake_write_fd = -1;
+  uint16_t bound_port = 0;
   uint64_t next_id = 1;
   std::unordered_map<uint64_t, Connection> connections;
   std::unordered_map<int, uint64_t> by_fd;
   bool drain_seen = false;
   int64_t drain_started_us = 0;
 
-  // Cached obs instruments (process-default registry, created once).
-  obs::Counter* requests_counter = nullptr;
-  obs::Counter* responses_counter = nullptr;
-  obs::Counter* rate_limited_counter = nullptr;
-  obs::Counter* parse_error_counter = nullptr;
+  // Cached obs instrument (process-default registry, created once).
   obs::Histogram* request_us = nullptr;
 
   Status Init();
   void Serve();
   void TearDown();
+  /// Wakes the loop through the self-pipe unless it is already gone.
+  void Wake();
 
   void SignalDrainDoneIfIdle();
   void AcceptReady();
@@ -228,7 +232,6 @@ Status HttpServer::Loop::Init() {
   epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd < 0) return ErrnoStatus("epoll_create1");
 
-  uint16_t bound_port = 0;
   Result<int> listener = CreateListenSocket(config, &bound_port);
   if (!listener.ok()) return listener.status();
   listen_fd = *listener;
@@ -255,14 +258,16 @@ Status HttpServer::Loop::Init() {
     inbox->dropped = &stats.responses_dropped;
   }
 
-  auto& registry = obs::MetricsRegistry::Default();
-  requests_counter = registry.GetCounter("ceres_net_requests_total");
-  responses_counter = registry.GetCounter("ceres_net_responses_total");
-  rate_limited_counter =
-      registry.GetCounter("ceres_net_rate_limited_total");
-  parse_error_counter = registry.GetCounter("ceres_net_parse_errors_total");
-  request_us = registry.GetHistogram("ceres_net_request_us");
+  request_us =
+      obs::MetricsRegistry::Default().GetHistogram("ceres_net_request_us");
   return Status::Ok();
+}
+
+void HttpServer::Loop::Wake() {
+  MutexLock lock(inbox->mu);
+  if (!inbox->open) return;
+  char byte = 1;
+  (void)!::write(inbox->wake_fd, &byte, 1);
 }
 
 Status HttpServer::Loop::Watch(int fd) {
@@ -369,7 +374,7 @@ void HttpServer::Loop::AcceptReady() {
       LogInfo(StrCat("accept failed: ", strerror(errno)));
       return;
     }
-    if (connections.size() >= config.max_connections ||
+    if (connections.size() >= kMaxConnections ||
         drain.load(std::memory_order_acquire)) {
       ::close(fd);
       stats.rejected_at_capacity.fetch_add(1, std::memory_order_relaxed);
@@ -386,7 +391,7 @@ void HttpServer::Loop::AcceptReady() {
       ::close(fd);
       continue;
     }
-    Connection conn(config.limits);
+    Connection conn;
     conn.fd = fd;
     conn.id = next_id++;
     char peer[INET_ADDRSTRLEN] = "unknown";
@@ -438,7 +443,6 @@ void HttpServer::Loop::ReadReady(Connection* conn) {
         if (status == 413 || status == 414 || status == 431) {
           stats.oversized.fetch_add(1, std::memory_order_relaxed);
         }
-        if (obs::Enabled()) parse_error_counter->Increment();
         HttpResponse response;
         response.status = status;
         response.body = conn->parser.error() + "\n";
@@ -515,12 +519,10 @@ void HttpServer::Loop::MaybeDispatch(Connection* conn) {
          conn->parser.state() == ParseState::kComplete) {
     HttpRequest request = conn->parser.TakeRequest();
     stats.requests.fetch_add(1, std::memory_order_relaxed);
-    if (obs::Enabled()) requests_counter->Increment();
     const bool draining = drain.load(std::memory_order_acquire);
     conn->keep_alive_current = request.KeepAlive() && !draining;
     if (!limiter.Admit(conn->peer, NowMicros())) {
       stats.rate_limited.fetch_add(1, std::memory_order_relaxed);
-      if (obs::Enabled()) rate_limited_counter->Increment();
       HttpResponse shed;
       shed.status = 429;
       shed.headers.push_back({"x-ceres-shed", "rate-limit"});
@@ -543,7 +545,6 @@ void HttpServer::Loop::EnqueueResponse(Connection* conn,
   conn->out += EncodeResponse(response, keep_alive);
   if (!keep_alive) conn->close_after_write = true;
   stats.responses.fetch_add(1, std::memory_order_relaxed);
-  if (obs::Enabled()) responses_counter->Increment();
   if (TryFlush(conn)) UpdateInterest(conn);
 }
 
@@ -614,7 +615,7 @@ void HttpServer::Loop::SweepTimeouts() {
       continue;
     }
     if (draining &&
-        now_us - drain_started_us > config.drain_grace_ms * 1000) {
+        now_us - drain_started_us > kDrainGraceMs * 1000) {
       // Idle under drain: grace for wire-in-flight bytes has passed.
       to_close.push_back(id);
     }
@@ -668,13 +669,7 @@ Status HttpServer::Start() {
     loop_.reset();
     return init;
   }
-  // Re-read the bound port from the loop's listener.
-  sockaddr_in bound = {};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(loop_->listen_fd, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) == 0) {
-    bound_port_ = ntohs(bound.sin_port);
-  }
+  bound_port_ = loop_->bound_port;
   started_ = true;
   loop_thread_ = std::thread([loop = loop_.get()] { loop->Serve(); });
   LogInfo(StrCat("http server listening on ", config_.bind_address, ":",
@@ -685,13 +680,7 @@ Status HttpServer::Start() {
 Status HttpServer::Drain(Deadline deadline) {
   if (!started_ || loop_ == nullptr) return Status::Ok();
   loop_->drain.store(true, std::memory_order_release);
-  {
-    MutexLock lock(loop_->inbox->mu);
-    if (loop_->inbox->open) {
-      char byte = 1;
-      (void)!::write(loop_->inbox->wake_fd, &byte, 1);
-    }
-  }
+  loop_->Wake();
   UniqueMutexLock lock(loop_->drain_mu);
   while (!loop_->drain_done) {
     if (deadline.expired()) {
@@ -705,14 +694,7 @@ Status HttpServer::Drain(Deadline deadline) {
 void HttpServer::Shutdown() {
   if (!started_ || loop_ == nullptr) return;
   loop_->stop.store(true, std::memory_order_release);
-  {
-    // Wake the loop directly; the inbox may already be closed.
-    MutexLock lock(loop_->inbox->mu);
-    if (loop_->inbox->open) {
-      char byte = 1;
-      (void)!::write(loop_->inbox->wake_fd, &byte, 1);
-    }
-  }
+  loop_->Wake();
   if (loop_thread_.joinable()) loop_thread_.join();
   final_stats_ = stats();
   loop_.reset();

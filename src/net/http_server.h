@@ -28,6 +28,9 @@ namespace ceres::net {
 /// backpressure, and responses can never be interleaved out of order.
 ///
 /// Protocol discipline on the socket edge:
+///   - at most 1024 open connections (listen backlog 128); an accept
+///     beyond the cap is closed at once and counted in
+///     `rejected_at_capacity`;
 ///   - keep-alive by HTTP/1.1 default, honored until the client asks to
 ///     close, a parse error forces a close, or the server drains;
 ///   - idle keep-alive connections are closed after `idle_timeout_ms`;
@@ -42,7 +45,7 @@ namespace ceres::net {
 /// Graceful drain (`Drain`): the listener closes immediately, connections
 /// finish the request they are serving (including one that is mid-read),
 /// every finished response is flushed, then connections close. Idle
-/// connections get `drain_grace_ms` for bytes already in flight on the
+/// connections get a 200 ms grace for bytes already in flight on the
 /// wire to arrive before closing. Drain blocks until the loop reports
 /// zero connections or the deadline expires; it is how a deployment
 /// hot-swaps models or exits without dropping accepted work.
@@ -50,15 +53,10 @@ struct HttpServerConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 binds a kernel-assigned ephemeral port; read it back via port().
   uint16_t port = 0;
-  int listen_backlog = 128;
-  /// Accepted-connection cap; connections beyond it are closed at accept.
-  size_t max_connections = 1024;
-  HttpLimits limits;
   /// Per-client (peer address) admission; zero rate disables.
   TokenBucketConfig rate_limit;
   int64_t idle_timeout_ms = 30'000;
   int64_t header_timeout_ms = 10'000;
-  int64_t drain_grace_ms = 200;
 };
 
 /// Monotonic counters describing the socket edge. Typed shed/close

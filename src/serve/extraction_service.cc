@@ -11,14 +11,12 @@ namespace ceres::serve {
 
 namespace {
 
-/// Bumps the per-cause shed counter (no-op when metrics are off). Shed
-/// paths are cold, so the name lookup per call is fine.
-void RecordShedMetric(ShedCause cause, int64_t n) {
-  if (!obs::Enabled() || n == 0) return;
-  obs::MetricsRegistry::Default()
-      .GetCounter(StrCat("ceres_serve_shed_", ShedCauseName(cause), "_total"))
-      ->Increment(n);
-}
+/// Global pending-request bound (admission control).
+constexpr size_t kMaxQueue = 1024;
+/// Most requests drained into one model application batch.
+constexpr size_t kMaxBatch = 16;
+/// Concurrent batches per site (per-site fairness).
+constexpr int kPerSiteMaxInflight = 2;
 
 }  // namespace
 
@@ -88,7 +86,6 @@ void ExtractionService::Stop() {
     stats_.shed[static_cast<int>(ShedCause::kShutdown)] +=
         static_cast<int64_t>(orphans.size());
   }
-  RecordShedMetric(ShedCause::kShutdown, static_cast<int64_t>(orphans.size()));
   if (pool.joinable()) pool.join();
 }
 
@@ -100,18 +97,12 @@ std::future<ServeResult> ExtractionService::Submit(
     MutexLock lock(stats_mu_);
     ++stats_.submitted;
   }
-  if (obs::Enabled()) {
-    obs::MetricsRegistry::Default()
-        .GetCounter("ceres_serve_submitted_total")
-        ->Increment();
-  }
 
   auto shed = [&](Status status, ShedCause cause) {
     {
       MutexLock lock(stats_mu_);
       ++stats_.shed[static_cast<int>(cause)];
     }
-    RecordShedMetric(cause, 1);
     ServeResult result = ShedResult(std::move(status), cause);
     if (on_complete) on_complete(result);
     shed_promise.set_value(std::move(result));
@@ -129,11 +120,11 @@ std::future<ServeResult> ExtractionService::Submit(
     return shed(Status::Cancelled("service is stopped"),
                 ShedCause::kShutdown);
   }
-  if (total_pending_ >= config_.max_queue) {
+  if (total_pending_ >= kMaxQueue) {
     lock.unlock();
     return shed(
-        Status::ResourceExhausted(StrCat(
-            "request queue full (", config_.max_queue, " pending)")),
+        Status::ResourceExhausted(
+            StrCat("request queue full (", kMaxQueue, " pending)")),
         ShedCause::kQueueFull);
   }
 
@@ -153,7 +144,7 @@ std::future<ServeResult> ExtractionService::Submit(
 void ExtractionService::MaybeReadyLocked(const std::string& site,
                                          SiteQueue* queue) {
   if (queue->in_ready_list || queue->pending.empty()) return;
-  if (queue->inflight_batches >= config_.per_site_max_inflight) return;
+  if (queue->inflight_batches >= kPerSiteMaxInflight) return;
   ready_.push_back(site);
   queue->in_ready_list = true;
   work_ready_.notify_one();
@@ -175,7 +166,7 @@ void ExtractionService::WorkerLoop() {
     queue.in_ready_list = false;
     if (queue.pending.empty()) continue;
 
-    const size_t n = std::min(config_.max_batch, queue.pending.size());
+    const size_t n = std::min(kMaxBatch, queue.pending.size());
     std::vector<PendingRequest> batch;
     batch.reserve(n);
     for (size_t i = 0; i < n; ++i) {
@@ -339,7 +330,7 @@ void ExtractionService::ProcessBatch(const std::string& site,
         std::vector<Extraction> extractions = ExtractFromPages(
             pages, page_indices,
             const_cast<TrainedModel*>(&model->model), model->featurizer,
-            config_.extraction);
+            ExtractionConfig{});
         const std::chrono::microseconds inference_time =
             obs::ElapsedMicros(inference_start, obs::MonotonicNow());
         if (inference_hist != nullptr) {
@@ -391,15 +382,6 @@ void ExtractionService::ProcessBatch(const std::string& site,
       ++stats_.batches;
       stats_.batched_requests += completed;
     }
-  }
-  if (obs::Enabled()) {
-    auto& registry = obs::MetricsRegistry::Default();
-    RecordShedMetric(ShedCause::kTimedOutInQueue, timed_out);
-    RecordShedMetric(ShedCause::kParseFailed, parse_failed);
-    RecordShedMetric(ShedCause::kModelLoadFailed, model_load_failed);
-    registry.GetCounter("ceres_serve_completed_total")->Increment(completed);
-    registry.GetCounter("ceres_serve_extractions_total")
-        ->Increment(total_extractions);
   }
   for (size_t i = 0; i < resolved.size(); ++i) {
     if (resolved[i].on_complete) resolved[i].on_complete(outcomes[i]);

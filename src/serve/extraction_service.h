@@ -45,29 +45,22 @@ struct ServeResult {
 struct ExtractionServiceConfig {
   /// Worker threads applying models (0 = hardware concurrency).
   int worker_threads = 8;
-  /// Global pending-request bound; submissions beyond it are shed with
-  /// kResourceExhausted (admission control, never an unbounded queue).
-  size_t max_queue = 1024;
-  /// Most requests drained into one model application batch.
-  size_t max_batch = 16;
-  /// Concurrent batches per site. Caps how much of the worker pool one
-  /// hot site can own, so a traffic spike on one site cannot starve the
-  /// rest (per-site fairness under load).
-  int per_site_max_inflight = 2;
   HtmlParseOptions parse;
-  ExtractionConfig extraction;
 };
 
 /// A long-running online extraction service over a ModelRegistry.
 ///
-/// Submit(request) admits the request (bounded queue, pre-expired-deadline
-/// shedding), enqueues it on its site's micro-batch queue, and returns a
-/// future. Worker threads — a pool fanned out over util/parallel.h's
-/// ParallelFor — repeatedly claim the site whose queue became ready first,
-/// drain up to `max_batch` requests, load the site model through the warm
-/// registry, parse the batch's pages, run one batched model application,
-/// and fulfil the futures with triples + per-request ServeDiagnostics
-/// (queue wait, parse time, inference time, shed causes).
+/// Submit(request) admits the request (pre-expired-deadline shedding; a
+/// bound of 1024 pending requests, beyond which it sheds with
+/// kResourceExhausted), enqueues it on its site's micro-batch queue, and
+/// returns a future. Worker threads — a pool fanned out over
+/// util/parallel.h's ParallelFor — repeatedly claim the site whose queue
+/// became ready first, drain up to 16 requests, load the site model
+/// through the warm registry, parse the batch's pages, run one batched
+/// model application (default ExtractionConfig), and fulfil the futures
+/// with triples + per-request ServeDiagnostics (queue wait, parse time,
+/// inference time, shed causes). At most 2 batches of one site run at
+/// once, so one hot site cannot starve the rest.
 ///
 /// Failure containment mirrors the offline pipeline's graceful
 /// degradation: a model-load failure sheds only that site's batch with a
@@ -110,7 +103,6 @@ class ExtractionService {
                                   CompletionHook on_complete = nullptr);
 
   ServiceStats stats() const;
-  const ExtractionServiceConfig& config() const { return config_; }
 
  private:
   struct PendingRequest {

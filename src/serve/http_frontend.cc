@@ -67,6 +67,57 @@ net::HttpResponse TextResponse(int status, std::string body) {
   return response;
 }
 
+/// GET /metrics: the stats structs' counters, summed over shards and
+/// rendered through a local registry, then the process-default registry.
+std::string MetricsText(ShardedExtractionService* service,
+                        const net::HttpServerStats& http) {
+  const ShardedServiceStats stats = service->stats();
+  const ServiceStats serve = stats.Total();
+  RegistryStats registry;
+  for (size_t i = 0; i < static_cast<size_t>(service->num_shards()); ++i) {
+    const RegistryStats shard = service->registry(i)->stats();
+    registry.hits += shard.hits;
+    registry.misses += shard.misses;
+    registry.loads += shard.loads;
+    registry.load_failures += shard.load_failures;
+    registry.hot_swaps += shard.hot_swaps;
+    registry.evictions += shard.evictions;
+    registry.bytes_cached += shard.bytes_cached;
+    registry.models_cached += shard.models_cached;
+  }
+
+  obs::MetricsRegistry snapshot;
+  const auto counter = [&snapshot](const std::string& name, int64_t value) {
+    snapshot.GetCounter(name)->Increment(value);
+  };
+  counter("ceres_serve_submitted_total", serve.submitted);
+  counter("ceres_serve_completed_total", serve.completed);
+  counter("ceres_serve_extractions_total", serve.extractions);
+  for (int cause = 1; cause < kNumShedCauses; ++cause) {
+    counter(StrCat("ceres_serve_shed_",
+                   ShedCauseName(static_cast<ShedCause>(cause)), "_total"),
+            serve.shed[cause]);
+  }
+  counter("ceres_registry_hits_total", registry.hits);
+  counter("ceres_registry_misses_total", registry.misses);
+  counter("ceres_registry_loads_total", registry.loads);
+  counter("ceres_registry_load_failures_total", registry.load_failures);
+  counter("ceres_registry_hot_swaps_total", registry.hot_swaps);
+  counter("ceres_registry_evictions_total", registry.evictions);
+  counter("ceres_cache_neardup_hits_total", stats.cache.hits);
+  counter("ceres_cache_neardup_misses_total", stats.cache.misses);
+  counter("ceres_net_requests_total", http.requests);
+  counter("ceres_net_responses_total", http.responses);
+  counter("ceres_net_rate_limited_total", http.rate_limited);
+  counter("ceres_net_parse_errors_total", http.parse_errors);
+  snapshot.GetGauge("ceres_registry_bytes_cached")
+      ->Set(static_cast<int64_t>(registry.bytes_cached));
+  snapshot.GetGauge("ceres_registry_models_cached")
+      ->Set(registry.models_cached);
+  return snapshot.ToPrometheusText() +
+         obs::MetricsRegistry::Default().ToPrometheusText();
+}
+
 }  // namespace
 
 int HttpStatusForCode(StatusCode code) {
@@ -175,6 +226,7 @@ void ExtractionFrontend::Stop() {
     stopping_ = true;
     pending_.clear();  // responders are dead post-shutdown; drop futures
     work_ready_.notify_all();
+    drain_cv_.notify_all();
   }
   for (std::thread& thread : pump_) {
     if (thread.joinable()) thread.join();
@@ -192,7 +244,7 @@ void ExtractionFrontend::WaitForDrainRequest(Deadline deadline) {
   UniqueMutexLock lock(mu_);
   while (!drain_requested_ && !stopping_) {
     if (deadline.expired()) return;
-    work_ready_.wait_for(lock, std::chrono::milliseconds(50));
+    drain_cv_.wait_for(lock, std::chrono::milliseconds(50));
   }
 }
 
@@ -204,27 +256,21 @@ void ExtractionFrontend::Route(net::HttpRequest request,
     return;
   }
   if (path == "/metrics") {
-    responder.Send(TextResponse(
-        200, obs::MetricsRegistry::Default().ToPrometheusText()));
+    responder.Send(
+        TextResponse(200, MetricsText(service_, server_->stats())));
     return;
   }
   if (path == "/stats") {
     const ShardedServiceStats stats = service_->stats();
-    int64_t submitted = 0;
-    int64_t completed = 0;
-    int64_t shed = 0;
-    for (const ServiceStats& per_shard : stats.per_shard) {
-      submitted += per_shard.submitted;
-      completed += per_shard.completed;
-      shed += per_shard.total_shed();
-    }
+    const ServiceStats serve = stats.Total();
     const net::HttpServerStats http = server_->stats();
     responder.Send(JsonResponse(
         200,
         StrCat("{\"shards\":", stats.per_shard.size(),
-               ",\"submitted\":", submitted, ",\"completed\":", completed,
-               ",\"shed\":", shed,
-               ",\"near_dup_served\":", stats.near_dup_served,
+               ",\"submitted\":", serve.submitted,
+               ",\"completed\":", serve.completed,
+               ",\"shed\":", serve.total_shed(),
+               ",\"near_dup_served\":", stats.cache.hits,
                ",\"cache\":{\"hits\":", stats.cache.hits,
                ",\"misses\":", stats.cache.misses,
                ",\"entries\":", stats.cache.entries,
@@ -260,7 +306,7 @@ void ExtractionFrontend::Route(net::HttpRequest request,
     {
       MutexLock lock(mu_);
       drain_requested_ = true;
-      work_ready_.notify_all();
+      drain_cv_.notify_all();
     }
     responder.Send(JsonResponse(202, "{\"draining\":true}"));
     return;

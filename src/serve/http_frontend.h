@@ -45,7 +45,8 @@ struct FrontendConfig {
 /// Endpoints:
 ///   POST /extract?site=S[&url=U]  body: page HTML -> extraction JSON
 ///   GET  /healthz                 liveness probe
-///   GET  /metrics                 Prometheus text exposition
+///   GET  /metrics                 Prometheus text: the stats structs'
+///                                 counters, then the obs registry
 ///   GET  /stats                   service + cache + server stats JSON
 ///   POST /admin/invalidate?site=S drop warm model + cached extractions
 ///   POST /admin/drain             request graceful drain (202; the
@@ -104,8 +105,10 @@ class ExtractionFrontend {
   std::unique_ptr<net::HttpServer> server_;
 
   mutable CheckedMutex mu_{"ExtractionFrontend.mu"};
+  /// Only pump threads wait here, so a notify_one always reaches one.
   CondVar work_ready_;
   CondVar queue_idle_;
+  CondVar drain_cv_;  // WaitForDrainRequest
   std::deque<PendingCompletion> pending_ CERES_GUARDED_BY(mu_);
   /// Slots claimed by requests admitted but not yet submitted to the
   /// service; counted against max_pending_completions so a burst cannot

@@ -14,11 +14,6 @@ namespace {
 /// container (node, hash bucket, small-string buffer).
 constexpr size_t kPerStringOverhead = 64;
 
-void BumpRegistryCounter(const char* name, int64_t delta = 1) {
-  if (!obs::Enabled()) return;
-  obs::MetricsRegistry::Default().GetCounter(name)->Increment(delta);
-}
-
 }  // namespace
 
 size_t EstimateModelBytes(const TrainedModel& model) {
@@ -57,11 +52,9 @@ Result<std::shared_ptr<const SiteModel>> ModelRegistry::Get(
       lru_.splice(lru_.begin(), lru_, it->second.lru_position);
       ++stats_.hits;
       if (cache_hit != nullptr) *cache_hit = true;
-      BumpRegistryCounter("ceres_registry_hits_total");
       return it->second.model;
     }
     ++stats_.misses;
-    BumpRegistryCounter("ceres_registry_misses_total");
     auto in = inflight_.find(site);
     if (in != inflight_.end()) {
       // Another thread is already loading this site; ride its result.
@@ -99,11 +92,9 @@ Result<std::shared_ptr<const SiteModel>> ModelRegistry::Get(
     MutexLock lock(mu_);
     if (result.ok()) {
       ++stats_.loads;
-      BumpRegistryCounter("ceres_registry_loads_total");
       InstallLocked(site, result.value());
     } else {
       ++stats_.load_failures;
-      BumpRegistryCounter("ceres_registry_load_failures_total");
     }
     load->result = result;
     load->finished = true;
@@ -121,10 +112,7 @@ Result<int64_t> ModelRegistry::Publish(const std::string& site,
       StrCat("publishing model ", site));
   auto site_model = std::make_shared<SiteModel>(site, version, model);
   MutexLock lock(mu_);
-  if (cache_.count(site) > 0) {
-    ++stats_.hot_swaps;
-    BumpRegistryCounter("ceres_registry_hot_swaps_total");
-  }
+  if (cache_.count(site) > 0) ++stats_.hot_swaps;
   InstallLocked(site, std::move(site_model));
   return version;
 }
@@ -175,16 +163,8 @@ void ModelRegistry::EvictOverBudgetLocked(const std::string& keep) {
     stats_.bytes_cached -= it->second.model->bytes;
     --stats_.models_cached;
     ++stats_.evictions;
-    BumpRegistryCounter("ceres_registry_evictions_total");
     cache_.erase(it);
     lru_.pop_back();
-  }
-  if (obs::Enabled()) {
-    auto& registry = obs::MetricsRegistry::Default();
-    registry.GetGauge("ceres_registry_bytes_cached")
-        ->Set(static_cast<int64_t>(stats_.bytes_cached));
-    registry.GetGauge("ceres_registry_models_cached")
-        ->Set(stats_.models_cached);
   }
 }
 

@@ -100,8 +100,6 @@ class ModelRegistry {
   void Invalidate(const std::string& site);
 
   RegistryStats stats() const;
-  const Ontology& ontology() const { return ontology_; }
-  const ModelRegistryConfig& config() const { return config_; }
 
  private:
   struct InflightLoad {

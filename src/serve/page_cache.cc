@@ -3,24 +3,13 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace ceres::serve {
-
-namespace {
-
-void BumpCacheCounter(const char* name, int64_t delta = 1) {
-  if (!obs::Enabled()) return;
-  obs::MetricsRegistry::Default().GetCounter(name)->Increment(delta);
-}
-
-}  // namespace
 
 NearDupCache::NearDupCache(PageCacheConfig config)
     : config_(std::move(config)) {}
 
-uint64_t NearDupCache::Fingerprint(std::string_view html) const {
-  return Simhash64(html, config_.simhash);
+uint64_t NearDupCache::Fingerprint(std::string_view html) {
+  return Simhash64(html);
 }
 
 size_t NearDupCache::EntryBytes(const std::string& site,
@@ -47,21 +36,25 @@ bool NearDupCache::Lookup(const std::string& site, uint64_t fingerprint,
           config_.hamming_threshold) {
         lru_.splice(lru_.begin(), lru_, entry);
         ++stats_.hits;
-        BumpCacheCounter("ceres_cache_neardup_hits_total");
         *out = entry->result;
         return true;
       }
     }
   }
   ++stats_.misses;
-  BumpCacheCounter("ceres_cache_neardup_misses_total");
   return false;
 }
 
+uint64_t NearDupCache::Generation(const std::string& site) {
+  MutexLock lock(mu_);
+  return generation_[site];
+}
+
 void NearDupCache::Insert(const std::string& site, uint64_t fingerprint,
-                          CachedExtraction result) {
+                          CachedExtraction result, uint64_t generation) {
   if (!config_.enabled) return;
   MutexLock lock(mu_);
+  if (generation < generation_[site]) return;
   auto site_it = by_site_.find(site);
   if (site_it != by_site_.end()) {
     for (EntryList::iterator entry : site_it->second) {
@@ -117,6 +110,7 @@ void NearDupCache::EvictOverBudgetLocked() {
 
 void NearDupCache::InvalidateSite(const std::string& site) {
   MutexLock lock(mu_);
+  ++generation_[site];
   auto site_it = by_site_.find(site);
   if (site_it == by_site_.end()) return;
   for (EntryList::iterator entry : site_it->second) {
@@ -130,6 +124,7 @@ void NearDupCache::InvalidateSite(const std::string& site) {
 void NearDupCache::Clear() {
   MutexLock lock(mu_);
   stats_.invalidations += static_cast<int64_t>(lru_.size());
+  for (auto& [site, generation] : generation_) ++generation;
   lru_.clear();
   by_site_.clear();
   bytes_ = 0;

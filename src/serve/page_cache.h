@@ -25,14 +25,13 @@ struct PageCacheConfig {
   /// Two fingerprints within this Hamming distance are near-duplicates.
   /// 0 requires identical fingerprints; 64 would match anything.
   int hamming_threshold = 3;
-  SimhashConfig simhash;
 };
 
 /// Monotonic counters plus the current resident set. The counters keep
 /// the identity `insertions == entries + evictions + invalidations`: an
 /// exact-fingerprint refresh counts as one insertion plus one eviction
 /// (of the payload it replaced), and Clear counts its drops as
-/// invalidations.
+/// invalidations. A result Insert drops as stale is not an insertion.
 struct PageCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
@@ -64,9 +63,12 @@ struct CachedExtraction {
 /// Scoping by site keeps the Hamming scan short (a linear probe of the
 /// site's resident fingerprints) and makes invalidation natural: when a
 /// site's model is republished or invalidated, its cached extractions are
-/// stale — InvalidateSite drops exactly them. Eviction is global LRU under
-/// a byte budget, charging each entry its triples' string bytes plus fixed
-/// overhead. Thread-safe; every operation is one short critical section.
+/// stale — InvalidateSite drops exactly them, and advances the site's
+/// generation so that a request in flight across the call cannot put its
+/// result back (Insert drops results read under an older Generation()).
+/// Eviction is global LRU under a byte budget, charging each entry its
+/// triples' string bytes plus fixed overhead. Thread-safe; every operation
+/// is one short critical section.
 class NearDupCache {
  public:
   explicit NearDupCache(PageCacheConfig config = {});
@@ -74,25 +76,31 @@ class NearDupCache {
   NearDupCache(const NearDupCache&) = delete;
   NearDupCache& operator=(const NearDupCache&) = delete;
 
-  /// The fingerprint Lookup/Insert expect for `html` under this cache's
-  /// shingle configuration.
-  uint64_t Fingerprint(std::string_view html) const;
+  /// The fingerprint Lookup/Insert expect for `html`: Simhash64(html).
+  static uint64_t Fingerprint(std::string_view html);
 
   /// True (and fills `out`) when a near-duplicate of `fingerprint` is
   /// resident for `site`; refreshes that entry's LRU position.
   bool Lookup(const std::string& site, uint64_t fingerprint,
               CachedExtraction* out);
 
-  /// Stores `result` under (site, fingerprint). An exact-fingerprint match
+  /// The site's current generation; read it before computing a result
+  /// to be inserted.
+  uint64_t Generation(const std::string& site);
+
+  /// Stores `result` under (site, fingerprint), unless the site was
+  /// invalidated since `generation` was read. An exact-fingerprint match
   /// already resident for the site is refreshed in place (latest result
   /// wins); near-but-not-identical twins are stored separately so the
   /// threshold keeps matching future variants of either.
   void Insert(const std::string& site, uint64_t fingerprint,
-              CachedExtraction result);
+              CachedExtraction result, uint64_t generation);
 
-  /// Drops every entry of `site` (model republished / invalidated).
+  /// Drops every entry of `site` (model republished / invalidated) and
+  /// advances its generation.
   void InvalidateSite(const std::string& site);
 
+  /// Drops every entry and advances every site's generation.
   void Clear();
 
   PageCacheStats stats() const;
@@ -121,6 +129,9 @@ class NearDupCache {
   std::unordered_map<std::string, std::vector<EntryList::iterator>> by_site_
       CERES_GUARDED_BY(mu_);
   size_t bytes_ CERES_GUARDED_BY(mu_) = 0;
+  /// Every site a generation was read for; absent sites are at 0.
+  std::unordered_map<std::string, uint64_t> generation_
+      CERES_GUARDED_BY(mu_);
   PageCacheStats stats_ CERES_GUARDED_BY(mu_);
 };
 

@@ -1,7 +1,5 @@
 #include "serve/serve_diagnostics.h"
 
-#include <sstream>
-
 namespace ceres::serve {
 
 const char* ShedCauseName(ShedCause cause) {
@@ -28,25 +26,6 @@ int64_t ServiceStats::total_shed() const {
   int64_t total = 0;
   for (int cause = 1; cause < kNumShedCauses; ++cause) total += shed[cause];
   return total;
-}
-
-std::string ServiceStats::Summary() const {
-  std::ostringstream out;
-  out << "serve: " << submitted << " submitted, " << completed
-      << " completed, " << extractions << " extractions, " << total_shed()
-      << " shed\n";
-  if (batches > 0) {
-    out << "  batches: " << batches << " (mean size "
-        << (static_cast<double>(batched_requests) /
-            static_cast<double>(batches))
-        << ")\n";
-  }
-  for (int cause = 1; cause < kNumShedCauses; ++cause) {
-    if (shed[cause] == 0) continue;
-    out << "  shed/" << ShedCauseName(static_cast<ShedCause>(cause)) << ": "
-        << shed[cause] << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace ceres::serve

@@ -69,9 +69,6 @@ struct ServiceStats {
   int64_t shed[kNumShedCauses] = {};
 
   int64_t total_shed() const;
-  /// Multi-line human-readable rendering for logs and CLI tools, in the
-  /// style of PipelineDiagnostics::Summary().
-  std::string Summary() const;
 };
 
 }  // namespace ceres::serve

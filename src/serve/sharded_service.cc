@@ -7,6 +7,21 @@
 
 namespace ceres::serve {
 
+ServiceStats ShardedServiceStats::Total() const {
+  ServiceStats sum;
+  for (const ServiceStats& shard : per_shard) {
+    sum.submitted += shard.submitted;
+    sum.completed += shard.completed;
+    sum.extractions += shard.extractions;
+    sum.batches += shard.batches;
+    sum.batched_requests += shard.batched_requests;
+    for (int cause = 1; cause < kNumShedCauses; ++cause) {
+      sum.shed[cause] += shard.shed[cause];
+    }
+  }
+  return sum;
+}
+
 ShardedExtractionService::ShardedExtractionService(Ontology ontology,
                                                    ShardedServiceConfig config)
     : config_(std::move(config)), cache_(config_.cache) {
@@ -50,7 +65,10 @@ size_t ShardedExtractionService::ShardOf(std::string_view site) const {
 std::future<ServeResult> ShardedExtractionService::Submit(
     ServeRequest request) {
   const std::string site = request.site;
-  const uint64_t fingerprint = cache_.Fingerprint(request.html);
+  // Read before the request reaches its shard: a Publish or Invalidate
+  // after this point makes the result stale, and Insert then drops it.
+  const uint64_t generation = cache_.Generation(site);
+  const uint64_t fingerprint = NearDupCache::Fingerprint(request.html);
   CachedExtraction cached;
   if (cache_.Lookup(site, fingerprint, &cached)) {
     ServeResult result;
@@ -72,12 +90,12 @@ std::future<ServeResult> ShardedExtractionService::Submit(
   // future outliving *this cannot dangle.
   return shards_[ShardOf(site)]->service->Submit(
       std::move(request),
-      [this, site, fingerprint](const ServeResult& result) {
+      [this, site, fingerprint, generation](const ServeResult& result) {
         if (result.status.ok() && !result.diagnostics.near_dup_hit) {
           CachedExtraction entry;
           entry.triples = result.triples;
           entry.diagnostics = result.diagnostics;
-          cache_.Insert(site, fingerprint, std::move(entry));
+          cache_.Insert(site, fingerprint, std::move(entry), generation);
         }
       });
 }
@@ -104,7 +122,6 @@ ShardedServiceStats ShardedExtractionService::stats() const {
     out.per_shard.push_back(shard->service->stats());
   }
   out.cache = cache_.stats();
-  out.near_dup_served = out.cache.hits;
   return out;
 }
 

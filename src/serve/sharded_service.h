@@ -28,13 +28,15 @@ struct ShardedServiceConfig {
   PageCacheConfig cache;
 };
 
-/// Aggregated view across shards, plus the shared page cache.
+/// Aggregated view across shards, plus the shared page cache. Requests
+/// answered from the near-duplicate cache (never reached a shard) are
+/// `cache.hits`.
 struct ShardedServiceStats {
   std::vector<ServiceStats> per_shard;
   PageCacheStats cache;
-  /// Requests answered from the near-duplicate cache (never reached a
-  /// shard). Equals cache.hits; surfaced here for one-stop reporting.
-  int64_t near_dup_served = 0;
+
+  /// The per-shard request counters, summed.
+  ServiceStats Total() const;
 };
 
 /// The service tier behind the HTTP front-end: N independent
@@ -55,7 +57,9 @@ struct ShardedServiceStats {
 /// inserted into the cache by the shard's completion hook, on the worker
 /// thread that resolved it, before the future becomes ready. Publishing
 /// or invalidating a site's model drops the site's cached extractions in
-/// the same call, so a hot-swap is never served stale results.
+/// the same call, and a miss submitted before that call cannot insert its
+/// result afterwards (Submit records the site's cache generation, see
+/// NearDupCache), so a hot-swap is never served stale results.
 class ShardedExtractionService {
  public:
   ShardedExtractionService(Ontology ontology, ShardedServiceConfig config);

@@ -27,16 +27,14 @@ constexpr bool IsAlnumAscii(char c) {
          (c >= 'A' && c <= 'Z');
 }
 
+/// Tokens per shingle.
+constexpr int kShingleSize = 4;
+
 }  // namespace
 
-uint64_t Simhash64(std::string_view text, const SimhashConfig& config) {
-  const int shingle_size = config.shingle_size < 1 ? 1 : config.shingle_size;
-  // Ring buffer of the last `shingle_size` token hashes.
-  std::array<uint64_t, 16> window = {};
-  const int window_cap =
-      shingle_size > static_cast<int>(window.size())
-          ? static_cast<int>(window.size())
-          : shingle_size;
+uint64_t Simhash64(std::string_view text) {
+  // Ring buffer of the last kShingleSize token hashes.
+  std::array<uint64_t, kShingleSize> window = {};
   int tokens_seen = 0;
 
   std::array<int32_t, 64> votes = {};
@@ -45,10 +43,10 @@ uint64_t Simhash64(std::string_view text, const SimhashConfig& config) {
   auto emit_shingle = [&]() {
     // Combine the window oldest-to-newest.
     uint64_t h = 0xcbf29ce484222325ull;
-    const int count = tokens_seen < window_cap ? tokens_seen : window_cap;
+    const int count = tokens_seen < kShingleSize ? tokens_seen : kShingleSize;
     for (int k = count; k > 0; --k) {
       h = MixShingle(h, window[static_cast<size_t>((tokens_seen - k) %
-                                                   window_cap)]);
+                                                   kShingleSize)]);
     }
     for (int bit = 0; bit < 64; ++bit) {
       votes[static_cast<size_t>(bit)] += (h >> bit) & 1 ? 1 : -1;
@@ -71,11 +69,11 @@ uint64_t Simhash64(std::string_view text, const SimhashConfig& config) {
       token_hash *= 0x100000001b3ull;
       ++i;
     }
-    window[static_cast<size_t>(tokens_seen % window_cap)] = token_hash;
+    window[static_cast<size_t>(tokens_seen % kShingleSize)] = token_hash;
     ++tokens_seen;
     // A full window votes; short documents (fewer tokens than the shingle
     // size) still fingerprint via the final partial-window emit below.
-    if (tokens_seen >= window_cap) emit_shingle();
+    if (tokens_seen >= kShingleSize) emit_shingle();
   }
   if (!any_shingle && tokens_seen > 0) emit_shingle();
   if (!any_shingle) return 0;

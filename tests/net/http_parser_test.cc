@@ -87,55 +87,72 @@ TEST(RequestParserTest, RejectsChunkedTransferEncodingWith501) {
 }
 
 TEST(RequestParserTest, RejectsOversizedBodyWith413) {
-  HttpLimits limits;
-  limits.max_body_bytes = 16;
-  RequestParser parser(limits);
+  // The body limit is 8 MiB: a declared length at the limit is accepted
+  // (the parser waits for the body), one byte more is refused.
+  RequestParser at_limit;
+  EXPECT_EQ(at_limit.Consume("POST /extract HTTP/1.1\r\n"
+                             "Content-Length: 8388608\r\n\r\n"),
+            ParseState::kNeedMore);
+  RequestParser parser;
   ASSERT_EQ(parser.Consume("POST /extract HTTP/1.1\r\n"
-                           "Content-Length: 17\r\n\r\n"),
+                           "Content-Length: 8388609\r\n\r\n"),
             ParseState::kError);
   EXPECT_EQ(parser.error_status(), 413);
+  // A number too long for 64 bits is still "too large", not malformed.
+  RequestParser huge;
+  ASSERT_EQ(huge.Consume("POST /extract HTTP/1.1\r\n"
+                         "Content-Length: 1234567890123456789012345\r\n\r\n"),
+            ParseState::kError);
+  EXPECT_EQ(huge.error_status(), 413);
+}
+
+/// A request line of exactly `bytes` bytes, CRLF included.
+std::string RequestLineOfSize(size_t bytes) {
+  // "GET /" + target + " HTTP/1.1\r\n" is 16 bytes around the target.
+  return "GET /" + std::string(bytes - 16, 'a') + " HTTP/1.1\r\n";
 }
 
 TEST(RequestParserTest, RejectsOversizedRequestLineWith414) {
-  HttpLimits limits;
-  limits.max_request_line_bytes = 64;
-  RequestParser parser(limits);
-  const std::string long_target(100, 'a');
-  EXPECT_EQ(parser.Consume("GET /" + long_target + " HTTP/1.1\r\n"),
-            ParseState::kError);
+  // The request-line limit is 8 KiB, CRLF included.
+  RequestParser at_limit;
+  EXPECT_EQ(at_limit.Consume(RequestLineOfSize(8192)), ParseState::kNeedMore);
+  RequestParser parser;
+  EXPECT_EQ(parser.Consume(RequestLineOfSize(8193)), ParseState::kError);
   EXPECT_EQ(parser.error_status(), 414);
 }
 
 TEST(RequestParserTest, OversizedRequestLineDetectedWithoutNewline) {
   // The limit must trip on buffered bytes alone — a peer streaming an
   // endless first line never sends the newline the parser is waiting for.
-  HttpLimits limits;
-  limits.max_request_line_bytes = 64;
-  RequestParser parser(limits);
-  EXPECT_EQ(parser.Consume("GET /" + std::string(100, 'a')),
+  RequestParser at_limit;
+  EXPECT_EQ(at_limit.Consume("GET /" + std::string(8187, 'a')),
+            ParseState::kNeedMore);
+  RequestParser parser;
+  EXPECT_EQ(parser.Consume("GET /" + std::string(8188, 'a')),
             ParseState::kError);
   EXPECT_EQ(parser.error_status(), 414);
 }
 
 TEST(RequestParserTest, RejectsOversizedHeaderSectionWith431) {
-  HttpLimits limits;
-  limits.max_header_section_bytes = 64;
-  RequestParser parser(limits);
+  // The header-section limit is 64 KiB: one "X-Filler: ...\r\n" line of
+  // 65537 bytes is one over it.
+  RequestParser parser;
   ASSERT_EQ(parser.Consume("GET / HTTP/1.1\r\n"), ParseState::kNeedMore);
-  EXPECT_EQ(parser.Consume("X-Filler: " + std::string(100, 'x') + "\r\n"),
+  EXPECT_EQ(parser.Consume("X-Filler: " + std::string(65525, 'x') + "\r\n"),
             ParseState::kError);
   EXPECT_EQ(parser.error_status(), 431);
 }
 
 TEST(RequestParserTest, RejectsTooManyHeadersWith431) {
-  HttpLimits limits;
-  limits.max_headers = 4;
-  RequestParser parser(limits);
+  // 100 headers are accepted; the 101st is refused.
   std::string wire = "GET / HTTP/1.1\r\n";
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < 100; ++i) {
     wire += "X-H" + std::to_string(i) + ": v\r\n";
   }
-  ASSERT_EQ(parser.Consume(wire), ParseState::kError);
+  RequestParser at_limit;
+  EXPECT_EQ(at_limit.Consume(wire + "\r\n"), ParseState::kComplete);
+  RequestParser parser;
+  ASSERT_EQ(parser.Consume(wire + "X-H100: v\r\n"), ParseState::kError);
   EXPECT_EQ(parser.error_status(), 431);
 }
 
@@ -160,6 +177,8 @@ TEST(RequestParserTest, RejectsMalformedInputWith400) {
       "GET / HTTP/1.1\r\n: empty-name\r\n",
       "POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
       "POST / HTTP/1.1\r\nContent-Length: 1e3\r\n\r\n",
+      // More than 19 digits, even of a small number.
+      "POST / HTTP/1.1\r\nContent-Length: 000000000000000000001\r\n\r\n",
   };
   for (const char* wire : bad) {
     SCOPED_TRACE(wire);

@@ -110,9 +110,7 @@ TEST(HttpServerTest, MalformedRequestGetsTypedErrorAndClose) {
 }
 
 TEST(HttpServerTest, ChunkedAndOversizedRequestsAreRejected) {
-  net::HttpServerConfig config;
-  config.limits.max_body_bytes = 64;
-  net::HttpServer server(EchoHandler(), config);
+  net::HttpServer server(EchoHandler());
   ASSERT_TRUE(server.Start().ok());
   {
     net::HttpClient client(kHost, server.port());
@@ -126,9 +124,10 @@ TEST(HttpServerTest, ChunkedAndOversizedRequestsAreRejected) {
   }
   {
     net::HttpClient client(kHost, server.port());
+    // One byte over the 8 MiB body limit; the header alone is rejected.
     ASSERT_TRUE(client
                     .SendRaw("POST /echo HTTP/1.1\r\n"
-                             "Content-Length: 65\r\n\r\n")
+                             "Content-Length: 8388609\r\n\r\n")
                     .ok());
     auto response = client.ReadResponse();
     ASSERT_TRUE(response.ok());
@@ -262,7 +261,7 @@ TEST(HttpServerTest, DrainFlushesInFlightResponsesThenRefusesNew) {
 class FrontendE2eTest : public ::testing::Test {
  protected:
   void StartService(bool cache_enabled,
-                    size_t max_pending_completions = 2048) {
+                    FrontendConfig frontend_config = {}) {
     root_ = ::testing::TempDir() + "/net_e2e_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(root_);
@@ -275,8 +274,6 @@ class FrontendE2eTest : public ::testing::Test {
         site_.kb.kb.ontology(), config);
     ASSERT_TRUE(service_->Publish(kSite, *site_.model).ok());
     ASSERT_TRUE(service_->Start().ok());
-    FrontendConfig frontend_config;
-    frontend_config.max_pending_completions = max_pending_completions;
     frontend_ = std::make_unique<ExtractionFrontend>(service_.get(),
                                                      frontend_config);
     ASSERT_TRUE(frontend_->Start().ok());
@@ -357,9 +354,12 @@ TEST_F(FrontendE2eTest, NearDupResendIsServedWithoutParseOrInference) {
   EXPECT_NE(second.value().body.find("\"near_dup_hit\":true"),
             std::string::npos);
   EXPECT_EQ(ShardCompletions(), completions_after_first);
-  const ShardedServiceStats stats = service_->stats();
-  EXPECT_EQ(stats.cache.hits, 1);
-  EXPECT_EQ(stats.near_dup_served, 1);
+  EXPECT_EQ(service_->stats().cache.hits, 1);
+  auto stats = client.Roundtrip(MakeRequest("GET", "/stats"));
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats.value().body.find("\"near_dup_served\":1,"),
+            std::string::npos)
+      << stats.value().body;
 
   // Both responses carry the same triples (the cached extraction).
   const auto triples_of = [](const std::string& body) {
@@ -410,7 +410,9 @@ TEST_F(FrontendE2eTest, ShedRequestNeverReachesTheShardService) {
   // parse + inference pass, and submitted/completed stats must agree with
   // the HTTP responses (regression: the old path submitted first and
   // abandoned the result).
-  StartService(/*cache_enabled=*/false, /*max_pending_completions=*/0);
+  FrontendConfig no_room;
+  no_room.max_pending_completions = 0;
+  StartService(/*cache_enabled=*/false, no_room);
   net::HttpClient client(kHost, frontend_->port());
   for (int i = 0; i < 3; ++i) {
     auto response = client.Roundtrip(ExtractRequest(i));
@@ -484,6 +486,139 @@ TEST_F(FrontendE2eTest, ServesOperationalEndpoints) {
   auto missing = client.Roundtrip(MakeRequest("GET", "/nope"));
   ASSERT_TRUE(missing.ok());
   EXPECT_EQ(missing.value().status, 404);
+}
+
+/// The value of the one sample line of `name` in Prometheus text; fails
+/// the test unless `name` has exactly one `# TYPE` line and one sample.
+int64_t CounterIn(const std::string& text, const std::string& name) {
+  int type_lines = 0;
+  int samples = 0;
+  int64_t value = -1;
+  size_t begin = 0;
+  while (begin < text.size()) {
+    size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(begin, end - begin);
+    begin = end + 1;
+    if (line == "# TYPE " + name + " counter") ++type_lines;
+    if (line.rfind(name + " ", 0) == 0) {
+      ++samples;
+      value = std::stoll(line.substr(name.size() + 1));
+    }
+  }
+  EXPECT_EQ(type_lines, 1) << name;
+  EXPECT_EQ(samples, 1) << name;
+  return value;
+}
+
+TEST_F(FrontendE2eTest, MetricsRenderTheStatsStructs) {
+  StartService(/*cache_enabled=*/true);
+  net::HttpClient client(kHost, frontend_->port());
+  // Misses, then near-duplicate hits of the same pages, then a site with
+  // no model (a kModelLoadFailed shed).
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int variant = 0; variant < 3; ++variant) {
+      auto response = client.Roundtrip(ExtractRequest(variant));
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response.value().status, 200);
+    }
+  }
+  auto unknown = client.Roundtrip(
+      MakeRequest("POST", "/extract?site=unpublished.example", "<p>x</p>"));
+  ASSERT_TRUE(unknown.ok()) << unknown.status().ToString();
+  EXPECT_EQ(unknown.value().status, 404);
+
+  auto metrics = client.Roundtrip(MakeRequest("GET", "/metrics"));
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  ASSERT_EQ(metrics.value().status, 200);
+  const std::string& text = metrics.value().body;
+
+  const ShardedServiceStats stats = service_->stats();
+  ServiceStats serve;
+  for (const ServiceStats& shard : stats.per_shard) {
+    serve.submitted += shard.submitted;
+    serve.completed += shard.completed;
+    serve.extractions += shard.extractions;
+    for (int cause = 1; cause < kNumShedCauses; ++cause) {
+      serve.shed[cause] += shard.shed[cause];
+    }
+  }
+  RegistryStats registry;
+  for (size_t i = 0; i < 2; ++i) {
+    const RegistryStats shard = service_->registry(i)->stats();
+    registry.hits += shard.hits;
+    registry.misses += shard.misses;
+    registry.loads += shard.loads;
+    registry.load_failures += shard.load_failures;
+    registry.hot_swaps += shard.hot_swaps;
+    registry.evictions += shard.evictions;
+  }
+  const net::HttpServerStats http = frontend_->server_stats();
+
+  // The variants may be near-duplicates of each other; the second pass is
+  // all hits either way.
+  EXPECT_GE(stats.cache.hits, 3);
+  EXPECT_GE(stats.cache.misses, 2);
+  EXPECT_EQ(serve.shed[static_cast<int>(ShedCause::kModelLoadFailed)], 1);
+  EXPECT_EQ(CounterIn(text, "ceres_serve_submitted_total"), serve.submitted);
+  EXPECT_EQ(CounterIn(text, "ceres_serve_completed_total"), serve.completed);
+  EXPECT_EQ(CounterIn(text, "ceres_serve_extractions_total"),
+            serve.extractions);
+  for (int cause = 1; cause < kNumShedCauses; ++cause) {
+    EXPECT_EQ(CounterIn(text, std::string("ceres_serve_shed_") +
+                                  ShedCauseName(static_cast<ShedCause>(cause)) +
+                                  "_total"),
+              serve.shed[cause]);
+  }
+  EXPECT_EQ(CounterIn(text, "ceres_registry_hits_total"), registry.hits);
+  EXPECT_EQ(CounterIn(text, "ceres_registry_misses_total"), registry.misses);
+  EXPECT_EQ(CounterIn(text, "ceres_registry_loads_total"), registry.loads);
+  EXPECT_EQ(CounterIn(text, "ceres_registry_load_failures_total"),
+            registry.load_failures);
+  EXPECT_EQ(CounterIn(text, "ceres_registry_hot_swaps_total"),
+            registry.hot_swaps);
+  EXPECT_EQ(CounterIn(text, "ceres_registry_evictions_total"),
+            registry.evictions);
+  EXPECT_EQ(CounterIn(text, "ceres_cache_neardup_hits_total"),
+            stats.cache.hits);
+  EXPECT_EQ(CounterIn(text, "ceres_cache_neardup_misses_total"),
+            stats.cache.misses);
+  // The /metrics request itself was counted before the page was rendered;
+  // its response only after.
+  EXPECT_EQ(CounterIn(text, "ceres_net_requests_total"), http.requests);
+  EXPECT_EQ(CounterIn(text, "ceres_net_responses_total"),
+            http.responses - 1);
+  EXPECT_EQ(CounterIn(text, "ceres_net_rate_limited_total"),
+            http.rate_limited);
+  EXPECT_EQ(CounterIn(text, "ceres_net_parse_errors_total"),
+            http.parse_errors);
+}
+
+TEST_F(FrontendE2eTest, DrainWaiterNeverTakesACompletionWakeup) {
+  // The process owner parks in WaitForDrainRequest while one pump thread
+  // resolves completions. A wakeup meant for the pump must never reach
+  // the owner instead: the completion would then wait for the next
+  // request, and a sequential client never sends one.
+  FrontendConfig one_pump;
+  one_pump.completion_threads = 1;
+  StartService(/*cache_enabled=*/false, one_pump);
+  std::thread owner([this] {
+    frontend_->WaitForDrainRequest(Deadline::After(std::chrono::seconds(60)));
+  });
+  net::HttpClient client(kHost, frontend_->port());
+  int first_late = -1;
+  for (int i = 0; i < 200 && first_late < 0; ++i) {
+    if (!client.SendRaw(net::EncodeRequest(ExtractRequest(i))).ok()) {
+      first_late = i;
+      break;
+    }
+    auto response = client.ReadResponse(/*timeout_ms=*/2000);
+    if (!response.ok() || response.value().status != 200) first_late = i;
+  }
+  frontend_->Stop();  // releases the parked owner
+  owner.join();
+  EXPECT_EQ(first_late, -1) << "round trip " << first_late
+                            << " got no answer within 2 s";
 }
 
 TEST_F(FrontendE2eTest, AdminDrainSignalsTheProcessOwner) {

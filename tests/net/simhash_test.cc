@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "serve/page_cache.h"
 
@@ -31,6 +32,14 @@ CachedExtraction OneTripleResult(const std::string& subject,
   triple.confidence = 0.9;
   result.triples.push_back(triple);
   return result;
+}
+
+/// Inserts under the site's current generation, as a request that raced
+/// no invalidation would.
+void Put(NearDupCache* cache, const std::string& site, uint64_t fingerprint,
+         CachedExtraction result) {
+  cache->Insert(site, fingerprint, std::move(result),
+                cache->Generation(site));
 }
 
 TEST(SimhashTest, DeterministicAcrossCalls) {
@@ -65,16 +74,11 @@ TEST(SimhashTest, OneChangedFieldStaysNearerThanAnUnrelatedPage) {
   EXPECT_LT(near, 16);
 }
 
-TEST(SimhashTest, ShingleSizeOneIsABagOfWords) {
-  SimhashConfig bag;
-  bag.shingle_size = 1;
-  EXPECT_EQ(Simhash64("alpha beta gamma delta", bag),
-            Simhash64("delta gamma beta alpha", bag));
-  // With multi-token shingles the same reordering moves the fingerprint.
-  SimhashConfig pairs;
-  pairs.shingle_size = 2;
-  EXPECT_NE(Simhash64("alpha beta gamma delta epsilon zeta eta", pairs),
-            Simhash64("eta zeta epsilon delta gamma beta alpha", pairs));
+TEST(SimhashTest, WordOrderMovesTheFingerprint) {
+  // Shingles are order sensitive: the same bag of words reversed is a
+  // different page.
+  EXPECT_NE(Simhash64("alpha beta gamma delta epsilon zeta eta"),
+            Simhash64("eta zeta epsilon delta gamma beta alpha"));
 }
 
 TEST(HammingDistanceTest, CountsDifferingBits) {
@@ -84,12 +88,9 @@ TEST(HammingDistanceTest, CountsDifferingBits) {
   EXPECT_EQ(HammingDistance(uint64_t{1} << 63, 0), 1);
 }
 
-TEST(NearDupCacheTest, FingerprintMatchesSimhashUnderCacheConfig) {
-  PageCacheConfig config;
-  config.simhash.shingle_size = 2;
-  NearDupCache cache(config);
+TEST(NearDupCacheTest, FingerprintIsSimhash64) {
   const std::string page = FilmPage("Spike Lee");
-  EXPECT_EQ(cache.Fingerprint(page), Simhash64(page, config.simhash));
+  EXPECT_EQ(NearDupCache::Fingerprint(page), Simhash64(page));
 }
 
 TEST(NearDupCacheTest, HitsExactlyUpToTheHammingThreshold) {
@@ -97,7 +98,7 @@ TEST(NearDupCacheTest, HitsExactlyUpToTheHammingThreshold) {
   config.hamming_threshold = 3;
   NearDupCache cache(config);
   const uint64_t base = 0xA5A5'5A5A'F00D'BEEFull;
-  cache.Insert("films.example", base, OneTripleResult("film", "director"));
+  Put(&cache, "films.example", base, OneTripleResult("film", "director"));
 
   CachedExtraction out;
   EXPECT_TRUE(cache.Lookup("films.example", base, &out));
@@ -116,7 +117,7 @@ TEST(NearDupCacheTest, HitsExactlyUpToTheHammingThreshold) {
 TEST(NearDupCacheTest, EntriesAreScopedToTheirSite) {
   NearDupCache cache;
   const uint64_t fingerprint = 42;
-  cache.Insert("films.example", fingerprint, OneTripleResult("a", "b"));
+  Put(&cache, "films.example", fingerprint, OneTripleResult("a", "b"));
   CachedExtraction out;
   EXPECT_TRUE(cache.Lookup("films.example", fingerprint, &out));
   // The identical fingerprint under another site must not match: that
@@ -127,8 +128,8 @@ TEST(NearDupCacheTest, EntriesAreScopedToTheirSite) {
 TEST(NearDupCacheTest, ExactFingerprintInsertRefreshesInPlace) {
   NearDupCache cache;
   const uint64_t fingerprint = 7;
-  cache.Insert("films.example", fingerprint, OneTripleResult("film", "old"));
-  cache.Insert("films.example", fingerprint, OneTripleResult("film", "new"));
+  Put(&cache, "films.example", fingerprint, OneTripleResult("film", "old"));
+  Put(&cache, "films.example", fingerprint, OneTripleResult("film", "new"));
   EXPECT_EQ(cache.stats().entries, 1u);
   CachedExtraction out;
   ASSERT_TRUE(cache.Lookup("films.example", fingerprint, &out));
@@ -145,11 +146,11 @@ TEST(NearDupCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   config.max_bytes = 2 * (129 + sizeof(ServeDiagnostics)) + 1;
   NearDupCache cache(config);
   CachedExtraction out;
-  cache.Insert("a", 1 << 10, {});
-  cache.Insert("b", 2 << 10, {});
+  Put(&cache, "a", 1 << 10, {});
+  Put(&cache, "b", 2 << 10, {});
   // Touch "a" so "b" is the least recently used when the budget trips.
   ASSERT_TRUE(cache.Lookup("a", 1 << 10, &out));
-  cache.Insert("c", 3 << 10, {});
+  Put(&cache, "c", 3 << 10, {});
 
   EXPECT_TRUE(cache.Lookup("a", 1 << 10, &out));
   EXPECT_FALSE(cache.Lookup("b", 2 << 10, &out));
@@ -165,15 +166,15 @@ TEST(NearDupCacheTest, StatsBalanceAndBytesReturnToZeroAfterInvalidation) {
   // The byte estimate must charge the cached diagnostics record too, not
   // just the triples: it is stored and replayed on hits like everything
   // else in the entry.
-  cache.Insert("a.example", 1, {});
+  Put(&cache, "a.example", 1, {});
   EXPECT_GE(cache.stats().bytes, 128 + sizeof(ServeDiagnostics));
 
   // An exact-fingerprint refresh counts as insertion + eviction so the
   // stats identity below holds; before the fix it was invisible in the
   // counters entirely.
-  cache.Insert("a.example", 1, OneTripleResult("film", "director"));
-  cache.Insert("a.example", 2, OneTripleResult("film", "year"));
-  cache.Insert("b.example", 3, OneTripleResult("book", "author"));
+  Put(&cache, "a.example", 1, OneTripleResult("film", "director"));
+  Put(&cache, "a.example", 2, OneTripleResult("film", "year"));
+  Put(&cache, "b.example", 3, OneTripleResult("book", "author"));
   EXPECT_EQ(cache.stats().insertions, 4);
 
   cache.InvalidateSite("a.example");
@@ -187,9 +188,9 @@ TEST(NearDupCacheTest, StatsBalanceAndBytesReturnToZeroAfterInvalidation) {
 
 TEST(NearDupCacheTest, InvalidateSiteDropsExactlyThatSite) {
   NearDupCache cache;
-  cache.Insert("films.example", 1, OneTripleResult("f", "x"));
-  cache.Insert("films.example", 1 << 20, OneTripleResult("f", "y"));
-  cache.Insert("books.example", 2, OneTripleResult("b", "z"));
+  Put(&cache, "films.example", 1, OneTripleResult("f", "x"));
+  Put(&cache, "films.example", 1 << 20, OneTripleResult("f", "y"));
+  Put(&cache, "books.example", 2, OneTripleResult("b", "z"));
   cache.InvalidateSite("films.example");
 
   CachedExtraction out;
@@ -201,11 +202,38 @@ TEST(NearDupCacheTest, InvalidateSiteDropsExactlyThatSite) {
   EXPECT_GE(stats.invalidations, 2);
 }
 
+TEST(NearDupCacheTest, InsertFromBeforeAnInvalidationIsDropped) {
+  NearDupCache cache;
+  const uint64_t films_before = cache.Generation("films.example");
+  const uint64_t books_before = cache.Generation("books.example");
+  cache.InvalidateSite("films.example");
+  // A result computed before the invalidation is stale for that site
+  // only.
+  cache.Insert("films.example", 1, OneTripleResult("f", "old"), films_before);
+  cache.Insert("books.example", 2, OneTripleResult("b", "kept"), books_before);
+  CachedExtraction out;
+  EXPECT_FALSE(cache.Lookup("films.example", 1, &out));
+  EXPECT_TRUE(cache.Lookup("books.example", 2, &out));
+  Put(&cache, "films.example", 1, OneTripleResult("f", "new"));
+  EXPECT_TRUE(cache.Lookup("films.example", 1, &out));
+
+  // Clear makes every site's earlier results stale.
+  const uint64_t books_before_clear = cache.Generation("books.example");
+  cache.Clear();
+  cache.Insert("books.example", 2, OneTripleResult("b", "old"),
+               books_before_clear);
+  const PageCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.insertions, 2);
+  EXPECT_EQ(stats.insertions, static_cast<int64_t>(stats.entries) +
+                                  stats.evictions + stats.invalidations);
+}
+
 TEST(NearDupCacheTest, DisabledCacheNeverStoresOrCounts) {
   PageCacheConfig config;
   config.enabled = false;
   NearDupCache cache(config);
-  cache.Insert("films.example", 5, OneTripleResult("a", "b"));
+  Put(&cache, "films.example", 5, OneTripleResult("a", "b"));
   CachedExtraction out;
   EXPECT_FALSE(cache.Lookup("films.example", 5, &out));
   const PageCacheStats stats = cache.stats();
@@ -221,8 +249,8 @@ TEST(NearDupCacheTest, WhitespaceChurnedRecrawlHitsViaFingerprint) {
   NearDupCache cache;
   const std::string first = "<div>Directed By Spike Lee</div>";
   const std::string recrawl = "<DIV>\n  directed   by   SPIKE LEE\n</DIV>";
-  cache.Insert("films.example", cache.Fingerprint(first),
-               OneTripleResult("film", "spike lee"));
+  Put(&cache, "films.example", cache.Fingerprint(first),
+      OneTripleResult("film", "spike lee"));
   CachedExtraction out;
   ASSERT_TRUE(
       cache.Lookup("films.example", cache.Fingerprint(recrawl), &out));

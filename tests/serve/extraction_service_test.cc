@@ -12,6 +12,7 @@
 
 #include "obs/metrics.h"
 #include "serve/serve_test_util.h"
+#include "serve/sharded_service.h"
 
 namespace ceres::serve {
 namespace {
@@ -74,7 +75,6 @@ TEST_F(ExtractionServiceTest, MicroBatchesRequestsOfTheSameSite) {
   registry_->Invalidate(kSite);  // Publish pre-warmed the cache; start cold
   ExtractionServiceConfig config;
   config.worker_threads = 1;
-  config.max_batch = 8;
   ExtractionService service(registry_.get(), config);
 
   // Submit-before-Start makes the first drain deterministic: all six
@@ -106,36 +106,40 @@ TEST_F(ExtractionServiceTest, MicroBatchesRequestsOfTheSameSite) {
 TEST_F(ExtractionServiceTest, RespectsMaxBatch) {
   ExtractionServiceConfig config;
   config.worker_threads = 1;
-  config.max_batch = 4;
   ExtractionService service(registry_.get(), config);
+  // More requests than one batch holds (16), all pending at the first
+  // drain.
   std::vector<std::future<ServeResult>> futures;
-  for (int i = 0; i < 10; ++i) futures.push_back(service.Submit(Request(i)));
+  for (int i = 0; i < 20; ++i) futures.push_back(service.Submit(Request(i)));
   ASSERT_TRUE(service.Start().ok());
   for (std::future<ServeResult>& future : futures) {
     ServeResult result = future.get();
     ASSERT_TRUE(result.status.ok());
-    EXPECT_LE(result.diagnostics.batch_size, 4);
+    EXPECT_LE(result.diagnostics.batch_size, 16);
   }
-  EXPECT_GE(service.stats().batches, 3);
+  EXPECT_GE(service.stats().batches, 2);
 }
 
 TEST_F(ExtractionServiceTest, QueueFullShedsWithResourceExhausted) {
-  ExtractionServiceConfig config;
-  config.max_queue = 2;
-  ExtractionService service(registry_.get(), config);  // workers not started
+  ExtractionService service(registry_.get());  // workers not started
 
-  std::future<ServeResult> a = service.Submit(Request(0));
-  std::future<ServeResult> b = service.Submit(Request(1));
-  ServeResult shed = service.Submit(Request(2)).get();
+  // The queue holds 1024 pending requests; the 1025th is shed.
+  std::vector<std::future<ServeResult>> admitted;
+  for (int i = 0; i < 1024; ++i) {
+    admitted.push_back(service.Submit(Request(i)));
+  }
+  ServeResult shed = service.Submit(Request(1024)).get();
   EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(shed.diagnostics.shed_cause, ShedCause::kQueueFull);
 
-  // The admitted two still complete once workers exist.
+  // The admitted ones still complete once workers exist.
   ASSERT_TRUE(service.Start().ok());
-  EXPECT_TRUE(a.get().status.ok());
-  EXPECT_TRUE(b.get().status.ok());
-  EXPECT_EQ(service.stats().shed[static_cast<int>(ShedCause::kQueueFull)],
-            1);
+  for (std::future<ServeResult>& future : admitted) {
+    EXPECT_TRUE(future.get().status.ok());
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.shed[static_cast<int>(ShedCause::kQueueFull)], 1);
+  EXPECT_EQ(stats.completed, 1024);
 }
 
 TEST_F(ExtractionServiceTest, PreExpiredDeadlineIsShedAtAdmission) {
@@ -207,7 +211,6 @@ TEST_F(ExtractionServiceTest, ServesMultipleSitesIndependently) {
   ASSERT_TRUE(registry_->Publish("second.example", *site_.model).ok());
   ExtractionServiceConfig config;
   config.worker_threads = 4;
-  config.per_site_max_inflight = 1;
   ExtractionService service(registry_.get(), config);
   ASSERT_TRUE(service.Start().ok());
 
@@ -268,9 +271,6 @@ TEST_F(ExtractionServiceTest, StageHistogramsCountEveryCompletedRequest) {
   obs::MetricsRegistry::Default().Reset();
   ExtractionServiceConfig config;
   config.worker_threads = 2;
-  // Inference is timed once per batch, so batches of one make its
-  // histogram count requests, like the per-request parse histogram.
-  config.max_batch = 1;
   ExtractionService service(registry_.get(), config);
   ASSERT_TRUE(service.Start().ok());
 
@@ -282,10 +282,11 @@ TEST_F(ExtractionServiceTest, StageHistogramsCountEveryCompletedRequest) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.completed, 12);
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
+  // Parse is timed per request, inference once per batch.
   EXPECT_EQ(metrics.GetHistogram("ceres_serve_parse_us")->Count(),
             stats.completed);
   EXPECT_EQ(metrics.GetHistogram("ceres_serve_inference_us")->Count(),
-            stats.completed);
+            stats.batches);
   obs::SetEnabled(false);
 }
 
@@ -302,7 +303,38 @@ TEST_F(ExtractionServiceTest, StopShedsQueuedRequestsAndRejectsNewOnes) {
   EXPECT_EQ(rejected.diagnostics.shed_cause, ShedCause::kShutdown);
   EXPECT_EQ(
       service.stats().shed[static_cast<int>(ShedCause::kShutdown)], 2);
-  EXPECT_FALSE(service.stats().Summary().empty());
+}
+
+TEST(ShardedServiceTest, PublishDropsTheResultOfARequestSubmittedBeforeIt) {
+  TrainedFilmSite site;
+  const std::string root =
+      ::testing::TempDir() + "/sharded_publish_drops_in_flight_insert";
+  std::filesystem::remove_all(root);
+  ShardedServiceConfig config;
+  config.num_shards = 1;
+  config.service.worker_threads = 1;
+  config.registry.root_dir = root;
+  ShardedExtractionService service(site.kb.kb.ontology(), config);
+  ASSERT_TRUE(service.Publish(kSite, *site.model).ok());
+
+  ServeRequest request;
+  request.site = kSite;
+  request.html = TrainedFilmSite::UnseenPageHtml();
+  // Submit before Start: the request misses the cache and is still queued
+  // when the model is republished.
+  std::future<ServeResult> in_flight = service.Submit(request);
+  ASSERT_TRUE(service.Publish(kSite, *site.model).ok());
+  ASSERT_TRUE(service.Start().ok());
+  ASSERT_TRUE(in_flight.get().status.ok());
+
+  // Its completion hook ran after the Publish, so its result must not be
+  // cached: the next near-duplicate goes to the shard again.
+  EXPECT_EQ(service.cache().stats().entries, 0u);
+  const ServeResult resend = service.Submit(request).get();
+  ASSERT_TRUE(resend.status.ok()) << resend.status.ToString();
+  EXPECT_FALSE(resend.diagnostics.near_dup_hit);
+  EXPECT_EQ(resend.diagnostics.model_version, 2);
+  EXPECT_EQ(service.cache().stats().misses, 2);
 }
 
 }  // namespace

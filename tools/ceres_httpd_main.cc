@@ -252,12 +252,7 @@ int main(int argc, char** argv) {
   service.Stop();
 
   const serve::ShardedServiceStats stats = service.stats();
-  int64_t completed = 0;
-  int64_t shed = 0;
-  for (const serve::ServiceStats& per_shard : stats.per_shard) {
-    completed += per_shard.completed;
-    shed += per_shard.total_shed();
-  }
+  const serve::ServiceStats total = stats.Total();
   std::fprintf(stderr,
                "http: requests %lld responses %lld rate_limited %lld "
                "parse_errors %lld drained %lld\n",
@@ -269,8 +264,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "service: completed %lld shed %lld  cache: hits %lld "
                "misses %lld entries %zu\n",
-               static_cast<long long>(completed),
-               static_cast<long long>(shed),
+               static_cast<long long>(total.completed),
+               static_cast<long long>(total.total_shed()),
                static_cast<long long>(stats.cache.hits),
                static_cast<long long>(stats.cache.misses),
                stats.cache.entries);
