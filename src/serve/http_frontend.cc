@@ -72,19 +72,8 @@ net::HttpResponse TextResponse(int status, std::string body) {
 std::string MetricsText(ShardedExtractionService* service,
                         const net::HttpServerStats& http) {
   const ShardedServiceStats stats = service->stats();
-  const ServiceStats serve = stats.Total();
-  RegistryStats registry;
-  for (size_t i = 0; i < static_cast<size_t>(service->num_shards()); ++i) {
-    const RegistryStats shard = service->registry(i)->stats();
-    registry.hits += shard.hits;
-    registry.misses += shard.misses;
-    registry.loads += shard.loads;
-    registry.load_failures += shard.load_failures;
-    registry.hot_swaps += shard.hot_swaps;
-    registry.evictions += shard.evictions;
-    registry.bytes_cached += shard.bytes_cached;
-    registry.models_cached += shard.models_cached;
-  }
+  const ServiceStats& serve = stats.service;
+  const RegistryStats& registry = stats.registry;
 
   obs::MetricsRegistry snapshot;
   const auto counter = [&snapshot](const std::string& name, int64_t value) {
@@ -262,11 +251,11 @@ void ExtractionFrontend::Route(net::HttpRequest request,
   }
   if (path == "/stats") {
     const ShardedServiceStats stats = service_->stats();
-    const ServiceStats serve = stats.Total();
+    const ServiceStats& serve = stats.service;
     const net::HttpServerStats http = server_->stats();
     responder.Send(JsonResponse(
         200,
-        StrCat("{\"shards\":", stats.per_shard.size(),
+        StrCat("{\"shards\":", service_->num_shards(),
                ",\"submitted\":", serve.submitted,
                ",\"completed\":", serve.completed,
                ",\"shed\":", serve.total_shed(),

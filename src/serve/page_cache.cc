@@ -26,7 +26,7 @@ size_t NearDupCache::EntryBytes(const std::string& site,
 }
 
 bool NearDupCache::Lookup(const std::string& site, uint64_t fingerprint,
-                          CachedExtraction* out) {
+                          CachedExtraction* out, uint64_t* generation) {
   if (!config_.enabled) return false;
   MutexLock lock(mu_);
   auto site_it = by_site_.find(site);
@@ -42,19 +42,15 @@ bool NearDupCache::Lookup(const std::string& site, uint64_t fingerprint,
     }
   }
   ++stats_.misses;
+  if (generation != nullptr) *generation = generation_;
   return false;
-}
-
-uint64_t NearDupCache::Generation(const std::string& site) {
-  MutexLock lock(mu_);
-  return generation_[site];
 }
 
 void NearDupCache::Insert(const std::string& site, uint64_t fingerprint,
                           CachedExtraction result, uint64_t generation) {
   if (!config_.enabled) return;
   MutexLock lock(mu_);
-  if (generation < generation_[site]) return;
+  if (generation < generation_) return;
   auto site_it = by_site_.find(site);
   if (site_it != by_site_.end()) {
     for (EntryList::iterator entry : site_it->second) {
@@ -110,7 +106,7 @@ void NearDupCache::EvictOverBudgetLocked() {
 
 void NearDupCache::InvalidateSite(const std::string& site) {
   MutexLock lock(mu_);
-  ++generation_[site];
+  ++generation_;
   auto site_it = by_site_.find(site);
   if (site_it == by_site_.end()) return;
   for (EntryList::iterator entry : site_it->second) {
@@ -124,7 +120,7 @@ void NearDupCache::InvalidateSite(const std::string& site) {
 void NearDupCache::Clear() {
   MutexLock lock(mu_);
   stats_.invalidations += static_cast<int64_t>(lru_.size());
-  for (auto& [site, generation] : generation_) ++generation;
+  ++generation_;
   lru_.clear();
   by_site_.clear();
   bytes_ = 0;

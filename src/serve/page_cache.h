@@ -63,9 +63,12 @@ struct CachedExtraction {
 /// Scoping by site keeps the Hamming scan short (a linear probe of the
 /// site's resident fingerprints) and makes invalidation natural: when a
 /// site's model is republished or invalidated, its cached extractions are
-/// stale — InvalidateSite drops exactly them, and advances the site's
-/// generation so that a request in flight across the call cannot put its
-/// result back (Insert drops results read under an older Generation()).
+/// stale — InvalidateSite drops exactly them. It also advances the cache's
+/// generation, which a missing Lookup reports, so that a request in flight
+/// across the call cannot put its result back: Insert drops a result whose
+/// miss saw an older generation. The generation is cache-wide, so a
+/// publish also drops in-flight results of other sites; those requests
+/// simply miss once more.
 /// Eviction is global LRU under a byte budget, charging each entry its
 /// triples' string bytes plus fixed overhead. Thread-safe; every operation
 /// is one short critical section.
@@ -80,27 +83,27 @@ class NearDupCache {
   static uint64_t Fingerprint(std::string_view html);
 
   /// True (and fills `out`) when a near-duplicate of `fingerprint` is
-  /// resident for `site`; refreshes that entry's LRU position.
+  /// resident for `site`; refreshes that entry's LRU position. On a miss,
+  /// stores the cache's generation in `*generation` (when given) for the
+  /// Insert of the result computed instead.
   bool Lookup(const std::string& site, uint64_t fingerprint,
-              CachedExtraction* out);
+              CachedExtraction* out, uint64_t* generation = nullptr);
 
-  /// The site's current generation; read it before computing a result
-  /// to be inserted.
-  uint64_t Generation(const std::string& site);
-
-  /// Stores `result` under (site, fingerprint), unless the site was
-  /// invalidated since `generation` was read. An exact-fingerprint match
-  /// already resident for the site is refreshed in place (latest result
-  /// wins); near-but-not-identical twins are stored separately so the
-  /// threshold keeps matching future variants of either.
+  /// Stores `result` under (site, fingerprint), unless the cache was
+  /// invalidated since the miss that reported `generation` (the default
+  /// is never stale). An exact-fingerprint match already resident for the
+  /// site is refreshed in place (latest result wins); near-but-not-
+  /// identical twins are stored separately so the threshold keeps
+  /// matching future variants of either.
   void Insert(const std::string& site, uint64_t fingerprint,
-              CachedExtraction result, uint64_t generation);
+              CachedExtraction result,
+              uint64_t generation = UINT64_MAX);
 
   /// Drops every entry of `site` (model republished / invalidated) and
-  /// advances its generation.
+  /// advances the generation.
   void InvalidateSite(const std::string& site);
 
-  /// Drops every entry and advances every site's generation.
+  /// Drops every entry and advances the generation.
   void Clear();
 
   PageCacheStats stats() const;
@@ -129,9 +132,7 @@ class NearDupCache {
   std::unordered_map<std::string, std::vector<EntryList::iterator>> by_site_
       CERES_GUARDED_BY(mu_);
   size_t bytes_ CERES_GUARDED_BY(mu_) = 0;
-  /// Every site a generation was read for; absent sites are at 0.
-  std::unordered_map<std::string, uint64_t> generation_
-      CERES_GUARDED_BY(mu_);
+  uint64_t generation_ CERES_GUARDED_BY(mu_) = 0;
   PageCacheStats stats_ CERES_GUARDED_BY(mu_);
 };
 

@@ -7,21 +7,6 @@
 
 namespace ceres::serve {
 
-ServiceStats ShardedServiceStats::Total() const {
-  ServiceStats sum;
-  for (const ServiceStats& shard : per_shard) {
-    sum.submitted += shard.submitted;
-    sum.completed += shard.completed;
-    sum.extractions += shard.extractions;
-    sum.batches += shard.batches;
-    sum.batched_requests += shard.batched_requests;
-    for (int cause = 1; cause < kNumShedCauses; ++cause) {
-      sum.shed[cause] += shard.shed[cause];
-    }
-  }
-  return sum;
-}
-
 ShardedExtractionService::ShardedExtractionService(Ontology ontology,
                                                    ShardedServiceConfig config)
     : config_(std::move(config)), cache_(config_.cache) {
@@ -65,12 +50,12 @@ size_t ShardedExtractionService::ShardOf(std::string_view site) const {
 std::future<ServeResult> ShardedExtractionService::Submit(
     ServeRequest request) {
   const std::string site = request.site;
-  // Read before the request reaches its shard: a Publish or Invalidate
-  // after this point makes the result stale, and Insert then drops it.
-  const uint64_t generation = cache_.Generation(site);
   const uint64_t fingerprint = NearDupCache::Fingerprint(request.html);
   CachedExtraction cached;
-  if (cache_.Lookup(site, fingerprint, &cached)) {
+  // A Publish or Invalidate after the miss makes the result stale, and
+  // Insert then drops it.
+  uint64_t generation = 0;
+  if (cache_.Lookup(site, fingerprint, &cached, &generation)) {
     ServeResult result;
     result.status = Status::Ok();
     result.triples = std::move(cached.triples);
@@ -117,9 +102,27 @@ void ShardedExtractionService::Invalidate(const std::string& site) {
 
 ShardedServiceStats ShardedExtractionService::stats() const {
   ShardedServiceStats out;
-  out.per_shard.reserve(shards_.size());
+  ServiceStats& service = out.service;
+  RegistryStats& registry = out.registry;
   for (const auto& shard : shards_) {
-    out.per_shard.push_back(shard->service->stats());
+    const ServiceStats s = shard->service->stats();
+    service.submitted += s.submitted;
+    service.completed += s.completed;
+    service.extractions += s.extractions;
+    service.batches += s.batches;
+    service.batched_requests += s.batched_requests;
+    for (int cause = 1; cause < kNumShedCauses; ++cause) {
+      service.shed[cause] += s.shed[cause];
+    }
+    const RegistryStats r = shard->registry->stats();
+    registry.hits += r.hits;
+    registry.misses += r.misses;
+    registry.loads += r.loads;
+    registry.load_failures += r.load_failures;
+    registry.evictions += r.evictions;
+    registry.hot_swaps += r.hot_swaps;
+    registry.bytes_cached += r.bytes_cached;
+    registry.models_cached += r.models_cached;
   }
   out.cache = cache_.stats();
   return out;

@@ -28,15 +28,13 @@ struct ShardedServiceConfig {
   PageCacheConfig cache;
 };
 
-/// Aggregated view across shards, plus the shared page cache. Requests
-/// answered from the near-duplicate cache (never reached a shard) are
-/// `cache.hits`.
+/// The shards' request and registry counters, each summed over shards,
+/// plus the shared page cache. Requests answered from the near-duplicate
+/// cache (never reached a shard) are `cache.hits`.
 struct ShardedServiceStats {
-  std::vector<ServiceStats> per_shard;
+  ServiceStats service;
+  RegistryStats registry;
   PageCacheStats cache;
-
-  /// The per-shard request counters, summed.
-  ServiceStats Total() const;
 };
 
 /// The service tier behind the HTTP front-end: N independent
@@ -58,8 +56,8 @@ struct ShardedServiceStats {
 /// thread that resolved it, before the future becomes ready. Publishing
 /// or invalidating a site's model drops the site's cached extractions in
 /// the same call, and a miss submitted before that call cannot insert its
-/// result afterwards (Submit records the site's cache generation, see
-/// NearDupCache), so a hot-swap is never served stale results.
+/// result afterwards (the insert carries the cache generation its miss
+/// saw, see NearDupCache), so a hot-swap is never served stale results.
 class ShardedExtractionService {
  public:
   ShardedExtractionService(Ontology ontology, ShardedServiceConfig config);

@@ -297,13 +297,7 @@ class FrontendE2eTest : public ::testing::Test {
     return request;
   }
 
-  int64_t ShardCompletions() {
-    int64_t completed = 0;
-    for (const ServiceStats& shard : service_->stats().per_shard) {
-      completed += shard.completed;
-    }
-    return completed;
-  }
+  int64_t ShardCompletions() { return service_->stats().service.completed; }
 
   TrainedFilmSite site_;
   std::string root_;
@@ -419,11 +413,7 @@ TEST_F(FrontendE2eTest, ShedRequestNeverReachesTheShardService) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response.value().status, 503);
   }
-  int64_t submitted = 0;
-  for (const ServiceStats& shard : service_->stats().per_shard) {
-    submitted += shard.submitted;
-  }
-  EXPECT_EQ(submitted, 0);
+  EXPECT_EQ(service_->stats().service.submitted, 0);
 }
 
 TEST_F(FrontendE2eTest, SubmittedFutureIsPollSafe) {
@@ -534,25 +524,8 @@ TEST_F(FrontendE2eTest, MetricsRenderTheStatsStructs) {
   const std::string& text = metrics.value().body;
 
   const ShardedServiceStats stats = service_->stats();
-  ServiceStats serve;
-  for (const ServiceStats& shard : stats.per_shard) {
-    serve.submitted += shard.submitted;
-    serve.completed += shard.completed;
-    serve.extractions += shard.extractions;
-    for (int cause = 1; cause < kNumShedCauses; ++cause) {
-      serve.shed[cause] += shard.shed[cause];
-    }
-  }
-  RegistryStats registry;
-  for (size_t i = 0; i < 2; ++i) {
-    const RegistryStats shard = service_->registry(i)->stats();
-    registry.hits += shard.hits;
-    registry.misses += shard.misses;
-    registry.loads += shard.loads;
-    registry.load_failures += shard.load_failures;
-    registry.hot_swaps += shard.hot_swaps;
-    registry.evictions += shard.evictions;
-  }
+  const ServiceStats& serve = stats.service;
+  const RegistryStats& registry = stats.registry;
   const net::HttpServerStats http = frontend_->server_stats();
 
   // The variants may be near-duplicates of each other; the second pass is
@@ -560,6 +533,7 @@ TEST_F(FrontendE2eTest, MetricsRenderTheStatsStructs) {
   EXPECT_GE(stats.cache.hits, 3);
   EXPECT_GE(stats.cache.misses, 2);
   EXPECT_EQ(serve.shed[static_cast<int>(ShedCause::kModelLoadFailed)], 1);
+  EXPECT_EQ(registry.load_failures, 1);
   EXPECT_EQ(CounterIn(text, "ceres_serve_submitted_total"), serve.submitted);
   EXPECT_EQ(CounterIn(text, "ceres_serve_completed_total"), serve.completed);
   EXPECT_EQ(CounterIn(text, "ceres_serve_extractions_total"),

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 
 #include "serve/page_cache.h"
 
@@ -32,14 +31,6 @@ CachedExtraction OneTripleResult(const std::string& subject,
   triple.confidence = 0.9;
   result.triples.push_back(triple);
   return result;
-}
-
-/// Inserts under the site's current generation, as a request that raced
-/// no invalidation would.
-void Put(NearDupCache* cache, const std::string& site, uint64_t fingerprint,
-         CachedExtraction result) {
-  cache->Insert(site, fingerprint, std::move(result),
-                cache->Generation(site));
 }
 
 TEST(SimhashTest, DeterministicAcrossCalls) {
@@ -98,7 +89,7 @@ TEST(NearDupCacheTest, HitsExactlyUpToTheHammingThreshold) {
   config.hamming_threshold = 3;
   NearDupCache cache(config);
   const uint64_t base = 0xA5A5'5A5A'F00D'BEEFull;
-  Put(&cache, "films.example", base, OneTripleResult("film", "director"));
+  cache.Insert("films.example", base, OneTripleResult("film", "director"));
 
   CachedExtraction out;
   EXPECT_TRUE(cache.Lookup("films.example", base, &out));
@@ -117,7 +108,7 @@ TEST(NearDupCacheTest, HitsExactlyUpToTheHammingThreshold) {
 TEST(NearDupCacheTest, EntriesAreScopedToTheirSite) {
   NearDupCache cache;
   const uint64_t fingerprint = 42;
-  Put(&cache, "films.example", fingerprint, OneTripleResult("a", "b"));
+  cache.Insert("films.example", fingerprint, OneTripleResult("a", "b"));
   CachedExtraction out;
   EXPECT_TRUE(cache.Lookup("films.example", fingerprint, &out));
   // The identical fingerprint under another site must not match: that
@@ -128,8 +119,8 @@ TEST(NearDupCacheTest, EntriesAreScopedToTheirSite) {
 TEST(NearDupCacheTest, ExactFingerprintInsertRefreshesInPlace) {
   NearDupCache cache;
   const uint64_t fingerprint = 7;
-  Put(&cache, "films.example", fingerprint, OneTripleResult("film", "old"));
-  Put(&cache, "films.example", fingerprint, OneTripleResult("film", "new"));
+  cache.Insert("films.example", fingerprint, OneTripleResult("film", "old"));
+  cache.Insert("films.example", fingerprint, OneTripleResult("film", "new"));
   EXPECT_EQ(cache.stats().entries, 1u);
   CachedExtraction out;
   ASSERT_TRUE(cache.Lookup("films.example", fingerprint, &out));
@@ -146,11 +137,11 @@ TEST(NearDupCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   config.max_bytes = 2 * (129 + sizeof(ServeDiagnostics)) + 1;
   NearDupCache cache(config);
   CachedExtraction out;
-  Put(&cache, "a", 1 << 10, {});
-  Put(&cache, "b", 2 << 10, {});
+  cache.Insert("a", 1 << 10, {});
+  cache.Insert("b", 2 << 10, {});
   // Touch "a" so "b" is the least recently used when the budget trips.
   ASSERT_TRUE(cache.Lookup("a", 1 << 10, &out));
-  Put(&cache, "c", 3 << 10, {});
+  cache.Insert("c", 3 << 10, {});
 
   EXPECT_TRUE(cache.Lookup("a", 1 << 10, &out));
   EXPECT_FALSE(cache.Lookup("b", 2 << 10, &out));
@@ -166,15 +157,15 @@ TEST(NearDupCacheTest, StatsBalanceAndBytesReturnToZeroAfterInvalidation) {
   // The byte estimate must charge the cached diagnostics record too, not
   // just the triples: it is stored and replayed on hits like everything
   // else in the entry.
-  Put(&cache, "a.example", 1, {});
+  cache.Insert("a.example", 1, {});
   EXPECT_GE(cache.stats().bytes, 128 + sizeof(ServeDiagnostics));
 
   // An exact-fingerprint refresh counts as insertion + eviction so the
   // stats identity below holds; before the fix it was invisible in the
   // counters entirely.
-  Put(&cache, "a.example", 1, OneTripleResult("film", "director"));
-  Put(&cache, "a.example", 2, OneTripleResult("film", "year"));
-  Put(&cache, "b.example", 3, OneTripleResult("book", "author"));
+  cache.Insert("a.example", 1, OneTripleResult("film", "director"));
+  cache.Insert("a.example", 2, OneTripleResult("film", "year"));
+  cache.Insert("b.example", 3, OneTripleResult("book", "author"));
   EXPECT_EQ(cache.stats().insertions, 4);
 
   cache.InvalidateSite("a.example");
@@ -188,9 +179,9 @@ TEST(NearDupCacheTest, StatsBalanceAndBytesReturnToZeroAfterInvalidation) {
 
 TEST(NearDupCacheTest, InvalidateSiteDropsExactlyThatSite) {
   NearDupCache cache;
-  Put(&cache, "films.example", 1, OneTripleResult("f", "x"));
-  Put(&cache, "films.example", 1 << 20, OneTripleResult("f", "y"));
-  Put(&cache, "books.example", 2, OneTripleResult("b", "z"));
+  cache.Insert("films.example", 1, OneTripleResult("f", "x"));
+  cache.Insert("films.example", 1 << 20, OneTripleResult("f", "y"));
+  cache.Insert("books.example", 2, OneTripleResult("b", "z"));
   cache.InvalidateSite("films.example");
 
   CachedExtraction out;
@@ -204,27 +195,30 @@ TEST(NearDupCacheTest, InvalidateSiteDropsExactlyThatSite) {
 
 TEST(NearDupCacheTest, InsertFromBeforeAnInvalidationIsDropped) {
   NearDupCache cache;
-  const uint64_t films_before = cache.Generation("films.example");
-  const uint64_t books_before = cache.Generation("books.example");
-  cache.InvalidateSite("films.example");
-  // A result computed before the invalidation is stale for that site
-  // only.
-  cache.Insert("films.example", 1, OneTripleResult("f", "old"), films_before);
-  cache.Insert("books.example", 2, OneTripleResult("b", "kept"), books_before);
   CachedExtraction out;
-  EXPECT_FALSE(cache.Lookup("films.example", 1, &out));
-  EXPECT_TRUE(cache.Lookup("books.example", 2, &out));
-  Put(&cache, "films.example", 1, OneTripleResult("f", "new"));
-  EXPECT_TRUE(cache.Lookup("films.example", 1, &out));
+  uint64_t films_miss = 0;
+  uint64_t books_miss = 0;
+  ASSERT_FALSE(cache.Lookup("films.example", 1, &out, &films_miss));
+  ASSERT_FALSE(cache.Lookup("books.example", 2, &out, &books_miss));
+  cache.InvalidateSite("films.example");
+  // A result computed from a miss before the invalidation is stale. The
+  // generation is cache-wide, so that holds for every site's miss.
+  cache.Insert("films.example", 1, OneTripleResult("f", "old"), films_miss);
+  cache.Insert("books.example", 2, OneTripleResult("b", "old"), books_miss);
+  EXPECT_FALSE(cache.Lookup("films.example", 1, &out, &films_miss));
+  EXPECT_FALSE(cache.Lookup("books.example", 2, &out));
+  // A miss after the invalidation inserts as usual.
+  cache.Insert("films.example", 1, OneTripleResult("f", "new"), films_miss);
+  ASSERT_TRUE(cache.Lookup("films.example", 1, &out));
+  EXPECT_EQ(out.triples[0].object, "new");
 
-  // Clear makes every site's earlier results stale.
-  const uint64_t books_before_clear = cache.Generation("books.example");
+  // Clear makes earlier misses stale too.
+  ASSERT_FALSE(cache.Lookup("books.example", 2, &out, &books_miss));
   cache.Clear();
-  cache.Insert("books.example", 2, OneTripleResult("b", "old"),
-               books_before_clear);
+  cache.Insert("books.example", 2, OneTripleResult("b", "old"), books_miss);
   const PageCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.insertions, 2);
+  EXPECT_EQ(stats.insertions, 1);
   EXPECT_EQ(stats.insertions, static_cast<int64_t>(stats.entries) +
                                   stats.evictions + stats.invalidations);
 }
@@ -233,7 +227,7 @@ TEST(NearDupCacheTest, DisabledCacheNeverStoresOrCounts) {
   PageCacheConfig config;
   config.enabled = false;
   NearDupCache cache(config);
-  Put(&cache, "films.example", 5, OneTripleResult("a", "b"));
+  cache.Insert("films.example", 5, OneTripleResult("a", "b"));
   CachedExtraction out;
   EXPECT_FALSE(cache.Lookup("films.example", 5, &out));
   const PageCacheStats stats = cache.stats();
@@ -249,8 +243,8 @@ TEST(NearDupCacheTest, WhitespaceChurnedRecrawlHitsViaFingerprint) {
   NearDupCache cache;
   const std::string first = "<div>Directed By Spike Lee</div>";
   const std::string recrawl = "<DIV>\n  directed   by   SPIKE LEE\n</DIV>";
-  Put(&cache, "films.example", cache.Fingerprint(first),
-      OneTripleResult("film", "spike lee"));
+  cache.Insert("films.example", cache.Fingerprint(first),
+               OneTripleResult("film", "spike lee"));
   CachedExtraction out;
   ASSERT_TRUE(
       cache.Lookup("films.example", cache.Fingerprint(recrawl), &out));

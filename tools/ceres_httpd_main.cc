@@ -252,7 +252,6 @@ int main(int argc, char** argv) {
   service.Stop();
 
   const serve::ShardedServiceStats stats = service.stats();
-  const serve::ServiceStats total = stats.Total();
   std::fprintf(stderr,
                "http: requests %lld responses %lld rate_limited %lld "
                "parse_errors %lld drained %lld\n",
@@ -264,8 +263,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "service: completed %lld shed %lld  cache: hits %lld "
                "misses %lld entries %zu\n",
-               static_cast<long long>(total.completed),
-               static_cast<long long>(total.total_shed()),
+               static_cast<long long>(stats.service.completed),
+               static_cast<long long>(stats.service.total_shed()),
                static_cast<long long>(stats.cache.hits),
                static_cast<long long>(stats.cache.misses),
                stats.cache.entries);
