@@ -5,6 +5,7 @@
 
 #include "text/normalize.h"
 #include "util/parallel.h"
+#include "util/string_util.h"
 
 namespace ceres::bench {
 
@@ -19,6 +20,7 @@ std::vector<LongTailSiteRun> RunLongTail(const ParsedCorpus& corpus) {
     config.extraction.confidence_threshold = 0.0;  // Sweep later.
     Result<PipelineResult> result =
         RunPipeline(site.pages, corpus.corpus.seed_kb, config);
+    run.status = result.status();
     if (result.ok()) {
       run.result = std::move(result).value();
       run.annotated_pages =
@@ -51,6 +53,23 @@ ThresholdPoint CountAtThreshold(const LongTailSiteRun& run,
     }
   }
   return point;
+}
+
+std::string Table8ShapeViolation(const std::vector<LongTailSiteRun>& runs,
+                                 const std::string& site, bool precise) {
+  for (const LongTailSiteRun& run : runs) {
+    if (run.site->name != site) continue;
+    const ThresholdPoint point = CountAtThreshold(run, 0.5);
+    const bool holds = run.status.ok() &&
+                       (precise ? point.extractions > 0 &&
+                                      point.precision() >= 0.9
+                                : point.extractions == 0);
+    if (holds) return "";
+    return StrCat("SHAPE VIOLATION: ", site, ": ", point.correct, " of ",
+                  point.extractions, " extractions correct, pipeline ",
+                  run.status.ToString());
+  }
+  return StrCat("SHAPE VIOLATION: ", site, " missing");
 }
 
 }  // namespace ceres::bench

@@ -1,6 +1,7 @@
 #ifndef CERES_BENCH_LONGTAIL_COMMON_H_
 #define CERES_BENCH_LONGTAIL_COMMON_H_
 
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -12,6 +13,8 @@ namespace ceres::bench {
 /// is no train/eval split in §5.5; extractions are judged by sampling).
 struct LongTailSiteRun {
   const ParsedSite* site = nullptr;
+  /// The pipeline's status; `result` is empty when it is not OK.
+  Status status;
   PipelineResult result;
   int64_t num_pages = 0;
   int64_t annotated_pages = 0;
@@ -39,6 +42,21 @@ struct ThresholdPoint {
 /// at a threshold.
 ThresholdPoint CountAtThreshold(const LongTailSiteRun& run,
                                 double threshold);
+
+/// The §5.5 shape at 0.5 confidence (Table 8): the near-zero KB overlap
+/// sites and the chart-only site make no relation extractions...
+inline constexpr const char* kTable8SilentSites[] = {
+    "bcdb.com", "bmxmdb.com", "boxofficemojo.com"};
+/// ...while the mainstream sites make some, at precision >= 0.9.
+inline constexpr const char* kTable8PreciseSites[] = {"themoviedb.org",
+                                                      "rottentomatoes.com"};
+
+/// Checks `site` in `runs` against the Table 8 shape: present, its
+/// pipeline OK, and at 0.5 confidence either extracting at precision
+/// >= 0.9 (`precise`) or extracting nothing. Returns "" when the shape
+/// holds, else a one-line `SHAPE VIOLATION: ...` message.
+std::string Table8ShapeViolation(const std::vector<LongTailSiteRun>& runs,
+                                 const std::string& site, bool precise);
 
 }  // namespace ceres::bench
 

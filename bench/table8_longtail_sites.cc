@@ -8,9 +8,16 @@
 // (spicyonion, christianfilmdatabase, laborfilms) well below average;
 // chart-only boxofficemojo and near-zero-overlap bcdb/bmxmdb correctly
 // producing nothing.
+//
+// Every run checks the §5.5 shape and exits 1 on a violation: bcdb,
+// bmxmdb and boxofficemojo make 0 relation extractions at 0.5 confidence;
+// themoviedb and rottentomatoes make some, at precision >= 0.9. ctest runs
+// it as paper_shape.table8_longtail_sites; Table8ShapeTest runs the same
+// check (Table8ShapeViolation) at scale 0.25.
 
 #include <cstdio>
 #include <set>
+#include <string>
 
 #include "bench/longtail_common.h"
 
@@ -87,7 +94,23 @@ int main() {
   std::printf(
       "\nPaper (Table 8): 433,832 pages; 70,050 annotated pages; 414,074 "
       "annotations; 1,688,913 extractions (ratio 4.08 per annotation); "
-      "average precision 0.83. Degenerate sites (bcdb, bmxmdb, "
-      "boxofficemojo) correctly produce 0 extractions.\n");
+      "average precision 0.83.\n");
+
+  std::string violations;
+  for (const char* site : kTable8SilentSites) {
+    const std::string violation = Table8ShapeViolation(runs, site, false);
+    if (!violation.empty()) violations += violation + "\n";
+  }
+  for (const char* site : kTable8PreciseSites) {
+    const std::string violation = Table8ShapeViolation(runs, site, true);
+    if (!violation.empty()) violations += violation + "\n";
+  }
+  if (!violations.empty()) {
+    std::printf("%s", violations.c_str());
+    return 1;
+  }
+  std::printf(
+      "Shape holds: bcdb, bmxmdb and boxofficemojo produce 0 extractions; "
+      "themoviedb and rottentomatoes extract at >= 0.9 precision.\n");
   return 0;
 }

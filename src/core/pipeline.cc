@@ -6,7 +6,6 @@
 #include <set>
 
 #include "core/entity_matcher.h"
-#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -31,6 +30,8 @@ struct ClusterOutcome {
   StageCounts stages[kNumPipelineStages];
   std::vector<ClusterSkip> skips;
   bool run_deadline_expired = false;
+  int64_t mention_lookups = 0;
+  int64_t mention_hits = 0;
   std::vector<Annotation> annotations;     // global page indices
   std::vector<PageIndex> annotated_pages;  // global page indices
   std::vector<Extraction> extractions;
@@ -118,12 +119,6 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
   result.topic_node_of_page.assign(pages.size(), kInvalidNode);
 
   obs::TraceSpan run_span(config.trace, "pipeline");
-  if (obs::Enabled()) {
-    auto& registry = obs::MetricsRegistry::Default();
-    registry.GetCounter("ceres_pipeline_runs_total")->Increment();
-    registry.GetCounter("ceres_pipeline_pages_total")
-        ->Increment(static_cast<int64_t>(pages.size()));
-  }
 
   // 1. Template clustering (whole-run deadline only; the per-cluster
   // budget starts once clusters exist).
@@ -185,11 +180,6 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
       single_cluster ? config.parallel : ParallelConfig::Sequential();
 
   std::vector<ClusterOutcome> outcomes(static_cast<size_t>(num_clusters));
-  if (obs::Enabled()) {
-    obs::MetricsRegistry::Default()
-        .GetCounter("ceres_pipeline_clusters_total")
-        ->Increment(num_clusters);
-  }
   obs::TraceSpan clusters_span(run_span, "clusters");
   ParallelFor(static_cast<size_t>(num_clusters), outer_parallel, [&](size_t c) {
     const int cluster = static_cast<int>(c);
@@ -205,11 +195,6 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
       LogInfo(StrCat("cluster ", cluster, ": skipped at ",
                      PipelineStageName(stage), ": ", reason.ToString()));
       ++count(stage).skipped;
-      if (obs::Enabled()) {
-        obs::MetricsRegistry::Default()
-            .GetCounter("ceres_pipeline_cluster_skips_total")
-            ->Increment();
-      }
       out.skips.push_back(ClusterSkip{cluster, stage, std::move(reason)});
     };
     // Every cluster runs under the earlier of the whole-run deadline and
@@ -269,6 +254,12 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
     ParallelFor(annotation_docs.size(), inner_parallel, [&](size_t i) {
       mentions[i] = MatchPageMentions(*annotation_docs[i], kb);
     });
+    // MatchPageMentions looks up every text field once and keeps the hits.
+    for (size_t i = 0; i < annotation_docs.size(); ++i) {
+      out.mention_lookups +=
+          static_cast<int64_t>(annotation_docs[i]->TextFields().size());
+      out.mention_hits += static_cast<int64_t>(mentions[i].fields.size());
+    }
     TopicConfig topic_config = config.topic;
     topic_config.deadline = cluster_deadline;
     TopicResult topics =
@@ -373,6 +364,8 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
       diag.stages[s].skipped += out.stages[s].skipped;
     }
     diag.run_deadline_expired |= out.run_deadline_expired;
+    diag.mention_lookups += out.mention_lookups;
+    diag.mention_hits += out.mention_hits;
     std::move(out.skips.begin(), out.skips.end(),
               std::back_inserter(diag.skipped_clusters));
     std::move(out.annotations.begin(), out.annotations.end(),
@@ -387,6 +380,43 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
 
   std::sort(result.annotated_pages.begin(), result.annotated_pages.end());
   return result;
+}
+
+void AddPipelineCounters(const PipelineResult& result,
+                         const PipelineConfig& config,
+                         obs::MetricsRegistry* registry) {
+  const auto add = [registry](const char* name, int64_t value) {
+    registry->GetCounter(name)->Increment(value);
+  };
+  int num_clusters = 0;
+  for (int cluster : result.cluster_of_page) {
+    num_clusters = std::max(num_clusters, cluster + 1);
+  }
+  const PipelineDiagnostics& diag = result.diagnostics;
+  add("ceres_pipeline_runs_total", 1);
+  add("ceres_pipeline_pages_total",
+      static_cast<int64_t>(result.cluster_of_page.size()));
+  add("ceres_pipeline_clusters_total", num_clusters);
+  add("ceres_pipeline_cluster_skips_total",
+      static_cast<int64_t>(diag.skipped_clusters.size()));
+  add("ceres_kb_mention_lookups_total", diag.mention_lookups);
+  add("ceres_kb_mention_hits_total", diag.mention_hits);
+  int64_t capped = 0;
+  int64_t iterations = 0;
+  int64_t evaluations = 0;
+  for (const ClusterModel& cluster : result.models) {
+    const LbfgsResult& fit = cluster.model.fit;
+    if (!fit.converged &&
+        fit.iterations >= config.training.logreg.max_iterations) {
+      ++capped;
+    }
+    iterations += fit.iterations;
+    evaluations += fit.evaluations;
+  }
+  add("ceres_train_fits_total", static_cast<int64_t>(result.models.size()));
+  add("ceres_train_fits_capped_total", capped);
+  add("ceres_train_lbfgs_iterations_total", iterations);
+  add("ceres_train_objective_evals_total", evaluations);
 }
 
 }  // namespace ceres

@@ -12,6 +12,7 @@
 #include "core/training.h"
 #include "core/types.h"
 #include "kb/knowledge_base.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/deadline.h"
 #include "util/parallel.h"
@@ -131,6 +132,11 @@ struct PipelineDiagnostics {
   StageCounts stages[kNumPipelineStages];
   /// True when the whole-run deadline expired before all clusters ran.
   bool run_deadline_expired = false;
+  /// KB name lookups made by entity matching: one per text field of every
+  /// annotation page whose cluster reached topic identification.
+  int64_t mention_lookups = 0;
+  /// The lookups that matched at least one entity (<= mention_lookups).
+  int64_t mention_hits = 0;
 
   StageCounts& counts(PipelineStage stage) {
     return stages[static_cast<int>(stage)];
@@ -175,6 +181,16 @@ struct PipelineResult {
 Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
                                    const KnowledgeBase& kb,
                                    const PipelineConfig& config = {});
+
+/// Adds one run's batch counters to `registry`, read from the run's own
+/// result: `ceres_pipeline_{runs,pages,clusters,cluster_skips}_total`,
+/// `ceres_kb_mention_{lookups,hits}_total` from the diagnostics, and
+/// `ceres_train_{fits,fits_capped,lbfgs_iterations,objective_evals}_total`
+/// summed over `result.models[i].model.fit`. A fit is capped when it
+/// stopped unconverged at `config.training.logreg.max_iterations`.
+void AddPipelineCounters(const PipelineResult& result,
+                         const PipelineConfig& config,
+                         obs::MetricsRegistry* registry);
 
 }  // namespace ceres
 

@@ -17,7 +17,6 @@
 
 #include "dist/checkpoint.h"
 #include "dist/worker.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 
@@ -31,40 +30,6 @@ constexpr int kMaxAttemptsPerShard = 3;
 /// base * 2^(n-1) after the failure, capped at kRetryBackoffMax.
 constexpr std::chrono::milliseconds kRetryBackoffBase{10};
 constexpr std::chrono::milliseconds kRetryBackoffMax{500};
-
-/// Cached instrument pointers (see obs/metrics.h: cache once, record
-/// lock-free). Recording is gated on obs::Enabled() at the call sites.
-struct DistMetrics {
-  obs::Counter* retries;
-  obs::Counter* worker_restarts;
-  obs::Counter* shards_quarantined;
-  obs::Counter* shards_completed;
-  obs::Counter* checkpoint_bytes;
-  obs::Counter* checkpoint_loads;
-  obs::Histogram* shard_latency_us;
-
-  static const DistMetrics& Get() {
-    static const DistMetrics metrics = [] {
-      auto& registry = obs::MetricsRegistry::Default();
-      DistMetrics m;
-      m.retries = registry.GetCounter("ceres_dist_shard_retries_total");
-      m.worker_restarts =
-          registry.GetCounter("ceres_dist_worker_restarts_total");
-      m.shards_quarantined =
-          registry.GetCounter("ceres_dist_shards_quarantined_total");
-      m.shards_completed =
-          registry.GetCounter("ceres_dist_shards_completed_total");
-      m.checkpoint_bytes =
-          registry.GetCounter("ceres_dist_checkpoint_bytes_total");
-      m.checkpoint_loads =
-          registry.GetCounter("ceres_dist_checkpoint_loads_total");
-      m.shard_latency_us =
-          registry.GetHistogram("ceres_dist_shard_latency_us");
-      return m;
-    }();
-    return metrics;
-  }
-};
 
 /// Ignores SIGPIPE for the scope of a run (a dead worker's pipe must
 /// surface as an EPIPE Status, not kill the coordinator) and restores the
@@ -140,10 +105,8 @@ struct ShardSlot {
   /// Earliest re-dispatch time while backing off.
   obs::TimePoint eligible_at{};
   bool has_backoff = false;
-  obs::TimePoint started{};
   Status last_error;
   ShardResult result;
-  bool from_checkpoint = false;
 };
 
 struct WorkerProc {
@@ -241,13 +204,8 @@ class Coordinator {
       }
       slot.result = std::move(loaded.value());
       slot.state = SlotState::kDone;
-      slot.from_checkpoint = true;
       ++diagnostics_.shards_completed;
-      ++diagnostics_.shards_from_checkpoint;
-      if (obs::Enabled()) {
-        DistMetrics::Get().shards_completed->Increment();
-        DistMetrics::Get().checkpoint_loads->Increment();
-      }
+      diagnostics_.shards_from_checkpoint.push_back(slot.id);
     }
   }
 
@@ -328,7 +286,6 @@ class Coordinator {
   void RetireWorker(WorkerProc* worker, const Status& reason) {
     if (!worker->alive) return;
     ++diagnostics_.worker_restarts;
-    if (obs::Enabled()) DistMetrics::Get().worker_restarts->Increment();
     (void)::kill(worker->pid, SIGKILL);
     int wait_status = 0;
     (void)::waitpid(worker->pid, &wait_status, 0);
@@ -373,7 +330,6 @@ class Coordinator {
     slot.last_error = reason;
     if (slot.attempts >= kMaxAttemptsPerShard) {
       slot.state = SlotState::kQuarantined;
-      if (obs::Enabled()) DistMetrics::Get().shards_quarantined->Increment();
       return;
     }
     slot.state = SlotState::kPending;
@@ -391,11 +347,6 @@ class Coordinator {
     slot.result = std::move(result);
     slot.state = SlotState::kDone;
     ++diagnostics_.shards_completed;
-    if (obs::Enabled()) {
-      DistMetrics::Get().shards_completed->Increment();
-      DistMetrics::Get().shard_latency_us->Record(
-          obs::ElapsedMicros(slot.started, obs::MonotonicNow()).count());
-    }
     if (config_.checkpoint_dir.empty()) return;
     int64_t bytes = 0;
     Status saved =
@@ -407,9 +358,6 @@ class Coordinator {
       return;
     }
     diagnostics_.checkpoint_bytes += bytes;
-    if (obs::Enabled()) {
-      DistMetrics::Get().checkpoint_bytes->Increment(bytes);
-    }
     if (config_.faults.FaultFor(shard, slot.attempts) ==
         ProcessFaultType::kCorruptCheckpoint) {
       (void)CorruptShardCheckpoint(config_.checkpoint_dir, shard);
@@ -432,7 +380,6 @@ class Coordinator {
     ++slot->attempts;
     if (slot->attempts > 1) {
       ++diagnostics_.retries;
-      if (obs::Enabled()) DistMetrics::Get().retries->Increment();
     }
     ShardTask task;
     task.shard = slot->id;
@@ -450,7 +397,6 @@ class Coordinator {
       task.sites.push_back(corpus_[index]);
     }
     slot->state = SlotState::kRunning;
-    slot->started = now;
     slot->has_backoff = false;
     worker->shard = slot->id;
     worker->last_seen = now;
@@ -707,7 +653,8 @@ int32_t ShardOfSite(std::string_view site, int32_t num_shards) {
 
 std::string DistDiagnostics::Summary() const {
   std::string out = StrCat("shards: ", shards_completed, " completed (",
-                           shards_from_checkpoint, " from checkpoint), ",
+                           shards_from_checkpoint.size(),
+                           " from checkpoint), ",
                            quarantined_shards.size(), " quarantined, ",
                            unfinished_shards.size(), " unfinished\n");
   out += StrCat("retries: ", retries, ", worker restarts: ", worker_restarts,

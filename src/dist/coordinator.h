@@ -96,8 +96,9 @@ struct DistDiagnostics {
   /// Shards that produced a merged result this run (checkpoint loads
   /// included).
   int64_t shards_completed = 0;
-  /// Completed shards satisfied from a valid checkpoint instead of work.
-  int64_t shards_from_checkpoint = 0;
+  /// Completed shards satisfied from a valid checkpoint instead of work,
+  /// shard-id order. They ran no attempt this run.
+  std::vector<int32_t> shards_from_checkpoint;
   /// Bytes of checkpoint data written this run.
   int64_t checkpoint_bytes = 0;
   /// True when the run deadline expired before all shards finished.

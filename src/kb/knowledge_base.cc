@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "text/normalize.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -381,18 +380,6 @@ std::span<const EntityId> KnowledgeBase::MatchMentionsView(
         hit = LookupNameKey(stripped);
       }
     }
-  }
-  // Entity matching is a hot path: when metrics are off this block is one
-  // relaxed load + branch. The handles are resolved once per process.
-  if (obs::Enabled()) {
-    static obs::Counter* const lookups =
-        obs::MetricsRegistry::Default().GetCounter(
-            "ceres_kb_mention_lookups_total");
-    static obs::Counter* const hits =
-        obs::MetricsRegistry::Default().GetCounter(
-            "ceres_kb_mention_hits_total");
-    lookups->Increment();
-    if (!hit.empty()) hits->Increment();
   }
   return hit;
 }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -21,27 +20,6 @@ void SoftmaxInPlace(std::vector<double>* logits) {
     sum += v;
   }
   for (double& v : *logits) v /= sum;
-}
-
-// Training is not a hot path per call, but the counter handles are still
-// resolved once per process, as on the KB lookup path.
-void CountFit(const LbfgsResult& fit, int max_iterations) {
-  if (!obs::Enabled()) return;
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  static obs::Counter* const fits =
-      registry.GetCounter("ceres_train_fits_total");
-  static obs::Counter* const capped =
-      registry.GetCounter("ceres_train_fits_capped_total");
-  static obs::Counter* const iterations =
-      registry.GetCounter("ceres_train_lbfgs_iterations_total");
-  static obs::Counter* const evaluations =
-      registry.GetCounter("ceres_train_objective_evals_total");
-  fits->Increment();
-  if (!fit.converged && fit.iterations >= max_iterations) {
-    capped->Increment();
-  }
-  iterations->Increment(fit.iterations);
-  evaluations->Increment(fit.evaluations);
 }
 
 }  // namespace
@@ -143,7 +121,6 @@ Result<LbfgsResult> LogisticRegression::Train(
   if (num_fitted > 1) {
     solver_result = MinimizeLbfgs(objective, &params, config.max_iterations);
   }
-  CountFit(solver_result, config.max_iterations);
 
   weights_.assign(static_cast<size_t>(num_classes_) * stride, 0.0);
   for (int32_t k = 0; k < num_classes_; ++k) {

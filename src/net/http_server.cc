@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -165,7 +164,8 @@ struct HttpServer::Loop {
   explicit Loop(HttpServer* server)
       : handler(server->handler_),
         config(server->config_),
-        limiter(server->config_.rate_limit) {}
+        limiter(server->config_.rate_limit),
+        request_us(&server->request_us_) {}
 
   ~Loop() {
     // Normal teardown happens in TearDown() (run by the loop thread); this
@@ -200,8 +200,8 @@ struct HttpServer::Loop {
   bool drain_seen = false;
   int64_t drain_started_us = 0;
 
-  // Cached obs instrument (process-default registry, created once).
-  obs::Histogram* request_us = nullptr;
+  /// The server's request-latency histogram (outlives the loop).
+  obs::Histogram* const request_us;
 
   Status Init();
   void Serve();
@@ -257,9 +257,6 @@ Status HttpServer::Loop::Init() {
     inbox->open = true;
     inbox->dropped = &stats.responses_dropped;
   }
-
-  request_us =
-      obs::MetricsRegistry::Default().GetHistogram("ceres_net_request_us");
   return Status::Ok();
 }
 
@@ -498,9 +495,7 @@ void HttpServer::Loop::ApplyResponse(uint64_t conn_id,
   Connection* conn = &it->second;
   conn->awaiting_handler = false;
   conn->last_activity_us = NowMicros();
-  if (obs::Enabled()) {
-    request_us->Record(conn->last_activity_us - conn->dispatch_start_us);
-  }
+  request_us->Record(conn->last_activity_us - conn->dispatch_start_us);
   const bool keep_alive = conn->keep_alive_current &&
                           !drain.load(std::memory_order_acquire) &&
                           !conn->read_eof;

@@ -9,6 +9,7 @@
 
 #include "net/http.h"
 #include "net/rate_limiter.h"
+#include "obs/metrics.h"
 #include "util/deadline.h"
 #include "util/status.h"
 #include "util/sync.h"
@@ -129,12 +130,18 @@ class HttpServer {
 
   HttpServerStats stats() const;
 
+  /// Microseconds from handing a request to the handler until its
+  /// response is applied on the loop, one sample per answered request.
+  const obs::Histogram& request_us() const { return request_us_; }
+
  private:
   struct Loop;  // all event-loop state; lives in http_server.cc
 
   Handler handler_;
   const HttpServerConfig config_;
   uint16_t bound_port_ = 0;
+  /// Recorded by the loop thread, so declared before it.
+  obs::Histogram request_us_{obs::LatencyBucketsUs()};
   std::unique_ptr<Loop> loop_;
   std::thread loop_thread_;
   bool started_ = false;

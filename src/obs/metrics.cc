@@ -2,19 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <limits>
 
 #include "util/logging.h"
 
 namespace ceres::obs {
-
-namespace internal {
-std::atomic<bool> g_metrics_enabled{false};
-}  // namespace internal
-
-void SetEnabled(bool enabled) {
-  internal::g_metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -51,6 +44,16 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
+/// Moves `*slot` to `value` while `better(value, *slot)`; safe against
+/// concurrent updates.
+template <typename Better>
+void StoreIf(std::atomic<int64_t>* slot, int64_t value, Better better) {
+  int64_t seen = slot->load(std::memory_order_relaxed);
+  while (better(value, seen) &&
+         !slot->compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+  }
+}
+
 std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.3f", v);
@@ -76,14 +79,8 @@ void Histogram::Record(int64_t value) {
   buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
-  int64_t seen = min_.load(std::memory_order_relaxed);
-  while (value < seen &&
-         !min_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-  seen = max_.load(std::memory_order_relaxed);
-  while (value > seen &&
-         !max_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
+  StoreIf(&min_, value, std::less<>());
+  StoreIf(&max_, value, std::greater<>());
 }
 
 double Histogram::Mean() const {
@@ -125,12 +122,18 @@ double Histogram::Percentile(double p) const {
   return static_cast<double>(Max());
 }
 
-void Histogram::Reset() {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<int64_t>::max(), std::memory_order_relaxed);
-  max_.store(std::numeric_limits<int64_t>::min(), std::memory_order_relaxed);
+void Histogram::Merge(const Histogram& other) {
+  CERES_CHECK(bounds_ == other.bounds_);
+  const int64_t n = other.Count();
+  if (n == 0) return;
+  for (size_t b = 0; b < buckets_.size(); ++b) {
+    buckets_[b].fetch_add(other.BucketCount(b), std::memory_order_relaxed);
+  }
+  count_.fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(other.Sum(), std::memory_order_relaxed);
+  StoreIf(&min_, other.min_.load(std::memory_order_relaxed), std::less<>());
+  StoreIf(&max_, other.max_.load(std::memory_order_relaxed),
+          std::greater<>());
 }
 
 const std::vector<int64_t>& LatencyBucketsUs() {
@@ -154,11 +157,6 @@ const std::vector<int64_t>& SizeBuckets() {
     return bounds;
   }();
   return *kBuckets;
-}
-
-MetricsRegistry& MetricsRegistry::Default() {
-  static MetricsRegistry* const kRegistry = new MetricsRegistry;
-  return *kRegistry;
 }
 
 Counter* MetricsRegistry::GetCounter(std::string_view name) {
@@ -195,12 +193,6 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name,
              .first;
   }
   return it->second.get();
-}
-
-int64_t MetricsRegistry::CounterValue(std::string_view name) const {
-  MutexLock lock(mu_);
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second->Value();
 }
 
 std::string MetricsRegistry::ToJson() const {
@@ -264,13 +256,6 @@ std::string MetricsRegistry::ToPrometheusText() const {
     out += name + "_count " + std::to_string(histogram->Count()) + '\n';
   }
   return out;
-}
-
-void MetricsRegistry::Reset() {
-  MutexLock lock(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
 }  // namespace ceres::obs

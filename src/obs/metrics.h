@@ -19,36 +19,20 @@
 ///   - Histogram: fixed-bucket distribution with p50/p95/p99 estimation
 ///                (latencies in microseconds, batch sizes).
 ///
-/// Instruments live in a `MetricsRegistry` keyed by name and are handed out
-/// as stable pointers — callers cache the pointer once (function-local
-/// static on hot paths) and record through it without ever touching the
-/// registry lock again. `MetricsRegistry::Default()` is the process-wide
-/// registry every subsystem records into; tests may build private ones.
-///
-/// Recording is gated by a process-wide enable flag, default OFF, so
-/// instrumented hot paths (e.g. `KnowledgeBase::MatchMentionsView`) cost a
-/// single relaxed atomic load + branch when observability is not requested.
-/// Drivers that want metrics (`ceres_httpd`, perfbench, tests) call
-/// `SetEnabled(true)`.
+/// Every count has one owner. A component that records on a hot path owns
+/// its instruments as typed members (`ExtractionService`'s stage
+/// histograms, `HttpServer`'s request latency) and records into them
+/// unconditionally; run-level counts travel in the run's own result
+/// (`PipelineDiagnostics`, `TrainedModel::fit`, `DistDiagnostics`). A
+/// `MetricsRegistry` is a local, named set of instruments that a driver
+/// fills from those owners just before exporting it (`GET /metrics`,
+/// `ceres_extract --trace_json`).
 ///
 /// Naming scheme (see DESIGN.md "Observability"):
 ///   ceres_<subsystem>_<what>[_<unit>][_total]
 /// e.g. `ceres_serve_queue_wait_us`, `ceres_registry_hits_total`.
 
 namespace ceres::obs {
-
-namespace internal {
-extern std::atomic<bool> g_metrics_enabled;
-}  // namespace internal
-
-/// True when metric recording has been requested for this process.
-/// Hot paths guard instrumentation behind this — one relaxed load.
-inline bool Enabled() {
-  return internal::g_metrics_enabled.load(std::memory_order_relaxed);
-}
-
-/// Turns metric recording on or off process-wide.
-void SetEnabled(bool enabled);
 
 /// Monotonically increasing counter. Thread-safe, lock-free.
 class Counter {
@@ -59,9 +43,6 @@ class Counter {
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  friend class MetricsRegistry;
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
   std::atomic<int64_t> value_{0};
 };
 
@@ -75,9 +56,6 @@ class Gauge {
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  friend class MetricsRegistry;
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
   std::atomic<int64_t> value_{0};
 };
 
@@ -92,6 +70,9 @@ class Histogram {
   explicit Histogram(std::vector<int64_t> bounds);
 
   void Record(int64_t value);
+  /// Adds every sample `other` has seen, as if both streams had been
+  /// recorded here. `other` must have the same bounds.
+  void Merge(const Histogram& other);
 
   int64_t Count() const { return count_.load(std::memory_order_relaxed); }
   int64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
@@ -108,9 +89,6 @@ class Histogram {
   }
 
  private:
-  friend class MetricsRegistry;
-  void Reset();
-
   const std::vector<int64_t> bounds_;
   std::vector<std::atomic<int64_t>> buckets_;
   std::atomic<int64_t> count_{0};
@@ -128,16 +106,12 @@ const std::vector<int64_t>& LatencyBucketsUs();
 const std::vector<int64_t>& SizeBuckets();
 
 /// Named instrument registry. Get* calls find-or-create and return a
-/// pointer that stays valid (and keeps its identity across `Reset`) for
-/// the registry's lifetime.
+/// pointer that stays valid for the registry's lifetime.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// The process-wide registry all subsystems record into.
-  static MetricsRegistry& Default();
 
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
@@ -145,9 +119,6 @@ class MetricsRegistry {
   /// first creation.
   Histogram* GetHistogram(std::string_view name);
   Histogram* GetHistogram(std::string_view name, std::vector<int64_t> bounds);
-
-  /// Current value of a counter, 0 if it was never created. For tests.
-  int64_t CounterValue(std::string_view name) const;
 
   /// All instruments as one JSON object:
   ///   {"counters":{...},"gauges":{...},
@@ -158,10 +129,6 @@ class MetricsRegistry {
   /// Prometheus text exposition format (# TYPE lines, cumulative
   /// `_bucket{le="..."}` rows plus `_sum`/`_count` for histograms).
   std::string ToPrometheusText() const;
-
-  /// Zeroes every instrument in place; handed-out pointers stay valid.
-  /// For benches that measure one cell at a time, and for tests.
-  void Reset();
 
  private:
   mutable CheckedMutex mu_{"MetricsRegistry.mu"};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -38,13 +37,6 @@ Result<LoadedCrawl> LoadCrawl(const std::vector<RawPage>& raw,
   if (!crawl.quarantined.empty()) {
     LogInfo(StrCat("resilient load: quarantined ", crawl.quarantined.size(),
                    " of ", raw.size(), " pages"));
-  }
-  if (obs::Enabled()) {
-    auto& registry = obs::MetricsRegistry::Default();
-    registry.GetCounter("ceres_loader_pages_total")
-        ->Increment(static_cast<int64_t>(raw.size()));
-    registry.GetCounter("ceres_loader_quarantined_total")
-        ->Increment(static_cast<int64_t>(crawl.quarantined.size()));
   }
   return crawl;
 }

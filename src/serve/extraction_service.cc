@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
 
@@ -225,31 +224,13 @@ void ExtractionService::ProcessBatch(const std::string& site,
   int64_t total_extractions = 0;
   bool batch_ran = false;
 
-  // Histogram handles are fetched once per batch when metrics are on; the
-  // per-request recording below is then a null check plus a lock-free
-  // bucket increment.
-  obs::Histogram* queue_wait_hist = nullptr;
-  obs::Histogram* parse_hist = nullptr;
-  obs::Histogram* inference_hist = nullptr;
-  obs::Histogram* latency_hist = nullptr;
-  obs::Histogram* batch_size_hist = nullptr;
-  if (obs::Enabled()) {
-    auto& registry = obs::MetricsRegistry::Default();
-    queue_wait_hist = registry.GetHistogram("ceres_serve_queue_wait_us");
-    parse_hist = registry.GetHistogram("ceres_serve_parse_us");
-    inference_hist = registry.GetHistogram("ceres_serve_inference_us");
-    latency_hist = registry.GetHistogram("ceres_serve_request_latency_us");
-    batch_size_hist =
-        registry.GetHistogram("ceres_serve_batch_size", obs::SizeBuckets());
-  }
-
   std::vector<LiveRequest> live;
   live.reserve(batch.size());
   const obs::TimePoint picked_up = obs::MonotonicNow();
   for (PendingRequest& pending : batch) {
     const std::chrono::microseconds wait =
         obs::ElapsedMicros(pending.enqueued, picked_up);
-    if (queue_wait_hist != nullptr) queue_wait_hist->Record(wait.count());
+    histograms_.queue_wait_us.Record(wait.count());
     if (pending.request.deadline.expired()) {
       ServeResult result = ShedResult(pending.request.deadline.Check("queue"),
                                       ShedCause::kTimedOutInQueue);
@@ -293,9 +274,7 @@ void ExtractionService::ProcessBatch(const std::string& site,
             ParseHtml(request.pending.request.html, config_.parse);
         request.parse_time =
             obs::ElapsedMicros(parse_start, obs::MonotonicNow());
-        if (parse_hist != nullptr) {
-          parse_hist->Record(request.parse_time.count());
-        }
+        histograms_.parse_us.Record(request.parse_time.count());
         if (!doc.ok()) {
           ServeResult result = ShedResult(
               PrependContext(doc.status(),
@@ -333,9 +312,7 @@ void ExtractionService::ProcessBatch(const std::string& site,
             ExtractionConfig{});
         const std::chrono::microseconds inference_time =
             obs::ElapsedMicros(inference_start, obs::MonotonicNow());
-        if (inference_hist != nullptr) {
-          inference_hist->Record(inference_time.count());
-        }
+        histograms_.inference_us.Record(inference_time.count());
 
         std::vector<std::vector<Extraction>> per_request(parsed.size());
         for (Extraction& extraction : extractions) {
@@ -346,14 +323,12 @@ void ExtractionService::ProcessBatch(const std::string& site,
 
         batch_ran = true;
         completed = static_cast<int64_t>(parsed.size());
-        if (batch_size_hist != nullptr) batch_size_hist->Record(completed);
+        histograms_.batch_size.Record(completed);
         const obs::TimePoint resolved_at = obs::MonotonicNow();
         for (size_t i = 0; i < parsed.size(); ++i) {
-          if (latency_hist != nullptr) {
-            latency_hist->Record(
-                obs::ElapsedMicros(parsed[i].pending.enqueued, resolved_at)
-                    .count());
-          }
+          histograms_.request_latency_us.Record(
+              obs::ElapsedMicros(parsed[i].pending.enqueued, resolved_at)
+                  .count());
           ServeResult result;
           result.status = Status::Ok();
           result.triples = std::move(per_request[i]);

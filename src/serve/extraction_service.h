@@ -13,6 +13,7 @@
 
 #include "core/extractor.h"
 #include "dom/html_parser.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/model_registry.h"
 #include "serve/serve_diagnostics.h"
@@ -46,6 +47,21 @@ struct ExtractionServiceConfig {
   /// Worker threads applying models (0 = hardware concurrency).
   int worker_threads = 8;
   HtmlParseOptions parse;
+};
+
+/// Per-stage distributions of the batches a service ran, recorded on every
+/// batch. Served by `GET /metrics` as `ceres_serve_<member>`.
+struct ServiceHistograms {
+  /// Enqueue to pickup, one sample per drained request.
+  obs::Histogram queue_wait_us{obs::LatencyBucketsUs()};
+  /// One sample per page parsed (failed parses included).
+  obs::Histogram parse_us{obs::LatencyBucketsUs()};
+  /// One sample per batched model application.
+  obs::Histogram inference_us{obs::LatencyBucketsUs()};
+  /// Enqueue to resolution, one sample per completed request.
+  obs::Histogram request_latency_us{obs::LatencyBucketsUs()};
+  /// Completed requests per batched model application.
+  obs::Histogram batch_size{obs::SizeBuckets()};
 };
 
 /// A long-running online extraction service over a ModelRegistry.
@@ -103,6 +119,7 @@ class ExtractionService {
                                   CompletionHook on_complete = nullptr);
 
   ServiceStats stats() const;
+  const ServiceHistograms& histograms() const { return histograms_; }
 
  private:
   struct PendingRequest {
@@ -128,6 +145,8 @@ class ExtractionService {
 
   ModelRegistry* const registry_;
   const ExtractionServiceConfig config_;
+  /// Recorded by the worker pool, so declared before it.
+  ServiceHistograms histograms_;
 
   mutable CheckedMutex mu_{"ExtractionService.mu"};
   CondVar work_ready_;

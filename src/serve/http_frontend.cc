@@ -67,17 +67,22 @@ net::HttpResponse TextResponse(int status, std::string body) {
   return response;
 }
 
-/// GET /metrics: the stats structs' counters, summed over shards and
-/// rendered through a local registry, then the process-default registry.
-std::string MetricsText(ShardedExtractionService* service,
-                        const net::HttpServerStats& http) {
-  const ShardedServiceStats stats = service->stats();
+/// GET /metrics: the stats structs' counters and the components' own
+/// histograms, each summed over shards into a local registry.
+std::string MetricsText(ShardedExtractionService& service,
+                        const net::HttpServer& server) {
+  const ShardedServiceStats stats = service.stats();
   const ServiceStats& serve = stats.service;
   const RegistryStats& registry = stats.registry;
+  const net::HttpServerStats http = server.stats();
 
   obs::MetricsRegistry snapshot;
   const auto counter = [&snapshot](const std::string& name, int64_t value) {
     snapshot.GetCounter(name)->Increment(value);
+  };
+  const auto histogram = [&snapshot](const std::string& name,
+                                     const obs::Histogram& owned) {
+    snapshot.GetHistogram(name, owned.bounds())->Merge(owned);
   };
   counter("ceres_serve_submitted_total", serve.submitted);
   counter("ceres_serve_completed_total", serve.completed);
@@ -103,8 +108,19 @@ std::string MetricsText(ShardedExtractionService* service,
       ->Set(static_cast<int64_t>(registry.bytes_cached));
   snapshot.GetGauge("ceres_registry_models_cached")
       ->Set(registry.models_cached);
-  return snapshot.ToPrometheusText() +
-         obs::MetricsRegistry::Default().ToPrometheusText();
+  for (int shard = 0; shard < service.num_shards(); ++shard) {
+    const ServiceHistograms& h =
+        service.service(static_cast<size_t>(shard)).histograms();
+    histogram("ceres_serve_queue_wait_us", h.queue_wait_us);
+    histogram("ceres_serve_parse_us", h.parse_us);
+    histogram("ceres_serve_inference_us", h.inference_us);
+    histogram("ceres_serve_request_latency_us", h.request_latency_us);
+    histogram("ceres_serve_batch_size", h.batch_size);
+    histogram("ceres_registry_load_us",
+              service.registry(static_cast<size_t>(shard))->load_us());
+  }
+  histogram("ceres_net_request_us", server.request_us());
+  return snapshot.ToPrometheusText();
 }
 
 }  // namespace
@@ -246,7 +262,7 @@ void ExtractionFrontend::Route(net::HttpRequest request,
   }
   if (path == "/metrics") {
     responder.Send(
-        TextResponse(200, MetricsText(service_, server_->stats())));
+        TextResponse(200, MetricsText(*service_, *server_)));
     return;
   }
   if (path == "/stats") {

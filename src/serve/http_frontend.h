@@ -81,6 +81,7 @@ class ExtractionFrontend {
 
   uint16_t port() const { return server_->port(); }
   net::HttpServerStats server_stats() const { return server_->stats(); }
+  const obs::Histogram& request_us() const { return server_->request_us(); }
 
   /// True once POST /admin/drain was received; the process owner polls or
   /// waits on this to run Drain()+Stop() from the main thread.

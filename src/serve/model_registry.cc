@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 
@@ -74,11 +73,8 @@ Result<std::shared_ptr<const SiteModel>> ModelRegistry::Get(
   const obs::TimePoint load_start = obs::MonotonicNow();
   Result<TrainedModel> trained =
       LoadLatestModel(config_.root_dir, site, ontology_, &version);
-  if (obs::Enabled()) {
-    obs::MetricsRegistry::Default()
-        .GetHistogram("ceres_registry_load_us")
-        ->Record(obs::ElapsedMicros(load_start, obs::MonotonicNow()).count());
-  }
+  load_us_.Record(
+      obs::ElapsedMicros(load_start, obs::MonotonicNow()).count());
   Result<std::shared_ptr<const SiteModel>> result =
       Status::Internal("unreachable");
   if (trained.ok()) {

@@ -11,6 +11,7 @@
 #include "core/model_io.h"
 #include "core/training.h"
 #include "kb/ontology.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 #include "util/sync.h"
 
@@ -101,6 +102,10 @@ class ModelRegistry {
 
   RegistryStats stats() const;
 
+  /// Microseconds per disk load (failed loads included), one sample per
+  /// load this registry performed.
+  const obs::Histogram& load_us() const { return load_us_; }
+
  private:
   struct InflightLoad {
     /// Signalled (under mu_) when the owning load finishes; fields below
@@ -134,6 +139,7 @@ class ModelRegistry {
   std::unordered_map<std::string, std::shared_ptr<InflightLoad>> inflight_
       CERES_GUARDED_BY(mu_);
   RegistryStats stats_ CERES_GUARDED_BY(mu_);
+  obs::Histogram load_us_{obs::LatencyBucketsUs()};
 };
 
 }  // namespace ceres::serve

@@ -93,6 +93,9 @@ class ShardedExtractionService {
 
   int num_shards() const { return config_.num_shards; }
   ModelRegistry* registry(size_t shard) { return shards_[shard]->registry.get(); }
+  const ExtractionService& service(size_t shard) const {
+    return *shards_[shard]->service;
+  }
   NearDupCache& cache() { return cache_; }
 
   ShardedServiceStats stats() const;

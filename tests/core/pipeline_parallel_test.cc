@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/entity_matcher.h"
 #include "dom/html_parser.h"
 #include "dom/html_serializer.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "synth/corpora.h"
 #include "synth/kb_builder.h"
@@ -148,6 +150,8 @@ class PipelineParallelTest : public ::testing::Test {
     }
     EXPECT_EQ(a.diagnostics.run_deadline_expired,
               b.diagnostics.run_deadline_expired);
+    EXPECT_EQ(a.diagnostics.mention_lookups, b.diagnostics.mention_lookups);
+    EXPECT_EQ(a.diagnostics.mention_hits, b.diagnostics.mention_hits);
     ASSERT_EQ(a.diagnostics.skipped_clusters.size(),
               b.diagnostics.skipped_clusters.size());
     for (size_t i = 0; i < a.diagnostics.skipped_clusters.size(); ++i) {
@@ -231,6 +235,93 @@ TEST_F(PipelineParallelTest, TraceRecordsOneSpanPerStageAttempt) {
   EXPECT_EQ(trace.SpanCount({"pipeline", "clusters", "cluster", "extract"}),
             attempted(PipelineStage::kExtraction));
   EXPECT_GT(attempted(PipelineStage::kExtraction), 0);
+}
+
+// The run's batch counts live in its PipelineResult; AddPipelineCounters
+// renders them (ceres_extract --trace_json). These suites reuse the
+// two-template fixture above.
+using KbMentionCountersTest = PipelineParallelTest;
+using TrainCountersTest = PipelineParallelTest;
+
+TEST_F(KbMentionCountersTest, CountEveryLookupAndEveryHit) {
+  const PipelineConfig config;
+  const PipelineResult result = Run(*pages_, /*threads=*/4);
+  const PipelineDiagnostics& diag = result.diagnostics;
+
+  // Hand sum: entity matching looks up every text field of every
+  // annotation page (all pages here) whose cluster passed the size filter.
+  int64_t lookups = 0;
+  int64_t hits = 0;
+  for (size_t page = 0; page < pages_->size(); ++page) {
+    const int cluster = result.cluster_of_page[page];
+    bool matched = cluster >= 0;
+    for (const ClusterSkip& skip : diag.SkipsForCluster(cluster)) {
+      if (skip.stage == PipelineStage::kClustering) matched = false;
+    }
+    if (!matched) continue;
+    const DomDocument& doc = (*pages_)[page];
+    lookups += static_cast<int64_t>(doc.TextFields().size());
+    hits += static_cast<int64_t>(
+        MatchPageMentions(doc, *seed_kb_).fields.size());
+  }
+  ASSERT_GT(hits, 0);
+  EXPECT_LT(hits, lookups);
+  EXPECT_EQ(diag.mention_lookups, lookups);
+  EXPECT_EQ(diag.mention_hits, hits);
+
+  obs::MetricsRegistry registry;
+  AddPipelineCounters(result, config, &registry);
+  const auto value = [&registry](const char* name) {
+    return registry.GetCounter(name)->Value();
+  };
+  EXPECT_EQ(value("ceres_kb_mention_lookups_total"), lookups);
+  EXPECT_EQ(value("ceres_kb_mention_hits_total"), hits);
+  // The run counters rendered beside them.
+  int num_clusters = 0;
+  for (int cluster : result.cluster_of_page) {
+    num_clusters = std::max(num_clusters, cluster + 1);
+  }
+  EXPECT_EQ(value("ceres_pipeline_runs_total"), 1);
+  EXPECT_EQ(value("ceres_pipeline_pages_total"),
+            static_cast<int64_t>(pages_->size()));
+  EXPECT_EQ(value("ceres_pipeline_clusters_total"), num_clusters);
+  EXPECT_EQ(value("ceres_pipeline_cluster_skips_total"),
+            static_cast<int64_t>(diag.skipped_clusters.size()));
+}
+
+TEST_F(TrainCountersTest, CountFitsIterationsEvaluationsAndCappedFits) {
+  // A 1000-iteration cap lets both fits converge (they take ~250); a
+  // two-iteration cap stops both short of convergence.
+  for (const int cap : {1000, 2}) {
+    PipelineConfig config;
+    config.training.logreg.max_iterations = cap;
+    Result<PipelineResult> result = RunPipeline(*pages_, *seed_kb_, config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::vector<ClusterModel>& models = result->models;
+    ASSERT_GE(models.size(), 2u);
+    int64_t capped = 0;
+    int64_t iterations = 0;
+    int64_t evaluations = 0;
+    for (const ClusterModel& cluster : models) {
+      const LbfgsResult& fit = cluster.model.fit;
+      if (!fit.converged && fit.iterations >= cap) ++capped;
+      iterations += fit.iterations;
+      evaluations += fit.evaluations;
+    }
+    EXPECT_EQ(capped, cap == 2 ? static_cast<int64_t>(models.size()) : 0)
+        << "cap " << cap;
+
+    obs::MetricsRegistry registry;
+    AddPipelineCounters(*result, config, &registry);
+    const auto value = [&registry](const char* name) {
+      return registry.GetCounter(name)->Value();
+    };
+    EXPECT_EQ(value("ceres_train_fits_total"),
+              static_cast<int64_t>(models.size()));
+    EXPECT_EQ(value("ceres_train_fits_capped_total"), capped);
+    EXPECT_EQ(value("ceres_train_lbfgs_iterations_total"), iterations);
+    EXPECT_EQ(value("ceres_train_objective_evals_total"), evaluations);
+  }
 }
 
 }  // namespace

@@ -138,8 +138,7 @@ TEST_F(ResumeTest, KilledCoordinatorResumesByteIdentical) {
   // Restart: completed shards load from checkpoint, the rest re-run.
   Result<DistResult> resumed = RunDist(CheckpointedConfig());
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_GE(resumed->diagnostics.shards_from_checkpoint,
-            static_cast<int64_t>(survived));
+  EXPECT_GE(resumed->diagnostics.shards_from_checkpoint.size(), survived);
   EXPECT_EQ(resumed->diagnostics.shards_completed,
             static_cast<int64_t>(corpus_->sites.size()));
   EXPECT_TRUE(resumed->diagnostics.quarantined_shards.empty());
@@ -177,8 +176,8 @@ TEST_F(ResumeTest, CorruptCheckpointIsDetectedAndRerun) {
   }
   EXPECT_TRUE(corrupt_reported)
       << "no attempt-0 kInternal failure for shard " << victim;
-  EXPECT_EQ(resumed->diagnostics.shards_from_checkpoint,
-            static_cast<int64_t>(corpus_->sites.size()) - 1);
+  EXPECT_EQ(resumed->diagnostics.shards_from_checkpoint.size(),
+            corpus_->sites.size() - 1);
   EXPECT_EQ(resumed->diagnostics.shards_completed,
             static_cast<int64_t>(corpus_->sites.size()));
   ExpectMatchesReference(*resumed);

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/http_client.h"
@@ -365,8 +366,6 @@ TEST_F(FrontendE2eTest, NearDupResendIsServedWithoutParseOrInference) {
 }
 
 TEST_F(FrontendE2eTest, RepeatedPassIsAllCacheHitsWithExactCounts) {
-  obs::SetEnabled(true);
-  obs::MetricsRegistry::Default().Reset();
   StartService(/*cache_enabled=*/true);
   net::HttpClient client(kHost, frontend_->port());
   constexpr int kVariants = 8;
@@ -391,11 +390,7 @@ TEST_F(FrontendE2eTest, RepeatedPassIsAllCacheHitsWithExactCounts) {
   EXPECT_EQ(second.hits - first.hits, kVariants);
   EXPECT_EQ(second.misses, first.misses);
   EXPECT_EQ(ShardCompletions(), first_completions);
-  EXPECT_EQ(obs::MetricsRegistry::Default()
-                .GetHistogram("ceres_net_request_us")
-                ->Count(),
-            2 * kVariants);
-  obs::SetEnabled(false);
+  EXPECT_EQ(frontend_->request_us().Count(), 2 * kVariants);
 }
 
 TEST_F(FrontendE2eTest, ShedRequestNeverReachesTheShardService) {
@@ -478,9 +473,11 @@ TEST_F(FrontendE2eTest, ServesOperationalEndpoints) {
   EXPECT_EQ(missing.value().status, 404);
 }
 
-/// The value of the one sample line of `name` in Prometheus text; fails
-/// the test unless `name` has exactly one `# TYPE` line and one sample.
-int64_t CounterIn(const std::string& text, const std::string& name) {
+/// The value of the one `sample` line in Prometheus text; fails the test
+/// unless family `name` has exactly one `# TYPE name <type>` line and
+/// `sample` exactly one line.
+int64_t SampleIn(const std::string& text, const std::string& name,
+                 const std::string& type, const std::string& sample) {
   int type_lines = 0;
   int samples = 0;
   int64_t value = -1;
@@ -490,15 +487,23 @@ int64_t CounterIn(const std::string& text, const std::string& name) {
     if (end == std::string::npos) end = text.size();
     const std::string line = text.substr(begin, end - begin);
     begin = end + 1;
-    if (line == "# TYPE " + name + " counter") ++type_lines;
-    if (line.rfind(name + " ", 0) == 0) {
+    if (line == "# TYPE " + name + " " + type) ++type_lines;
+    if (line.rfind(sample + " ", 0) == 0) {
       ++samples;
-      value = std::stoll(line.substr(name.size() + 1));
+      value = std::stoll(line.substr(sample.size() + 1));
     }
   }
   EXPECT_EQ(type_lines, 1) << name;
-  EXPECT_EQ(samples, 1) << name;
+  EXPECT_EQ(samples, 1) << sample;
   return value;
+}
+
+int64_t CounterIn(const std::string& text, const std::string& name) {
+  return SampleIn(text, name, "counter", name);
+}
+
+int64_t HistogramCountIn(const std::string& text, const std::string& name) {
+  return SampleIn(text, name, "histogram", name + "_count");
 }
 
 TEST_F(FrontendE2eTest, MetricsRenderTheStatsStructs) {
@@ -566,6 +571,68 @@ TEST_F(FrontendE2eTest, MetricsRenderTheStatsStructs) {
             http.rate_limited);
   EXPECT_EQ(CounterIn(text, "ceres_net_parse_errors_total"),
             http.parse_errors);
+}
+
+TEST_F(FrontendE2eTest, MetricsHistogramsSumBothShards) {
+  StartService(/*cache_enabled=*/false);
+  ASSERT_EQ(service_->num_shards(), 2);
+  // A second site on the other shard, so both shards run batches.
+  std::string other;
+  for (int i = 0; other.empty(); ++i) {
+    const std::string candidate = "films" + std::to_string(i) + ".example";
+    if (service_->ShardOf(candidate) != service_->ShardOf(kSite)) {
+      other = candidate;
+    }
+  }
+  ASSERT_TRUE(service_->Publish(other, *site_.model).ok());
+  // Dropping the warm models makes each shard's registry load from disk.
+  service_->Invalidate(kSite);
+  service_->Invalidate(other);
+  net::HttpClient client(kHost, frontend_->port());
+  for (const std::string& site : {std::string(kSite), other}) {
+    for (int variant = 0; variant < 3; ++variant) {
+      auto response = client.Roundtrip(
+          MakeRequest("POST", "/extract?site=" + site,
+                      TrainedFilmSite::UnseenPageHtml(variant)));
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response.value().status, 200);
+    }
+  }
+  auto metrics = client.Roundtrip(MakeRequest("GET", "/metrics"));
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  ASSERT_EQ(metrics.value().status, 200);
+  const std::string& text = metrics.value().body;
+
+  const std::pair<const char*, obs::Histogram ServiceHistograms::*>
+      stages[] = {
+          {"ceres_serve_queue_wait_us", &ServiceHistograms::queue_wait_us},
+          {"ceres_serve_parse_us", &ServiceHistograms::parse_us},
+          {"ceres_serve_inference_us", &ServiceHistograms::inference_us},
+          {"ceres_serve_request_latency_us",
+           &ServiceHistograms::request_latency_us},
+          {"ceres_serve_batch_size", &ServiceHistograms::batch_size}};
+  for (const auto& [name, member] : stages) {
+    int64_t sum = 0;
+    for (size_t shard = 0; shard < 2; ++shard) {
+      const int64_t count =
+          (service_->service(shard).histograms().*member).Count();
+      EXPECT_GT(count, 0) << name << " on shard " << shard;
+      sum += count;
+    }
+    EXPECT_EQ(HistogramCountIn(text, name), sum) << name;
+  }
+  int64_t loads = 0;
+  for (size_t shard = 0; shard < 2; ++shard) {
+    const int64_t count = service_->registry(shard)->load_us().Count();
+    EXPECT_GT(count, 0) << "ceres_registry_load_us on shard " << shard;
+    loads += count;
+  }
+  EXPECT_EQ(HistogramCountIn(text, "ceres_registry_load_us"), loads);
+  // Six parses, one per request; the /metrics response itself was timed
+  // only after the page was rendered.
+  EXPECT_EQ(HistogramCountIn(text, "ceres_serve_parse_us"), 6);
+  EXPECT_EQ(HistogramCountIn(text, "ceres_net_request_us"),
+            frontend_->request_us().Count() - 1);
 }
 
 TEST_F(FrontendE2eTest, DrainWaiterNeverTakesACompletionWakeup) {

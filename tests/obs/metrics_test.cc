@@ -6,32 +6,8 @@
 #include <thread>
 #include <vector>
 
-#include "kb/knowledge_base.h"
-#include "ml/logistic_regression.h"
-
 namespace ceres::obs {
 namespace {
-
-/// Saves and restores the process-wide enable flag so tests that flip it
-/// cannot leak state into each other.
-class EnabledFlagGuard {
- public:
-  EnabledFlagGuard() : saved_(Enabled()) {}
-  ~EnabledFlagGuard() { SetEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-TEST(ObsEnabledTest, DefaultsToOffAndToggles) {
-  EnabledFlagGuard guard;
-  SetEnabled(false);
-  EXPECT_FALSE(Enabled());
-  SetEnabled(true);
-  EXPECT_TRUE(Enabled());
-  SetEnabled(false);
-  EXPECT_FALSE(Enabled());
-}
 
 TEST(CounterTest, IncrementsAndReadsBack) {
   Counter counter;
@@ -95,6 +71,41 @@ TEST(HistogramTest, OverflowBucketUsesObservedMaxAsUpperEdge) {
   EXPECT_GT(histogram.Percentile(0.99), 10.0);
 }
 
+TEST(HistogramTest, MergeEqualsOneHistogramThatSawBothStreams) {
+  const std::vector<int64_t> bounds{10, 100, 1000};
+  Histogram a(bounds);
+  Histogram b(bounds);
+  Histogram both(bounds);
+  for (int64_t v : {3, 40, 40, 700}) {
+    a.Record(v);
+    both.Record(v);
+  }
+  for (int64_t v : {1, 90, 5000, 20000}) {
+    b.Record(v);
+    both.Record(v);
+  }
+  Histogram merged(bounds);
+  merged.Merge(a);
+  merged.Merge(b);
+  merged.Merge(Histogram(bounds));  // An empty merge changes nothing.
+  EXPECT_EQ(merged.Count(), both.Count());
+  EXPECT_EQ(merged.Sum(), both.Sum());
+  EXPECT_EQ(merged.Min(), 1);
+  EXPECT_EQ(merged.Max(), 20000);
+  for (size_t i = 0; i <= bounds.size(); ++i) {
+    EXPECT_EQ(merged.BucketCount(i), both.BucketCount(i)) << "bucket " << i;
+  }
+  for (double p : {0.0, 0.25, 0.5, 0.95, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(merged.Percentile(p), both.Percentile(p)) << "p" << p;
+  }
+  // Merging into a histogram that already has samples adds to them.
+  a.Merge(b);
+  EXPECT_EQ(a.Count(), both.Count());
+  EXPECT_EQ(a.Sum(), both.Sum());
+  EXPECT_EQ(a.Min(), both.Min());
+  EXPECT_EQ(a.Max(), both.Max());
+}
+
 TEST(HistogramTest, DefaultLatencyAndSizeBucketsAreStrictlyIncreasing) {
   for (const std::vector<int64_t>* bounds :
        {&LatencyBucketsUs(), &SizeBuckets()}) {
@@ -116,34 +127,6 @@ TEST(MetricsRegistryTest, SameNameReturnsSameInstrument) {
   Histogram* sized = registry.GetHistogram("sized", {1, 2, 3});
   EXPECT_EQ(sized->bounds().size(), 3u);
   EXPECT_EQ(registry.GetHistogram("sized"), sized);
-}
-
-TEST(MetricsRegistryTest, CounterValueReportsZeroForUnknownName) {
-  MetricsRegistry registry;
-  EXPECT_EQ(registry.CounterValue("never_created"), 0);
-  registry.GetCounter("created")->Increment(3);
-  EXPECT_EQ(registry.CounterValue("created"), 3);
-}
-
-TEST(MetricsRegistryTest, ResetZeroesButKeepsPointers) {
-  MetricsRegistry registry;
-  Counter* counter = registry.GetCounter("c");
-  Gauge* gauge = registry.GetGauge("g");
-  Histogram* histogram = registry.GetHistogram("h");
-  counter->Increment(5);
-  gauge->Set(7);
-  histogram->Record(11);
-  registry.Reset();
-  // Handed-out pointers stay valid and identical; values are zero.
-  EXPECT_EQ(registry.GetCounter("c"), counter);
-  EXPECT_EQ(registry.GetGauge("g"), gauge);
-  EXPECT_EQ(registry.GetHistogram("h"), histogram);
-  EXPECT_EQ(counter->Value(), 0);
-  EXPECT_EQ(gauge->Value(), 0);
-  EXPECT_EQ(histogram->Count(), 0);
-  EXPECT_EQ(histogram->Max(), 0);
-  counter->Increment();
-  EXPECT_EQ(registry.CounterValue("c"), 1);
 }
 
 TEST(MetricsRegistryTest, JsonExportNamesEveryInstrument) {
@@ -219,96 +202,7 @@ TEST(MetricsRegistryTest, ConcurrentGetOfOneNameYieldsOneInstrument) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(seen[static_cast<size_t>(t)], seen[0]);
   }
-  EXPECT_EQ(registry.CounterValue("contended"), kThreads);
-}
-
-TEST(MetricsRegistryTest, DefaultRegistryIsASingleton) {
-  EXPECT_EQ(&MetricsRegistry::Default(), &MetricsRegistry::Default());
-}
-
-TEST(KbMentionCountersTest, CountEveryLookupAndEveryHit) {
-  EnabledFlagGuard guard;
-  SetEnabled(true);
-  Ontology ontology;
-  const TypeId film = ontology.AddEntityType("film");
-  KnowledgeBase kb(std::move(ontology));
-  kb.AddEntity(film, "Do the Right Thing");
-  kb.AddEntity(film, "Crooklyn");
-  kb.Freeze();
-
-  MetricsRegistry& registry = MetricsRegistry::Default();
-  const int64_t lookups_before =
-      registry.CounterValue("ceres_kb_mention_lookups_total");
-  const int64_t hits_before =
-      registry.CounterValue("ceres_kb_mention_hits_total");
-  // Two hits (one through the year-stripping retry), two misses (one of
-  // them blank text); each call is one lookup.
-  EXPECT_FALSE(kb.MatchMentions("Crooklyn").empty());
-  EXPECT_FALSE(kb.MatchMentions("Do the Right Thing (1989)").empty());
-  EXPECT_TRUE(kb.MatchMentions("Nobody").empty());
-  EXPECT_TRUE(kb.MatchMentionsView("").empty());
-  EXPECT_EQ(registry.CounterValue("ceres_kb_mention_lookups_total"),
-            lookups_before + 4);
-  EXPECT_EQ(registry.CounterValue("ceres_kb_mention_hits_total"),
-            hits_before + 2);
-
-  // Recording off: lookups still answer but nothing is counted.
-  SetEnabled(false);
-  EXPECT_FALSE(kb.MatchMentions("Crooklyn").empty());
-  EXPECT_EQ(registry.CounterValue("ceres_kb_mention_lookups_total"),
-            lookups_before + 4);
-}
-
-TEST(TrainCountersTest, CountFitsIterationsEvaluationsAndCappedFits) {
-  EnabledFlagGuard guard;
-  SetEnabled(true);
-  auto example = [](int32_t feature, int32_t label) {
-    LabeledExample out;
-    out.features.Add(feature, 1.0);
-    out.features.Finalize();
-    out.label = label;
-    return out;
-  };
-  // Classes {0, 2} of 3 observed; class 1 is never fitted.
-  const std::vector<LabeledExample> examples{example(0, 0), example(1, 2),
-                                             example(0, 0), example(1, 2)};
-  MetricsRegistry& registry = MetricsRegistry::Default();
-  auto value = [&](const char* name) { return registry.CounterValue(name); };
-  const int64_t fits = value("ceres_train_fits_total");
-  const int64_t capped = value("ceres_train_fits_capped_total");
-  const int64_t iterations = value("ceres_train_lbfgs_iterations_total");
-  const int64_t evals = value("ceres_train_objective_evals_total");
-
-  LogisticRegression model;
-  Result<LbfgsResult> converged = model.Train(examples, 2, 3);
-  ASSERT_TRUE(converged.ok());
-  ASSERT_TRUE(converged->converged);
-  ASSERT_GT(converged->iterations, 0);
-  EXPECT_EQ(value("ceres_train_fits_total"), fits + 1);
-  EXPECT_EQ(value("ceres_train_fits_capped_total"), capped);
-  EXPECT_EQ(value("ceres_train_lbfgs_iterations_total"),
-            iterations + converged->iterations);
-  EXPECT_EQ(value("ceres_train_objective_evals_total"),
-            evals + converged->evaluations);
-
-  // A two-iteration cap stops the same problem short of convergence.
-  LogRegConfig tight;
-  tight.max_iterations = 2;
-  Result<LbfgsResult> cut = model.Train(examples, 2, 3, tight);
-  ASSERT_TRUE(cut.ok());
-  ASSERT_FALSE(cut->converged);
-  EXPECT_EQ(cut->iterations, 2);
-  EXPECT_EQ(value("ceres_train_fits_total"), fits + 2);
-  EXPECT_EQ(value("ceres_train_fits_capped_total"), capped + 1);
-  EXPECT_EQ(value("ceres_train_lbfgs_iterations_total"),
-            iterations + converged->iterations + 2);
-  EXPECT_EQ(value("ceres_train_objective_evals_total"),
-            evals + converged->evaluations + cut->evaluations);
-
-  // Recording off: fits still run but nothing is counted.
-  SetEnabled(false);
-  ASSERT_TRUE(model.Train(examples, 2, 3).ok());
-  EXPECT_EQ(value("ceres_train_fits_total"), fits + 2);
+  EXPECT_EQ(seen[0]->Value(), kThreads);
 }
 
 }  // namespace

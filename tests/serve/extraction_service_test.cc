@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "serve/serve_test_util.h"
 #include "serve/sharded_service.h"
 
@@ -267,8 +266,6 @@ TEST_F(ExtractionServiceTest, PublishMidStreamServesTheNewVersionAfterward) {
 }
 
 TEST_F(ExtractionServiceTest, StageHistogramsCountEveryCompletedRequest) {
-  obs::SetEnabled(true);
-  obs::MetricsRegistry::Default().Reset();
   ExtractionServiceConfig config;
   config.worker_threads = 2;
   ExtractionService service(registry_.get(), config);
@@ -281,13 +278,10 @@ TEST_F(ExtractionServiceTest, StageHistogramsCountEveryCompletedRequest) {
   }
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.completed, 12);
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
+  const ServiceHistograms& histograms = service.histograms();
   // Parse is timed per request, inference once per batch.
-  EXPECT_EQ(metrics.GetHistogram("ceres_serve_parse_us")->Count(),
-            stats.completed);
-  EXPECT_EQ(metrics.GetHistogram("ceres_serve_inference_us")->Count(),
-            stats.batches);
-  obs::SetEnabled(false);
+  EXPECT_EQ(histograms.parse_us.Count(), stats.completed);
+  EXPECT_EQ(histograms.inference_us.Count(), stats.batches);
 }
 
 TEST_F(ExtractionServiceTest, StopShedsQueuedRequestsAndRejectsNewOnes) {

@@ -15,7 +15,8 @@
 // With --model, the saved model is applied directly (annotation and
 // training are skipped; the KB is only needed for its ontology).
 // With --trace_json (also accepted as --trace_json=PATH), the run records
-// per-stage TraceSpans plus the obs counters and writes
+// per-stage TraceSpans, renders the run's batch counters from its
+// PipelineResult (AddPipelineCounters) and writes
 // {"trace":...,"metrics":...} JSON to PATH after the pipeline finishes.
 
 #include <algorithm>
@@ -121,7 +122,9 @@ int main(int argc, char** argv) {
   if (options.verbose) SetLogLevel(LogLevel::kInfo);
   obs::TraceTree trace;
   const bool tracing = !options.trace_json_path.empty();
-  if (tracing) obs::SetEnabled(true);
+  // The run's batch counters, rendered from its PipelineResult; empty in
+  // apply-only (--model) mode, which runs no pipeline.
+  obs::MetricsRegistry metrics;
 
   Result<KnowledgeBase> kb = LoadKbFromFile(options.kb_path);
   if (!kb.ok()) {
@@ -204,6 +207,7 @@ int main(int argc, char** argv) {
                    result.status().ToString().c_str());
       return 1;
     }
+    if (tracing) AddPipelineCounters(*result, config, &metrics);
     extractions = std::move(result->extractions);
     annotated_pages = result->annotated_pages.size();
     if (!options.save_model_path.empty()) {
@@ -252,7 +256,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     trace_out << "{\"trace\":" << trace.ToJson() << ",\"metrics\":"
-              << obs::MetricsRegistry::Default().ToJson() << "}\n";
+              << metrics.ToJson() << "}\n";
     std::fprintf(stderr, "wrote trace to %s\n",
                  options.trace_json_path.c_str());
   }

@@ -40,7 +40,6 @@
 #include "core/pipeline.h"
 #include "dom/html_parser.h"
 #include "flag_value.h"
-#include "obs/metrics.h"
 #include "serve/http_frontend.h"
 #include "serve/sharded_service.h"
 #include "synth/corpora.h"
@@ -144,7 +143,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (options.verbose) SetLogLevel(LogLevel::kInfo);
-  obs::SetEnabled(true);
   if (options.store.empty()) {
     options.store = (std::filesystem::temp_directory_path() /
                      "ceres_httpd_store").string();
