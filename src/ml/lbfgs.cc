@@ -1,8 +1,8 @@
 #include "ml/lbfgs.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <deque>
 
 #include "util/logging.h"
 
@@ -24,9 +24,9 @@ constexpr double kBacktrack = 0.5;
 /// Maximum backtracking steps per iteration.
 constexpr int kMaxLineSearch = 40;
 
-double Dot(const std::vector<double>& a, const std::vector<double>& b) {
+double Dot(const double* a, const double* b, size_t n) {
   double sum = 0;
-  for (size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
+  for (size_t i = 0; i < n; ++i) sum += a[i] * b[i];
   return sum;
 }
 
@@ -35,6 +35,49 @@ double InfNorm(const std::vector<double>& v) {
   for (double x : v) best = std::max(best, std::fabs(x));
   return best;
 }
+
+/// The last kHistory curvature pairs s_i = x_{i+1} - x_i,
+/// y_i = g_{i+1} - g_i with rho_i = 1 / s_i'y_i, in two flat ring buffers.
+/// One slot more than kHistory is kept so that a candidate pair can be
+/// written before it is accepted without overwriting the oldest live pair.
+class CurvatureHistory {
+ public:
+  explicit CurvatureHistory(size_t dim)
+      : dim_(dim), s_(kSlots * dim), y_(kSlots * dim) {}
+
+  int size() const { return size_; }
+  void Clear() { size_ = 0; }
+
+  /// Pair i, oldest first (0 <= i < size()).
+  const double* s(int i) const { return s_.data() + Slot(i) * dim_; }
+  const double* y(int i) const { return y_.data() + Slot(i) * dim_; }
+  double rho(int i) const { return rho_[Slot(i)]; }
+
+  /// The free slot a candidate pair is written into.
+  double* candidate_s() { return s_.data() + Slot(size_) * dim_; }
+  double* candidate_y() { return y_.data() + Slot(size_) * dim_; }
+
+  /// Keeps the candidate pair, dropping the oldest one when full.
+  void Accept(double sy) {
+    rho_[Slot(size_)] = 1.0 / sy;
+    if (size_ < kHistory) {
+      ++size_;
+    } else {
+      start_ = (start_ + 1) % kSlots;
+    }
+  }
+
+ private:
+  static constexpr int kSlots = kHistory + 1;
+  size_t Slot(int i) const { return static_cast<size_t>((start_ + i) % kSlots); }
+
+  size_t dim_;
+  std::vector<double> s_;
+  std::vector<double> y_;
+  std::array<double, kSlots> rho_{};
+  int start_ = 0;
+  int size_ = 0;
+};
 
 }  // namespace
 
@@ -46,11 +89,8 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
   double fx = objective(*x, &grad);
   result.evaluations = 1;
 
-  // Curvature history: s_i = x_{i+1} - x_i, y_i = g_{i+1} - g_i.
-  std::deque<std::vector<double>> s_hist;
-  std::deque<std::vector<double>> y_hist;
-  std::deque<double> rho_hist;
-
+  CurvatureHistory history(dim);
+  std::array<double, kHistory> alpha{};
   std::vector<double> direction(dim);
   std::vector<double> x_next(dim);
   std::vector<double> grad_next(dim, 0.0);
@@ -63,38 +103,34 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
     }
 
     // Two-loop recursion computing d = -H * g.
-    direction = grad;
-    std::vector<double> alpha(s_hist.size());
-    for (size_t i = s_hist.size(); i-- > 0;) {
-      alpha[i] = rho_hist[i] * Dot(s_hist[i], direction);
-      for (size_t j = 0; j < dim; ++j) {
-        direction[j] -= alpha[i] * y_hist[i][j];
-      }
+    std::copy(grad.begin(), grad.end(), direction.begin());
+    for (int i = history.size(); i-- > 0;) {
+      const double* y = history.y(i);
+      alpha[i] = history.rho(i) * Dot(history.s(i), direction.data(), dim);
+      for (size_t j = 0; j < dim; ++j) direction[j] -= alpha[i] * y[j];
     }
-    if (!s_hist.empty()) {
+    if (history.size() > 0) {
       // Initial Hessian scaling gamma = s'y / y'y.
-      double sy = Dot(s_hist.back(), y_hist.back());
-      double yy = Dot(y_hist.back(), y_hist.back());
+      const int newest = history.size() - 1;
+      double sy = Dot(history.s(newest), history.y(newest), dim);
+      double yy = Dot(history.y(newest), history.y(newest), dim);
       double gamma = yy > 0 ? sy / yy : 1.0;
       for (double& d : direction) d *= gamma;
     }
-    for (size_t i = 0; i < s_hist.size(); ++i) {
-      double beta = rho_hist[i] * Dot(y_hist[i], direction);
-      for (size_t j = 0; j < dim; ++j) {
-        direction[j] += (alpha[i] - beta) * s_hist[i][j];
-      }
+    for (int i = 0; i < history.size(); ++i) {
+      const double* s = history.s(i);
+      double beta = history.rho(i) * Dot(history.y(i), direction.data(), dim);
+      for (size_t j = 0; j < dim; ++j) direction[j] += (alpha[i] - beta) * s[j];
     }
     for (double& d : direction) d = -d;
 
-    double directional = Dot(grad, direction);
+    double directional = Dot(grad.data(), direction.data(), dim);
     if (directional >= 0) {
       // Not a descent direction (history gone stale); reset to steepest
       // descent.
-      s_hist.clear();
-      y_hist.clear();
-      rho_hist.clear();
+      history.Clear();
       for (size_t j = 0; j < dim; ++j) direction[j] = -grad[j];
-      directional = -Dot(grad, grad);
+      directional = -Dot(grad.data(), grad.data(), dim);
       if (directional == 0) {
         result.converged = true;
         break;
@@ -120,27 +156,18 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
     if (!accepted) break;  // Line search failed; best point so far kept.
 
     // Update curvature history.
-    std::vector<double> s(dim);
-    std::vector<double> y(dim);
+    double* s = history.candidate_s();
+    double* y = history.candidate_y();
     for (size_t j = 0; j < dim; ++j) {
       s[j] = x_next[j] - (*x)[j];
       y[j] = grad_next[j] - grad[j];
     }
-    double sy = Dot(s, y);
-    if (sy > 1e-12) {
-      s_hist.push_back(std::move(s));
-      y_hist.push_back(std::move(y));
-      rho_hist.push_back(1.0 / sy);
-      if (static_cast<int>(s_hist.size()) > kHistory) {
-        s_hist.pop_front();
-        y_hist.pop_front();
-        rho_hist.pop_front();
-      }
-    }
+    double sy = Dot(s, y, dim);
+    if (sy > 1e-12) history.Accept(sy);
 
     double improvement = fx - fx_next;
-    *x = x_next;
-    grad = grad_next;
+    x->swap(x_next);
+    grad.swap(grad_next);
     fx = fx_next;
     if (improvement >= 0 &&
         improvement <= kObjectiveTolerance * std::max(1.0, std::fabs(fx))) {

@@ -74,42 +74,74 @@ Result<LbfgsResult> LogisticRegression::Train(
 
   num_features_ = num_features;
   num_classes_ = num_classes;
-  const int32_t stride = num_features_ + 1;  // +1 intercept.
+  // +1: the intercept.
+  const size_t stride = static_cast<size_t>(num_features_) + 1;
   std::vector<double> params(static_cast<size_t>(num_fitted) * stride, 0.0);
   const double lambda = 1.0 / config.l2_c;
 
+  // Scratch reused by every evaluation. The objective walks each row's
+  // entries once for all K fitted classes, so it reads the weights and
+  // accumulates the gradient in feature-major copies (row f holds the K
+  // classes' values of feature f); the solver's vectors stay class-major.
+  // Every element still receives its additions in the same order as a
+  // class-by-class walk, so the fit is the same to the last bit.
+  const size_t k_fitted = static_cast<size_t>(num_fitted);
+  std::vector<double> logits(k_fitted);
+  std::vector<double> err(k_fitted);
+  std::vector<double> bias_grad(k_fitted);
+  std::vector<double> w_by_feature(static_cast<size_t>(num_features_) *
+                                   k_fitted);
+  std::vector<double> grad_by_feature(w_by_feature.size());
+
   LbfgsObjective objective = [&](const std::vector<double>& w,
                                  std::vector<double>* grad) {
-    std::fill(grad->begin(), grad->end(), 0.0);
-    double loss = 0;
-    std::vector<double> logits(static_cast<size_t>(num_fitted));
-    for (const LabeledExample& example : examples) {
-      const int32_t label = dense_of[static_cast<size_t>(example.label)];
-      for (int32_t k = 0; k < num_fitted; ++k) {
-        const double* wk = w.data() + static_cast<size_t>(k) * stride;
-        logits[static_cast<size_t>(k)] =
-            example.features.Dot(wk, num_features_) + wk[num_features_];
-      }
-      SoftmaxInPlace(&logits);
-      const double p_true =
-          std::max(logits[static_cast<size_t>(label)], 1e-300);
-      loss -= example.weight * std::log(p_true);
-      for (int32_t k = 0; k < num_fitted; ++k) {
-        double err = logits[static_cast<size_t>(k)] - (k == label ? 1.0 : 0.0);
-        err *= example.weight;
-        double* gk = grad->data() + static_cast<size_t>(k) * stride;
-        example.features.AxpyInto(err, gk, num_features_);
-        gk[num_features_] += err;
+    for (size_t k = 0; k < k_fitted; ++k) {
+      const double* wk = w.data() + k * stride;
+      for (int32_t f = 0; f < num_features_; ++f) {
+        w_by_feature[static_cast<size_t>(f) * k_fitted + k] = wk[f];
       }
     }
-    // L2 penalty: lambda/2 * ||W||^2 over the weights, not the intercepts.
-    for (int32_t k = 0; k < num_fitted; ++k) {
-      const double* wk = w.data() + static_cast<size_t>(k) * stride;
-      double* gk = grad->data() + static_cast<size_t>(k) * stride;
+    std::fill(grad_by_feature.begin(), grad_by_feature.end(), 0.0);
+    std::fill(bias_grad.begin(), bias_grad.end(), 0.0);
+    double loss = 0;
+    for (const LabeledExample& example : examples) {
+      const size_t label =
+          static_cast<size_t>(dense_of[static_cast<size_t>(example.label)]);
+      std::fill(logits.begin(), logits.end(), 0.0);
+      for (const auto& [index, value] : example.features.entries()) {
+        if (index >= num_features_) continue;
+        const double* wf =
+            w_by_feature.data() + static_cast<size_t>(index) * k_fitted;
+        for (size_t k = 0; k < k_fitted; ++k) logits[k] += wf[k] * value;
+      }
+      for (size_t k = 0; k < k_fitted; ++k) {
+        logits[k] += w[k * stride + static_cast<size_t>(num_features_)];
+      }
+      SoftmaxInPlace(&logits);
+      const double p_true = std::max(logits[label], 1e-300);
+      loss -= example.weight * std::log(p_true);
+      for (size_t k = 0; k < k_fitted; ++k) {
+        err[k] = (logits[k] - (k == label ? 1.0 : 0.0)) * example.weight;
+      }
+      for (const auto& [index, value] : example.features.entries()) {
+        if (index >= num_features_) continue;
+        double* gf =
+            grad_by_feature.data() + static_cast<size_t>(index) * k_fitted;
+        for (size_t k = 0; k < k_fitted; ++k) gf[k] += err[k] * value;
+      }
+      for (size_t k = 0; k < k_fitted; ++k) bias_grad[k] += err[k];
+    }
+    // Back to class-major, adding the L2 penalty lambda/2 * ||W||^2 over
+    // the weights, not the intercepts.
+    for (size_t k = 0; k < k_fitted; ++k) {
+      const double* wk = w.data() + k * stride;
+      double* gk = grad->data() + k * stride;
       for (int32_t f = 0; f < num_features_; ++f) {
         loss += 0.5 * lambda * wk[f] * wk[f];
-        gk[f] += lambda * wk[f];
+        gk[f] = grad_by_feature[static_cast<size_t>(f) * k_fitted + k] +
+                lambda * wk[f];
       }
+      gk[num_features_] = bias_grad[k];
     }
     return loss;
   };
