@@ -24,10 +24,22 @@ constexpr double kBacktrack = 0.5;
 /// Maximum backtracking steps per iteration.
 constexpr int kMaxLineSearch = 40;
 
+// Four independent partial sums: a single add chain over the ~1k
+// parameters of a fit waits on each add's latency; four chains overlap.
 double Dot(const double* a, const double* b, size_t n) {
-  double sum = 0;
-  for (size_t i = 0; i < n; ++i) sum += a[i] * b[i];
-  return sum;
+  double s0 = 0;
+  double s1 = 0;
+  double s2 = 0;
+  double s3 = 0;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += a[i] * b[i];
+    s1 += a[i + 1] * b[i + 1];
+    s2 += a[i + 2] * b[i + 2];
+    s3 += a[i + 3] * b[i + 3];
+  }
+  for (; i < n; ++i) s0 += a[i] * b[i];
+  return (s0 + s1) + (s2 + s3);
 }
 
 double InfNorm(const std::vector<double>& v) {
@@ -69,7 +81,9 @@ class CurvatureHistory {
 
  private:
   static constexpr int kSlots = kHistory + 1;
-  size_t Slot(int i) const { return static_cast<size_t>((start_ + i) % kSlots); }
+  size_t Slot(int i) const {
+    return static_cast<size_t>((start_ + i) % kSlots);
+  }
 
   size_t dim_;
   std::vector<double> s_;

@@ -26,9 +26,11 @@ using LbfgsObjective =
 /// Armijo backtracking line search, for at most `max_iterations`
 /// iterations. On return *x holds the best point found. This powers
 /// ml::LogisticRegression, matching the paper's choice of scikit-learn's
-/// LBFGS solver (§5.2); the solver's other settings are fixed constants.
+/// LBFGS solver (§5.2). The iteration cap is the caller's
+/// (LogRegConfig::max_iterations for the classifier); the solver's other
+/// settings are fixed constants.
 LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
-                          std::vector<double>* x, int max_iterations = 200);
+                          std::vector<double>* x, int max_iterations);
 
 }  // namespace ceres
 

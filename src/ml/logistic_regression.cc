@@ -1,6 +1,7 @@
 #include "ml/logistic_regression.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -20,6 +21,69 @@ void SoftmaxInPlace(std::vector<double>* logits) {
     sum += v;
   }
   for (double& v : *logits) v /= sum;
+}
+
+/// A distinct training row: the first example with its label and features,
+/// weighted by the summed weights of every example equal to it.
+struct WeightedRow {
+  const LabeledExample* example;
+  double weight;
+};
+
+bool SameRow(const LabeledExample& a, const LabeledExample& b) {
+  const auto& ea = a.features.entries();
+  const auto& eb = b.features.entries();
+  return a.label == b.label &&
+         std::equal(ea.begin(), ea.end(), eb.begin(), eb.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first &&
+                             std::bit_cast<uint64_t>(x.second) ==
+                                 std::bit_cast<uint64_t>(y.second);
+                    });
+}
+
+uint64_t HashRow(const LabeledExample& example) {
+  uint64_t hash = 14695981039346656037ull;  // FNV-1a, one word at a time.
+  const auto mix = [&hash](uint64_t word) {
+    hash ^= word;
+    hash *= 1099511628211ull;
+  };
+  mix(static_cast<uint64_t>(example.label));
+  for (const auto& [index, value] : example.features.entries()) {
+    mix(static_cast<uint64_t>(index));
+    mix(std::bit_cast<uint64_t>(value));
+  }
+  return hash;
+}
+
+/// Merges examples with the same label and features (bit for bit) into
+/// one row whose weight is the sum of theirs, in first-occurrence order.
+/// Such rows add identical terms to the loss and gradient, so the
+/// objective is unchanged in exact arithmetic; only the float rounding of
+/// the sums differs.
+std::vector<WeightedRow> CollapseDuplicateRows(
+    const std::vector<LabeledExample>& examples) {
+  std::vector<WeightedRow> rows;
+  rows.reserve(examples.size());
+  // Open addressing over row indices; -1 marks an empty slot.
+  size_t slots = 1;
+  while (slots < 2 * examples.size()) slots *= 2;
+  std::vector<int32_t> table(slots, -1);
+  for (const LabeledExample& example : examples) {
+    size_t slot = HashRow(example) & (slots - 1);
+    while (table[slot] >= 0 &&
+           !SameRow(*rows[static_cast<size_t>(table[slot])].example,
+                    example)) {
+      slot = (slot + 1) & (slots - 1);
+    }
+    if (table[slot] >= 0) {
+      rows[static_cast<size_t>(table[slot])].weight += example.weight;
+    } else {
+      table[slot] = static_cast<int32_t>(rows.size());
+      rows.push_back({&example, example.weight});
+    }
+  }
+  return rows;
 }
 
 }  // namespace
@@ -79,6 +143,8 @@ Result<LbfgsResult> LogisticRegression::Train(
   std::vector<double> params(static_cast<size_t>(num_fitted) * stride, 0.0);
   const double lambda = 1.0 / config.l2_c;
 
+  const std::vector<WeightedRow> rows = CollapseDuplicateRows(examples);
+
   // Scratch reused by every evaluation. The objective walks each row's
   // entries once for all K fitted classes, so it reads the weights and
   // accumulates the gradient in feature-major copies (row f holds the K
@@ -104,7 +170,8 @@ Result<LbfgsResult> LogisticRegression::Train(
     std::fill(grad_by_feature.begin(), grad_by_feature.end(), 0.0);
     std::fill(bias_grad.begin(), bias_grad.end(), 0.0);
     double loss = 0;
-    for (const LabeledExample& example : examples) {
+    for (const WeightedRow& row : rows) {
+      const LabeledExample& example = *row.example;
       const size_t label =
           static_cast<size_t>(dense_of[static_cast<size_t>(example.label)]);
       std::fill(logits.begin(), logits.end(), 0.0);
@@ -119,9 +186,9 @@ Result<LbfgsResult> LogisticRegression::Train(
       }
       SoftmaxInPlace(&logits);
       const double p_true = std::max(logits[label], 1e-300);
-      loss -= example.weight * std::log(p_true);
+      loss -= row.weight * std::log(p_true);
       for (size_t k = 0; k < k_fitted; ++k) {
-        err[k] = (logits[k] - (k == label ? 1.0 : 0.0)) * example.weight;
+        err[k] = (logits[k] - (k == label ? 1.0 : 0.0)) * row.weight;
       }
       for (const auto& [index, value] : example.features.entries()) {
         if (index >= num_features_) continue;

@@ -17,8 +17,10 @@ struct LogRegConfig {
   /// Inverse regularization strength; the penalty is ||W||^2 / (2 C). As in
   /// scikit-learn, the per-class intercepts beta_k0 are not regularized.
   double l2_c = 1.0;
-  /// L-BFGS iteration cap per fit.
-  int max_iterations = 200;
+  /// L-BFGS iteration cap per fit: scikit-learn's `max_iter` default of
+  /// 100, which the paper's LogisticRegression(solver='lbfgs') fits ran
+  /// under.
+  int max_iterations = 100;
 };
 
 /// One labelled training example: a finalized sparse feature vector and a
@@ -44,10 +46,12 @@ class LogisticRegression {
   /// num_classes the labels. Only the classes the labels contain are fitted
   /// (scikit-learn's `classes_`); an absent class gets zero weights and a
   /// -inf intercept, so its probability is exactly 0. A single observed
-  /// class needs no solve (iterations == 0). Returns solver statistics or
-  /// kInvalidArgument for malformed inputs (no examples, label out of
-  /// range) and bad configs (`l2_c` not finite and positive,
-  /// `max_iterations` below 1).
+  /// class needs no solve (iterations == 0). Examples with the same label
+  /// and features are fitted as one row carrying their summed weight, so
+  /// repeating an example is the same fit as raising its weight. Returns
+  /// solver statistics or kInvalidArgument for malformed inputs (no
+  /// examples, label out of range) and bad configs (`l2_c` not finite and
+  /// positive, `max_iterations` below 1).
   Result<LbfgsResult> Train(const std::vector<LabeledExample>& examples,
                             int32_t num_features, int32_t num_classes,
                             const LogRegConfig& config = {});

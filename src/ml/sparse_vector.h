@@ -59,13 +59,6 @@ class SparseVector {
     return sum;
   }
 
-  /// Adds scale * this to the dense vector out[0..dim).
-  void AxpyInto(double scale, double* out, int32_t dim) const {
-    for (const auto& [index, value] : entries_) {
-      if (index < dim) out[index] += scale * value;
-    }
-  }
-
  private:
   std::vector<std::pair<int32_t, double>> entries_;
   bool finalized_ = false;

@@ -1,12 +1,15 @@
 // Thread-count determinism of the batch pipeline: RunPipeline at
 // parallel.threads = 8 must produce a PipelineResult identical, field by
-// field, to the serial run — annotations, extractions, diagnostics and
-// all. Runs under the tsan ctest label so ThreadSanitizer also sweeps the
-// cluster fan-out and the per-page inner loops for data races.
+// field, to the serial run — annotations, extractions, model weights,
+// diagnostics and all. Runs under the tsan ctest label so ThreadSanitizer
+// also sweeps the cluster fan-out and the per-page inner loops for data
+// races.
 
 #include "core/pipeline.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "core/entity_matcher.h"
 #include "dom/html_parser.h"
@@ -98,11 +101,14 @@ class PipelineParallelTest : public ::testing::Test {
     world_ = nullptr;
   }
 
-  static PipelineResult Run(const std::vector<DomDocument>& pages,
-                            int threads, obs::TraceTree* trace = nullptr) {
+  static PipelineResult Run(
+      const std::vector<DomDocument>& pages, int threads,
+      obs::TraceTree* trace = nullptr,
+      int max_iterations = LogRegConfig{}.max_iterations) {
     PipelineConfig config;
     config.parallel.threads = threads;
     config.trace = trace;
+    config.training.logreg.max_iterations = max_iterations;
     Result<PipelineResult> result = RunPipeline(pages, *seed_kb_, config);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).value();
@@ -138,6 +144,21 @@ class PipelineParallelTest : public ::testing::Test {
     ASSERT_EQ(a.models.size(), b.models.size());
     for (size_t i = 0; i < a.models.size(); ++i) {
       EXPECT_EQ(a.models[i].cluster, b.models[i].cluster);
+      // Byte for byte, like the confidences above.
+      const std::vector<double>& wa = a.models[i].model.model.weights();
+      const std::vector<double>& wb = b.models[i].model.model.weights();
+      ASSERT_EQ(wa.size(), wb.size());
+      EXPECT_EQ(std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(double)),
+                0)
+          << "model " << i;
+      const LbfgsResult& fa = a.models[i].model.fit;
+      const LbfgsResult& fb = b.models[i].model.fit;
+      EXPECT_EQ(fa.converged, fb.converged);
+      EXPECT_EQ(fa.iterations, fb.iterations);
+      EXPECT_EQ(fa.evaluations, fb.evaluations);
+      EXPECT_EQ(std::memcmp(&fa.final_objective, &fb.final_objective,
+                            sizeof(double)),
+                0);
     }
 
     for (int s = 0; s < kNumPipelineStages; ++s) {
@@ -191,6 +212,23 @@ TEST_F(PipelineParallelTest, MultiClusterResultIdenticalAtEightThreads) {
 TEST_F(PipelineParallelTest, OddThreadCountAlsoIdentical) {
   const PipelineResult serial = Run(*pages_, /*threads=*/1);
   ExpectSameResult(Run(*pages_, /*threads=*/3), serial);
+}
+
+TEST_F(PipelineParallelTest, ConvergedFitsIdenticalAcrossThreadCounts) {
+  // The cases above may compare fits stopped at the iteration cap. With a
+  // 1000-iteration cap every fit here converges, so this compares fits
+  // that ran to the solver's own stopping rule.
+  constexpr int kCap = 1000;
+  const PipelineResult serial = Run(*pages_, /*threads=*/1, nullptr, kCap);
+  ASSERT_GE(serial.models.size(), 2u);
+  for (const ClusterModel& cluster : serial.models) {
+    EXPECT_TRUE(cluster.model.fit.converged) << "cluster " << cluster.cluster;
+    EXPECT_LT(cluster.model.fit.iterations, kCap);
+  }
+  for (const int threads : {4, 8}) {
+    SCOPED_TRACE(threads);
+    ExpectSameResult(Run(*pages_, threads, nullptr, kCap), serial);
+  }
 }
 
 TEST_F(PipelineParallelTest, SingleClusterInnerParallelismIdentical) {

@@ -16,7 +16,7 @@ TEST(LbfgsTest, MinimizesQuadratic) {
     return (x[0] - 3) * (x[0] - 3) + 2 * (x[1] + 1) * (x[1] + 1);
   };
   std::vector<double> x{0.0, 0.0};
-  LbfgsResult result = MinimizeLbfgs(objective, &x);
+  LbfgsResult result = MinimizeLbfgs(objective, &x, /*max_iterations=*/100);
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(x[0], 3.0, 1e-4);
   EXPECT_NEAR(x[1], -1.0, 1e-4);
@@ -54,7 +54,7 @@ TEST(LbfgsTest, HighDimensionalConvexProblem) {
     return sum;
   };
   std::vector<double> x(dim, 5.0);
-  LbfgsResult result = MinimizeLbfgs(objective, &x);
+  LbfgsResult result = MinimizeLbfgs(objective, &x, /*max_iterations=*/100);
   EXPECT_TRUE(result.converged);
   for (int i = 0; i < dim; ++i) {
     EXPECT_NEAR(x[static_cast<size_t>(i)], 0.1 * i, 1e-3);
@@ -68,7 +68,7 @@ TEST(LbfgsTest, StartingAtMinimumConvergesImmediately) {
     return x[0] * x[0];
   };
   std::vector<double> x{0.0};
-  LbfgsResult result = MinimizeLbfgs(objective, &x);
+  LbfgsResult result = MinimizeLbfgs(objective, &x, /*max_iterations=*/100);
   EXPECT_TRUE(result.converged);
   EXPECT_LE(result.iterations, 1);
 }
@@ -92,7 +92,7 @@ TEST(LbfgsTest, NonSmoothAbsoluteValueStillDescends) {
     return std::fabs(x[0]);
   };
   std::vector<double> x{10.0};
-  LbfgsResult result = MinimizeLbfgs(objective, &x);
+  LbfgsResult result = MinimizeLbfgs(objective, &x, /*max_iterations=*/100);
   EXPECT_LT(result.final_objective, 10.0);
 }
 

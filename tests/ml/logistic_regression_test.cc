@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "util/random.h"
@@ -256,6 +257,37 @@ TEST(LogisticRegressionTest, RejectsBadSolverConfig) {
   one_iteration.max_iterations = 1;
   LogisticRegression model;
   EXPECT_TRUE(model.Train(examples, 2, 2, one_iteration).ok());
+}
+
+TEST(LogisticRegressionTest, DuplicateRowsTrainAsOneWeightedRow) {
+  // Rows with the same label and features are one row whose weight is the
+  // sum of theirs, kept at its first occurrence: the two inputs below are
+  // the same fit to the last bit.
+  const LabeledExample a = Example({{0, 1.0}, {2, 0.5}}, 0);
+  const LabeledExample b = Example({{1, 1.0}, {2, 0.25}}, 1);
+  const std::vector<LabeledExample> repeated{a, b, a, a};
+  LabeledExample heavy_a = a;
+  heavy_a.weight = 3.0;
+  const std::vector<LabeledExample> weighted{heavy_a, b};
+
+  LogisticRegression from_repeated;
+  Result<LbfgsResult> fit_repeated = from_repeated.Train(repeated, 3, 2);
+  ASSERT_TRUE(fit_repeated.ok());
+  LogisticRegression from_weighted;
+  Result<LbfgsResult> fit_weighted = from_weighted.Train(weighted, 3, 2);
+  ASSERT_TRUE(fit_weighted.ok());
+
+  const std::vector<double>& w1 = from_repeated.weights();
+  const std::vector<double>& w2 = from_weighted.weights();
+  ASSERT_EQ(w1.size(), w2.size());
+  EXPECT_EQ(std::memcmp(w1.data(), w2.data(), w1.size() * sizeof(double)), 0);
+  EXPECT_EQ(fit_repeated->converged, fit_weighted->converged);
+  EXPECT_EQ(fit_repeated->iterations, fit_weighted->iterations);
+  EXPECT_EQ(fit_repeated->evaluations, fit_weighted->evaluations);
+  EXPECT_EQ(std::memcmp(&fit_repeated->final_objective,
+                        &fit_weighted->final_objective, sizeof(double)),
+            0);
+  EXPECT_GT(fit_repeated->iterations, 1);
 }
 
 TEST(LogisticRegressionTest, ExampleWeightsMatter) {

@@ -44,18 +44,6 @@ TEST(SparseVectorTest, DotIgnoresOutOfRangeIndices) {
   EXPECT_DOUBLE_EQ(v.Dot(weights, 2), 3.0);
 }
 
-TEST(SparseVectorTest, AxpyInto) {
-  SparseVector v;
-  v.Add(0, 2.0);
-  v.Add(2, 1.0);
-  v.Finalize();
-  double out[3] = {1.0, 1.0, 1.0};
-  v.AxpyInto(0.5, out, 3);
-  EXPECT_DOUBLE_EQ(out[0], 2.0);
-  EXPECT_DOUBLE_EQ(out[1], 1.0);
-  EXPECT_DOUBLE_EQ(out[2], 1.5);
-}
-
 TEST(SparseVectorDeathTest, AddAfterFinalizeDies) {
   SparseVector v;
   v.Finalize();

@@ -14,6 +14,7 @@
 // --shards below 0, a rate outside [0, 1], --scale <= 0) prints the usage
 // and exits 2.
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -131,17 +132,33 @@ int Run(const Options& options) {
   const int num_shards = config.num_shards > 0
                              ? config.num_shards
                              : static_cast<int>(sites.size());
+  // Hash sharding can leave shards without sites. Such a shard never runs,
+  // so a fault planned on it would never fire: the rates are fractions of
+  // the populated shards.
+  std::vector<int> populated;
+  for (const dist::ShardSite& site : sites) {
+    populated.push_back(dist::ShardOfSite(site.site, num_shards));
+  }
+  std::sort(populated.begin(), populated.end());
+  populated.erase(std::unique(populated.begin(), populated.end()),
+                  populated.end());
+  const auto plan = [&](double rate, uint64_t seed, ProcessFaultType type) {
+    ProcessFaultPlan faults = MakeProcessFaultPlan(
+        static_cast<int>(populated.size()), rate, seed, type);
+    for (ProcessFault& fault : faults.faults) {
+      fault.shard = populated[static_cast<size_t>(fault.shard)];
+    }
+    return faults.faults;
+  };
   if (options.crash_rate > 0.0) {
-    config.faults = MakeProcessFaultPlan(num_shards, options.crash_rate,
-                                         options.seed,
-                                         ProcessFaultType::kWorkerCrash);
+    config.faults.faults = plan(options.crash_rate, options.seed,
+                                ProcessFaultType::kWorkerCrash);
   }
   if (options.hang_rate > 0.0) {
-    ProcessFaultPlan hangs = MakeProcessFaultPlan(
-        num_shards, options.hang_rate, options.seed + 1,
-        ProcessFaultType::kWorkerHang);
-    config.faults.faults.insert(config.faults.faults.end(),
-                                hangs.faults.begin(), hangs.faults.end());
+    std::vector<ProcessFault> hangs = plan(
+        options.hang_rate, options.seed + 1, ProcessFaultType::kWorkerHang);
+    config.faults.faults.insert(config.faults.faults.end(), hangs.begin(),
+                                hangs.end());
   }
   // The watchdog cannot tell "hung" from "computing": its timeout must
   // exceed the slowest single site's pipeline time (heartbeats are
@@ -195,19 +212,15 @@ int Run(const Options& options) {
     }
   }
   // Every planned crash fires on its shard's first attempt and must have
-  // been retried through. Only shards that ran this time count: a shard
-  // with no sites never runs, and one resumed from its checkpoint ran no
-  // attempt.
-  std::vector<bool> ran(static_cast<size_t>(num_shards), false);
-  for (const dist::ShardSite& site : sites) {
-    ran[static_cast<size_t>(dist::ShardOfSite(site.site, num_shards))] = true;
-  }
-  for (int32_t shard : diag.shards_from_checkpoint) {
-    ran[static_cast<size_t>(shard)] = false;
-  }
+  // been retried through. Every planned shard has sites; one resumed from
+  // its checkpoint ran no attempt, so its crash does not count.
   int64_t crashes_run = 0;
   for (int shard : config.faults.ShardsWith(ProcessFaultType::kWorkerCrash)) {
-    if (ran[static_cast<size_t>(shard)]) ++crashes_run;
+    if (std::find(diag.shards_from_checkpoint.begin(),
+                  diag.shards_from_checkpoint.end(),
+                  shard) == diag.shards_from_checkpoint.end()) {
+      ++crashes_run;
+    }
   }
   if (diag.retries < crashes_run) {
     std::fprintf(stderr,
