@@ -3,10 +3,10 @@
 // Builds a multi-site synthetic movie corpus, runs a single-process
 // reference extraction, then sweeps the coordinator/worker harness
 // (src/dist/) over crash rates 0 / 0.25 / 0.5: workers are crashed on that
-// fraction of shards (first attempt only), so every crashed shard costs one
-// worker respawn plus one retry. Each sweep point reports wall time,
-// recovery overhead vs the crash-free distributed run, and the recovery
-// counters as BENCH JSON lines:
+// fraction of the shards, one per site (first attempt only), so every
+// crashed shard costs one worker respawn plus one retry. Each sweep point
+// reports wall time, recovery overhead vs the crash-free distributed run,
+// and the recovery counters as BENCH JSON lines:
 //
 //   BENCH {"bench":"dist_recovery","crash_rate":0.25,...}
 //
@@ -26,7 +26,6 @@
 #include <stdlib.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -124,27 +123,13 @@ int main(int argc, char** argv) {
     num_pages += shard_site.pages.size();
     sites.push_back(std::move(shard_site));
   }
-  const int num_shards = static_cast<int>(sites.size());
-  // Hash sharding may leave some of the `num_shards` slots empty (two sites
-  // can collide); an empty shard is settled instantly and can never crash,
-  // so faults and completion counts are framed in populated shards.
-  std::vector<int32_t> populated;
-  for (const dist::ShardSite& site : sites) {
-    const int32_t shard = dist::ShardOfSite(site.site, num_shards);
-    if (std::find(populated.begin(), populated.end(), shard) ==
-        populated.end()) {
-      populated.push_back(shard);
-    }
-  }
-  std::sort(populated.begin(), populated.end());
-  std::printf("dist_recovery: %d sites, %zu populated shard(s), %zu pages "
-              "(%s)\n",
-              num_shards, populated.size(), num_pages,
-              smoke ? "smoke" : "full");
+  // One shard per site.
+  const int num_sites = static_cast<int>(sites.size());
+  std::printf("dist_recovery: %d sites = shards, %zu pages (%s)\n",
+              num_sites, num_pages, smoke ? "smoke" : "full");
 
   dist::DistConfig base;
   base.num_workers = smoke ? 2 : 3;
-  base.num_shards = 0;  // one shard per site
   // Crash recovery is EOF-detected, not watchdog-detected; a long liveness
   // keeps slow sanitized or oversubscribed runs from spurious kills.
   base.worker_liveness_timeout = std::chrono::seconds(120);
@@ -171,14 +156,12 @@ int main(int argc, char** argv) {
     dist::DistConfig config = base;
     config.checkpoint_dir = MakeCheckpointDir();
     Require(!config.checkpoint_dir.empty(), "mkdtemp failed");
-    // Evenly spaced over the populated shards: deterministic, no
-    // duplicates, and every planned crash actually fires.
-    const size_t planned =
-        static_cast<size_t>(populated.size() * crash_rate + 0.5);
-    for (size_t i = 0; i < planned; ++i) {
-      config.faults.faults.push_back(
-          ProcessFault{populated[i * populated.size() / planned],
-                       ProcessFaultType::kWorkerCrash, /*attempts=*/1});
+    // Evenly spaced over the shards: deterministic, no duplicates.
+    const int planned = static_cast<int>(num_sites * crash_rate + 0.5);
+    for (int i = 0; i < planned; ++i) {
+      config.faults.faults.push_back(ProcessFault{
+          i * num_sites / planned, ProcessFaultType::kWorkerCrash,
+          /*attempts=*/1});
     }
 
     const auto start = std::chrono::steady_clock::now();
@@ -200,15 +183,13 @@ int main(int argc, char** argv) {
     const double overhead =
         clean_seconds > 0 ? seconds / clean_seconds - 1.0 : 0.0;
 
-    Require(diag.retries >= static_cast<int64_t>(planned),
-            "fewer retries than planned crashes");
-    Require(diag.worker_restarts >= static_cast<int64_t>(planned),
+    Require(diag.retries >= planned, "fewer retries than planned crashes");
+    Require(diag.worker_restarts >= planned,
             "fewer worker restarts than planned crashes");
     Require(diag.quarantined_shards.empty(),
             "single-crash shards must not be quarantined");
-    Require(diag.shards_completed ==
-                static_cast<int64_t>(populated.size()),
-            "not all populated shards completed");
+    Require(diag.shards_completed == num_sites,
+            "not all shards completed");
     Require(diag.checkpoint_bytes > 0, "no checkpoint bytes written");
     Require(SameMerge(*run, *reference),
             "merge differs from single-process reference");
@@ -217,13 +198,12 @@ int main(int argc, char** argv) {
     std::snprintf(
         line, sizeof(line),
         "{\"bench\":\"dist_recovery\",\"mode\":\"%s\",\"crash_rate\":%.2f,"
-        "\"workers\":%d,\"shards\":%zu,\"pages\":%zu,\"seconds\":%.3f,"
-        "\"overhead_vs_clean\":%.3f,\"planned_crashes\":%zu,"
+        "\"workers\":%d,\"shards\":%d,\"pages\":%zu,\"seconds\":%.3f,"
+        "\"overhead_vs_clean\":%.3f,\"planned_crashes\":%d,"
         "\"retries\":%lld,\"worker_restarts\":%lld,"
         "\"quarantined_shards\":%zu,\"checkpoint_bytes\":%lld,"
         "\"identical_to_reference\":%s}",
-        smoke ? "smoke" : "full", crash_rate, base.num_workers,
-        populated.size(),
+        smoke ? "smoke" : "full", crash_rate, base.num_workers, num_sites,
         num_pages, seconds, overhead, planned,
         static_cast<long long>(diag.retries),
         static_cast<long long>(diag.worker_restarts),

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -111,16 +112,14 @@ std::vector<int32_t> ListShardCheckpoints(std::string_view dir) {
     const std::string_view digits = name.substr(
         kCheckpointPrefix.size(),
         name.size() - kCheckpointPrefix.size() - kCheckpointSuffix.size());
+    // from_chars takes a leading '-', which no written id has; it reports
+    // an id past int32_t as out of range instead of overflowing.
     int32_t shard = 0;
-    bool numeric = !digits.empty();
-    for (char c : digits) {
-      if (c < '0' || c > '9') {
-        numeric = false;
-        break;
-      }
-      shard = shard * 10 + (c - '0');
+    const char* end = digits.data() + digits.size();
+    const auto [ptr, ec] = std::from_chars(digits.data(), end, shard);
+    if (digits.front() != '-' && ec == std::errc() && ptr == end) {
+      shards.push_back(shard);
     }
-    if (numeric) shards.push_back(shard);
   }
   ::closedir(d);
   std::sort(shards.begin(), shards.end());

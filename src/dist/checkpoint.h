@@ -37,7 +37,9 @@ Status SaveShardCheckpoint(std::string_view dir, const ShardResult& result,
 Result<ShardResult> LoadShardCheckpoint(std::string_view dir, int32_t shard);
 
 /// Shard ids with a checkpoint file present under `dir` (valid or not),
-/// ascending. Used by the resuming coordinator to know what to try loading.
+/// ascending; a name whose id is not a non-negative int32_t is skipped.
+/// For tests and tools that inspect or clean up a checkpoint directory; the
+/// resuming coordinator loads each of its shards' paths directly.
 std::vector<int32_t> ListShardCheckpoints(std::string_view dir);
 
 /// Flips bytes in the middle of the checkpoint file for `shard` — the

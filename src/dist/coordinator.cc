@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -52,40 +51,17 @@ class SigPipeGuard {
   bool saved_ok_ = false;
 };
 
-/// The sharding both the coordinator and the single-process reference run:
-/// per shard id, the shard's corpus indices in ascending (= corpus) order.
-/// `num_shards` 0 means one shard per site.
-std::vector<std::vector<size_t>> ShardMembers(
-    const std::vector<ShardSite>& corpus, int num_shards) {
-  if (num_shards <= 0) num_shards = static_cast<int>(corpus.size());
-  std::vector<std::vector<size_t>> members(static_cast<size_t>(num_shards));
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    members[static_cast<size_t>(ShardOfSite(corpus[i].site, num_shards))]
-        .push_back(i);
-  }
-  return members;
-}
-
 /// The merge both paths share: lays the per-site extractions of
-/// `out->shards` out in corpus order and fuses them on a default
-/// FusionConfig under the run deadline.
-void MergeAndFuse(const std::vector<ShardSite>& corpus,
-                  const Ontology& ontology, const Deadline& deadline,
+/// `out->shards` out in shard-id (= corpus) order and fuses them on a
+/// default FusionConfig under the run deadline.
+void MergeAndFuse(const Ontology& ontology, const Deadline& deadline,
                   DistResult* out) {
-  std::unordered_map<std::string_view, const SiteResult*> by_site;
+  out->site_extractions.reserve(out->shards.size());
   for (const ShardResult& shard : out->shards) {
     for (const SiteResult& site : shard.sites) {
-      by_site.emplace(site.site, &site);
+      out->site_extractions.push_back(
+          fusion::SiteExtractions{site.site, site.extractions});
     }
-  }
-  out->site_extractions.reserve(by_site.size());
-  for (const ShardSite& site : corpus) {
-    auto it = by_site.find(site.site);
-    if (it == by_site.end()) continue;
-    fusion::SiteExtractions extracted;
-    extracted.site = it->second->site;
-    extracted.extractions = it->second->extractions;
-    out->site_extractions.push_back(std::move(extracted));
   }
   fusion::FusionConfig fusion_config;
   fusion_config.deadline = deadline;
@@ -96,9 +72,8 @@ void MergeAndFuse(const std::vector<ShardSite>& corpus,
 enum class SlotState { kPending, kRunning, kDone, kQuarantined };
 
 struct ShardSlot {
+  /// The shard id, which is also the corpus index of its one site.
   int32_t id = 0;
-  /// Indices into the corpus, ascending (= corpus order within the shard).
-  std::vector<size_t> corpus_indices;
   SlotState state = SlotState::kPending;
   /// Attempts started (1-based once dispatched).
   int attempts = 0;
@@ -145,9 +120,6 @@ class Coordinator {
     if (config_.num_workers < 1) {
       return Status::InvalidArgument("num_workers must be >= 1");
     }
-    if (config_.num_shards < 0) {
-      return Status::InvalidArgument("num_shards must be >= 0");
-    }
     std::unordered_set<std::string_view> names;
     for (const ShardSite& site : corpus_) {
       if (!names.insert(site.site).second) {
@@ -167,15 +139,14 @@ class Coordinator {
   }
 
   void BuildShards() {
-    std::vector<std::vector<size_t>> members =
-        ShardMembers(corpus_, config_.num_shards);
-    slots_.resize(members.size());
+    slots_.resize(corpus_.size());
     for (size_t s = 0; s < slots_.size(); ++s) {
       slots_[s].id = static_cast<int32_t>(s);
-      slots_[s].corpus_indices = std::move(members[s]);
-      // A shard with no sites has nothing to run (or checkpoint).
-      if (slots_[s].corpus_indices.empty()) slots_[s].state = SlotState::kDone;
     }
+  }
+
+  const ShardSite& SiteOf(const ShardSlot& slot) const {
+    return corpus_[static_cast<size_t>(slot.id)];
   }
 
   void ResumeFromCheckpoints() {
@@ -198,8 +169,8 @@ class Coordinator {
         diagnostics_.failures.push_back(ShardFailure{
             slot.id, 0,
             Status::Internal(StrCat("checkpoint for shard ", slot.id,
-                                    " does not match the corpus sharding; "
-                                    "re-running"))});
+                                    " does not hold its site ",
+                                    SiteOf(slot).site, "; re-running"))});
         continue;
       }
       slot.result = std::move(loaded.value());
@@ -211,16 +182,11 @@ class Coordinator {
 
   bool CheckpointMatchesShard(const ShardResult& result,
                               const ShardSlot& slot) const {
-    if (result.sites.size() != slot.corpus_indices.size()) return false;
-    for (size_t i = 0; i < result.sites.size(); ++i) {
-      const ShardSite& expected = corpus_[slot.corpus_indices[i]];
-      if (result.sites[i].site != expected.site) return false;
-      if (result.sites[i].pages !=
-          static_cast<int64_t>(expected.pages.size())) {
-        return false;
-      }
-    }
-    return true;
+    const ShardSite& expected = SiteOf(slot);
+    return result.sites.size() == 1 &&
+           result.sites[0].site == expected.site &&
+           result.sites[0].pages ==
+               static_cast<int64_t>(expected.pages.size());
   }
 
   // -- worker lifecycle ----------------------------------------------------
@@ -392,10 +358,7 @@ class Coordinator {
                      ? ProcessFaultType::kNone
                      : fault;
     task.options = config_.pipeline;
-    task.sites.reserve(slot->corpus_indices.size());
-    for (size_t index : slot->corpus_indices) {
-      task.sites.push_back(corpus_[index]);
-    }
+    task.sites.push_back(SiteOf(*slot));
     slot->state = SlotState::kRunning;
     slot->has_backoff = false;
     worker->shard = slot->id;
@@ -503,9 +466,6 @@ class Coordinator {
   void HandleFrame(WorkerProc* worker, Frame frame) {
     worker->last_seen = obs::MonotonicNow();
     switch (frame.type) {
-      case FrameType::kHeartbeat:
-        // Empty: refreshing last_seen above is all a heartbeat does.
-        return;
       case FrameType::kWorkerError: {
         if (worker->shard >= 0) {
           const int32_t shard = worker->shard;
@@ -608,17 +568,13 @@ class Coordinator {
     for (ShardSlot& slot : slots_) {
       switch (slot.state) {
         case SlotState::kDone:
-          if (!slot.corpus_indices.empty()) {
-            out.shards.push_back(std::move(slot.result));
-          }
+          out.shards.push_back(std::move(slot.result));
           break;
         case SlotState::kQuarantined: {
           QuarantinedShard q;
           q.shard = slot.id;
           q.attempts = static_cast<int32_t>(slot.attempts);
-          for (size_t index : slot.corpus_indices) {
-            q.sites.push_back(corpus_[index].site);
-          }
+          q.site = SiteOf(slot).site;
           q.last_error = slot.last_error;
           diagnostics_.quarantined_shards.push_back(std::move(q));
           break;
@@ -629,7 +585,7 @@ class Coordinator {
           break;
       }
     }
-    MergeAndFuse(corpus_, ontology_, config_.deadline, &out);
+    MergeAndFuse(ontology_, config_.deadline, &out);
     out.diagnostics = std::move(diagnostics_);
     return out;
   }
@@ -645,10 +601,10 @@ class Coordinator {
 
 }  // namespace
 
-int32_t ShardOfSite(std::string_view site, int32_t num_shards) {
-  if (num_shards <= 0) return 0;
+int32_t ShardOfSite(std::string_view site, int32_t num_buckets) {
+  if (num_buckets <= 0) return 0;
   return static_cast<int32_t>(Fnv1a64(site) %
-                              static_cast<uint64_t>(num_shards));
+                              static_cast<uint64_t>(num_buckets));
 }
 
 std::string DistDiagnostics::Summary() const {
@@ -665,9 +621,8 @@ std::string DistDiagnostics::Summary() const {
                   failure.attempt, ": ", failure.reason.ToString(), "\n");
   }
   for (const QuarantinedShard& q : quarantined_shards) {
-    out += StrCat("  quarantined: shard ", q.shard, " after ", q.attempts,
-                  " attempts (", q.sites.size(),
-                  " sites): ", q.last_error.ToString(), "\n");
+    out += StrCat("  quarantined: shard ", q.shard, " (", q.site, ") after ",
+                  q.attempts, " attempts: ", q.last_error.ToString(), "\n");
   }
   return out;
 }
@@ -683,21 +638,18 @@ Result<DistResult> RunSingleProcess(const std::vector<ShardSite>& corpus,
                                     const KnowledgeBase& kb,
                                     const Ontology& ontology,
                                     const DistConfig& config) {
-  // Same sharding, same shard runner, same merge — no processes.
-  const std::vector<std::vector<size_t>> members =
-      ShardMembers(corpus, config.num_shards);
+  // Same shards, same shard runner, same merge — no processes.
   DistResult out;
-  for (size_t shard = 0; shard < members.size(); ++shard) {
-    if (members[shard].empty()) continue;
+  for (size_t shard = 0; shard < corpus.size(); ++shard) {
     ShardTask task;
     task.shard = static_cast<int32_t>(shard);
     task.options = config.pipeline;
-    for (size_t index : members[shard]) task.sites.push_back(corpus[index]);
+    task.sites.push_back(corpus[shard]);
     CERES_ASSIGN_OR_RETURN(ShardResult result, RunShard(task, kb));
     out.shards.push_back(std::move(result));
     ++out.diagnostics.shards_completed;
   }
-  MergeAndFuse(corpus, ontology, config.deadline, &out);
+  MergeAndFuse(ontology, config.deadline, &out);
   return out;
 }
 

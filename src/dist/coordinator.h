@@ -18,32 +18,29 @@
 /// The coordinator side of distributed batch extraction (see DESIGN.md
 /// "Distributed batch extraction").
 ///
-/// The coordinator shards a corpus by site hash, runs shards on a pool of
-/// forked worker processes over pipes (wire.h protocol), and survives
-/// worker crashes, hangs, and torn frames: a deadline-based watchdog
-/// reclaims silent workers, failed shards retry under exponential backoff
-/// with a per-shard budget of three attempts, exhausted shards land in
-/// quarantine, and per-shard checkpoints make a restarted run skip
-/// completed work. Each forked child runs RunWorkerLoop on a copy-on-write
-/// view of the caller's KB (a mapped KB image's pages stay shared). The
-/// surviving shards merge through fusion::FuseExtractions byte-identical
-/// to a single-process run over the same corpus.
+/// The coordinator runs each site of a corpus as one shard, whose id is the
+/// site's corpus index, on a pool of forked worker processes over pipes
+/// (wire.h protocol), and survives worker crashes, hangs, and torn frames:
+/// a deadline-based watchdog reclaims silent workers, failed shards retry
+/// under exponential backoff with a per-shard budget of three attempts,
+/// exhausted shards land in quarantine, and per-shard checkpoints make a
+/// restarted run skip completed work. Each forked child runs RunWorkerLoop
+/// on a copy-on-write view of the caller's KB (a mapped KB image's pages
+/// stay shared). The surviving shards merge through fusion::FuseExtractions
+/// byte-identical to a single-process run over the same corpus.
 namespace ceres::dist {
 
 /// Configuration of RunDistributedExtraction.
 struct DistConfig {
   /// Worker processes to keep alive while shards remain.
   int num_workers = 2;
-  /// Shard count; 0 = one shard per distinct site. Sites map to shards by
-  /// ShardOfSite (stable FNV-1a hash), so the sharding — and therefore the
-  /// checkpoint layout — is reproducible across runs and processes.
-  int num_shards = 0;
   /// Watchdog: a worker with an assigned shard that has sent no frame for
   /// this long is presumed hung, killed, and its shard retried.
   std::chrono::milliseconds worker_liveness_timeout{2000};
   /// Directory for per-shard checkpoints (created if missing); empty
-  /// disables checkpointing. A rerun with the same corpus, sharding, and
-  /// directory loads completed shards instead of re-running them.
+  /// disables checkpointing. A rerun with the same corpus and directory
+  /// loads completed shards instead of re-running them; a checkpoint whose
+  /// site is no longer at its shard's corpus index re-runs.
   std::string checkpoint_dir;
   /// Pipeline knobs applied by every worker to every site; the single
   /// source the single-process reference path also uses (worker.h).
@@ -71,8 +68,8 @@ struct ShardFailure {
 struct QuarantinedShard {
   int32_t shard = -1;
   int32_t attempts = 0;
-  /// Sites lost with the shard, in corpus order.
-  std::vector<std::string> sites;
+  /// The site lost with the shard.
+  std::string site;
   Status last_error;
 };
 
@@ -110,7 +107,7 @@ struct DistDiagnostics {
 
 /// Result of a distributed (or single-process reference) run.
 struct DistResult {
-  /// Completed shards, shard-id order.
+  /// Completed shards, shard-id (= corpus) order.
   std::vector<ShardResult> shards;
   /// Per-site extractions of completed shards, corpus order — the fusion
   /// input, exposed for byte-identical comparison in tests.
@@ -120,10 +117,11 @@ struct DistResult {
   DistDiagnostics diagnostics;
 };
 
-/// The shard a site belongs to: stable FNV-1a hash of the site name modulo
-/// `num_shards`. Agreeing across processes and runs is what makes
-/// checkpoints resumable, so this must never depend on std::hash.
-int32_t ShardOfSite(std::string_view site, int32_t num_shards);
+/// A stable bucket for a site: FNV-1a hash of the site name modulo
+/// `num_buckets`, never std::hash, so it agrees across processes and runs.
+/// For callers that group sites into multi-site tasks; the coordinator
+/// does not use it (its shard id is the site's corpus index).
+int32_t ShardOfSite(std::string_view site, int32_t num_buckets);
 
 /// Runs distributed extraction over `corpus` (one entry per site; pages
 /// are raw HTML, parsed worker-side by the resilient loader).
@@ -136,10 +134,11 @@ Result<DistResult> RunDistributedExtraction(
     const std::vector<ShardSite>& corpus, const KnowledgeBase& kb,
     const Ontology& ontology, const DistConfig& config = {});
 
-/// The single-process reference: identical sharding, per-site pipeline,
-/// and merge, with no processes, faults, or checkpoints. A fault-free
-/// distributed run must match this byte for byte (site_extractions and
-/// fused alike); chaos tests compare against it after recovery.
+/// The single-process reference: the same shards (one per site), shard
+/// runner, and merge, with no processes, faults, or checkpoints. A
+/// fault-free distributed run must match this byte for byte
+/// (site_extractions and fused alike); chaos tests compare against it after
+/// recovery.
 Result<DistResult> RunSingleProcess(const std::vector<ShardSite>& corpus,
                                     const KnowledgeBase& kb,
                                     const Ontology& ontology,

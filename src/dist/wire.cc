@@ -77,7 +77,6 @@ Status ParseFrameType(char byte, FrameType* type) {
   const auto value = static_cast<uint8_t>(byte);
   switch (static_cast<FrameType>(value)) {
     case FrameType::kAssignShard:
-    case FrameType::kHeartbeat:
     case FrameType::kResult:
     case FrameType::kShutdown:
     case FrameType::kWorkerError:
@@ -94,8 +93,6 @@ const char* FrameTypeName(FrameType type) {
   switch (type) {
     case FrameType::kAssignShard:
       return "assign-shard";
-    case FrameType::kHeartbeat:
-      return "heartbeat";
     case FrameType::kResult:
       return "result";
     case FrameType::kShutdown:

@@ -32,10 +32,8 @@ namespace ceres::dist {
 enum class FrameType : uint8_t {
   /// Coordinator -> worker: a ShardTask payload.
   kAssignShard = 1,
-  /// Worker -> coordinator: liveness signal with an empty payload, sent
-  /// before a shard's first site and after each site.
-  kHeartbeat = 2,
-  // 3 is retired; decoders reject it like any byte outside this enum.
+  // 2 (heartbeat) and 3 (progress) are retired; decoders reject them like
+  // any byte outside this enum.
   /// Worker -> coordinator: the finished ShardResult.
   kResult = 4,
   /// Coordinator -> worker: exit cleanly.
@@ -50,7 +48,7 @@ const char* FrameTypeName(FrameType type);
 
 /// One decoded frame.
 struct Frame {
-  FrameType type = FrameType::kHeartbeat;
+  FrameType type = FrameType::kResult;
   std::string payload;
 };
 
@@ -165,7 +163,9 @@ struct WorkerPipelineOptions {
   int64_t shard_time_budget_ms = 0;
 };
 
-/// Coordinator -> worker: run these sites as shard `shard`.
+/// Coordinator -> worker: run these sites as shard `shard`. The
+/// coordinator sends one site per task, its shard; the list is the wire
+/// format's, which also carries multi-site tasks.
 struct ShardTask {
   int32_t shard = 0;
   /// 1-based attempt number, echoed into diagnostics and used to key the

@@ -37,20 +37,14 @@ Deadline ShardDeadline(const WorkerPipelineOptions& options) {
       std::chrono::milliseconds(options.shard_time_budget_ms));
 }
 
-/// Acts out `fault` at its trigger point among the shard's site
-/// boundaries. Never returns for a firing fault: the worker process ends
-/// (or blocks forever, for the watchdog to reap). `sites_done` is the
-/// number of fully processed sites; faults fire halfway through the shard
-/// so the coordinator has seen real heartbeats first.
-void MaybeActFault(ProcessFaultType fault, size_t sites_done,
-                   size_t sites_total) {
-  const size_t halfway = sites_total / 2;
-  if (sites_done != halfway) return;
+/// Acts out a crash or hang fault. Never returns for one of those: the
+/// worker process ends (or blocks forever, for the watchdog to reap).
+void MaybeActFault(ProcessFaultType fault) {
   switch (fault) {
     case ProcessFaultType::kWorkerCrash:
       _exit(3);
     case ProcessFaultType::kWorkerHang:
-      // Silent forever: no heartbeats, no exit. pause() returns only on a
+      // Silent forever: no frame, no exit. pause() returns only on a
       // signal; SIGKILL from the watchdog is the one way out.
       for (;;) ::pause();
     case ProcessFaultType::kNone:
@@ -97,21 +91,18 @@ Result<SiteResult> RunSiteForDist(const ShardSite& site,
 
 }  // namespace
 
-Result<ShardResult> RunShard(const ShardTask& task, const KnowledgeBase& kb,
-                             const SiteBoundaryHook& on_boundary) {
+Result<ShardResult> RunShard(const ShardTask& task, const KnowledgeBase& kb) {
   const Deadline deadline = ShardDeadline(task.options);
   ShardResult result;
   result.shard = task.shard;
   result.sites.reserve(task.sites.size());
   for (const ShardSite& site : task.sites) {
-    if (on_boundary) CERES_RETURN_IF_ERROR(on_boundary(result.sites.size()));
     CERES_ASSIGN_OR_RETURN(
         SiteResult site_result,
         RunSiteForDist(site, kb, task.options, deadline),
         StrCat("shard ", task.shard));
     result.sites.push_back(std::move(site_result));
   }
-  if (on_boundary) CERES_RETURN_IF_ERROR(on_boundary(result.sites.size()));
   return result;
 }
 
@@ -136,13 +127,8 @@ Status RunWorkerLoop(int in_fd, int out_fd, const KnowledgeBase& kb) {
       return PrependContext(task.status(), "decoding shard task");
     }
 
-    const size_t sites_total = task->sites.size();
-    Result<ShardResult> result =
-        RunShard(*task, kb, [&](size_t sites_done) -> Status {
-          CERES_RETURN_IF_ERROR(WriteFrame(out_fd, FrameType::kHeartbeat, ""));
-          MaybeActFault(task->fault, sites_done, sites_total);
-          return Status::Ok();
-        });
+    MaybeActFault(task->fault);
+    Result<ShardResult> result = RunShard(*task, kb);
     if (!result.ok()) {
       // The coordinator retries the shard per its budget.
       CERES_RETURN_IF_ERROR(WriteFrame(out_fd, FrameType::kWorkerError,

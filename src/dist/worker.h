@@ -1,9 +1,6 @@
 #ifndef CERES_DIST_WORKER_H_
 #define CERES_DIST_WORKER_H_
 
-#include <cstddef>
-#include <functional>
-
 #include "dist/wire.h"
 #include "kb/knowledge_base.h"
 #include "util/status.h"
@@ -18,27 +15,21 @@
 /// byte-identical to a single-process run.
 namespace ceres::dist {
 
-/// Called at every site boundary of a shard: with `sites_done` = 0 before
-/// the first site, then after each site (1..n). An error stops the shard
-/// and becomes RunShard's result.
-using SiteBoundaryHook = std::function<Status(size_t sites_done)>;
-
 /// Runs a whole shard in-process: every site through the resilient
 /// pipeline, in task order, under the shard's time budget. Page indices in
 /// the extractions are site-local (the site's raw page order); a site whose
 /// batch empties out under the quarantine budget yields zero extractions,
 /// not an error. Ignores `task.fault`: fault acting is the worker loop's
-/// job, done from its `on_boundary` hook.
-Result<ShardResult> RunShard(const ShardTask& task, const KnowledgeBase& kb,
-                             const SiteBoundaryHook& on_boundary = {});
+/// job.
+Result<ShardResult> RunShard(const ShardTask& task, const KnowledgeBase& kb);
 
 /// The worker process main loop: reads frames from `in_fd`, writes frames
-/// to `out_fd`, until a shutdown frame or EOF. Sends an empty heartbeat
-/// frame at every site boundary and acts out the process fault carried in
-/// each task (crash halfway, hang silently, truncate the result frame) —
-/// in a forked child these end the child, never the caller. Returns OK on
-/// clean shutdown; an error Status means the inbound stream was corrupt or
-/// a write failed (the worker should exit nonzero).
+/// to `out_fd`, until a shutdown frame or EOF. Acts out the process fault
+/// carried in each task: a crash or hang right after decoding the task,
+/// before RunShard; a truncated result frame at write time. In a forked
+/// child these end the child, never the caller. Returns OK on clean
+/// shutdown; an error Status means the inbound stream was corrupt or a
+/// write failed (the worker should exit nonzero).
 Status RunWorkerLoop(int in_fd, int out_fd, const KnowledgeBase& kb);
 
 }  // namespace ceres::dist

@@ -98,14 +98,15 @@ std::vector<RawPage> InjectFaults(const std::vector<RawPage>& pages,
 
 /// Process-level fault kinds for the distributed coordinator/worker
 /// harness (src/dist/). The first three are acted out by the worker
-/// process itself mid-shard; the last corrupts the coordinator's on-disk
+/// process itself; the last corrupts the coordinator's on-disk
 /// checkpoint after it is written, so restart-time validation is testable.
 enum class ProcessFaultType {
   kNone = 0,
-  /// Worker _exit()s abruptly halfway through its assigned shard.
+  /// Worker _exit()s abruptly right after decoding its shard task.
   kWorkerCrash,
-  /// Worker stops heartbeating and blocks forever; only the coordinator's
-  /// watchdog (deadline-based liveness) can reclaim the shard.
+  /// Worker blocks forever right after decoding its shard task, sending no
+  /// frame; only the coordinator's watchdog (deadline-based liveness) can
+  /// reclaim the shard.
   kWorkerHang,
   /// Worker computes the full result but writes only a prefix of the
   /// result frame before exiting (interrupted pipe write).

@@ -40,10 +40,9 @@ struct ShardedServiceStats {
 /// The service tier behind the HTTP front-end: N independent
 /// ModelRegistry + ExtractionService pairs, partitioned by site.
 ///
-/// Partitioning uses the same stable site hash as the offline distributed
-/// runner (`dist::ShardOfSite`: FNV-1a of the site name modulo shard
-/// count — reimplemented here so the serving tier does not link the
-/// process-spawning dist library). All requests for one site land on one
+/// Partitioning uses the stable site hash `dist::ShardOfSite` computes
+/// (FNV-1a of the site name modulo shard count — reimplemented here so
+/// the serving tier does not link the process-spawning dist library). All requests for one site land on one
 /// shard, so each shard's registry warms exactly the models its sites
 /// need and per-site batching keeps its locality; distinct shards share
 /// nothing and never contend.

@@ -140,6 +140,19 @@ TEST_F(CheckpointTest, ListSkipsForeignFiles) {
   (void)::unlink((dir_ + "/shard_x.ckpt").c_str());
 }
 
+TEST_F(CheckpointTest, ListSkipsIdsOutOfRange) {
+  ASSERT_TRUE(SaveShardCheckpoint(dir_, MakeResult(7), nullptr).ok());
+  // Past int32_t, and negative: neither names a shard this layer writes.
+  const std::vector<std::string> junk = {dir_ + "/shard_99999999999.ckpt",
+                                         dir_ + "/shard_-1.ckpt"};
+  for (const std::string& path : junk) {
+    std::ofstream(path) << "not a shard id";
+  }
+  const std::vector<int32_t> shards = ListShardCheckpoints(dir_);
+  for (const std::string& path : junk) (void)::unlink(path.c_str());
+  EXPECT_EQ(shards, std::vector<int32_t>{7});
+}
+
 TEST_F(CheckpointTest, CorruptMissingIsNotFound) {
   EXPECT_EQ(CorruptShardCheckpoint(dir_, 77).code(), StatusCode::kNotFound);
 }

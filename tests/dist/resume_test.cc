@@ -1,7 +1,8 @@
 // Checkpoint-resume chaos tests (labels: dist, chaos): a coordinator
 // SIGKILLed mid-run must be resumable from its per-shard checkpoints to a
 // byte-identical result, and a corrupt checkpoint must be detected on
-// restart and re-run rather than merged.
+// restart and re-run rather than merged, as must a checkpoint whose site
+// moved to another shard.
 
 #include <signal.h>
 #include <stdlib.h>
@@ -57,8 +58,7 @@ class ResumeTest : public ::testing::Test {
 
   DistConfig CheckpointedConfig() const {
     DistConfig config;
-    config.num_workers = 1;
-    config.num_shards = 0;  // one shard per site
+    config.num_workers = 1;  // one shard per site, run one at a time
     config.checkpoint_dir = dir_;
     // No hang faults here; a long liveness keeps a loaded CI box from
     // spuriously killing healthy workers mid-shard.
@@ -71,23 +71,26 @@ class ResumeTest : public ::testing::Test {
                                     corpus_->seed_kb->ontology(), config);
   }
 
+  static void ExpectSameSite(const fusion::SiteExtractions& a,
+                             const fusion::SiteExtractions& b) {
+    ASSERT_EQ(a.site, b.site);
+    ASSERT_EQ(a.extractions.size(), b.extractions.size()) << a.site;
+    for (size_t i = 0; i < a.extractions.size(); ++i) {
+      EXPECT_EQ(a.extractions[i].page, b.extractions[i].page);
+      EXPECT_EQ(a.extractions[i].node, b.extractions[i].node);
+      EXPECT_EQ(a.extractions[i].predicate, b.extractions[i].predicate);
+      EXPECT_EQ(a.extractions[i].subject, b.extractions[i].subject);
+      EXPECT_EQ(a.extractions[i].object, b.extractions[i].object);
+      EXPECT_EQ(a.extractions[i].confidence, b.extractions[i].confidence)
+          << a.site << " extraction " << i;
+    }
+  }
+
   static void ExpectMatchesReference(const DistResult& got) {
     ASSERT_EQ(got.site_extractions.size(),
               reference_->site_extractions.size());
     for (size_t s = 0; s < got.site_extractions.size(); ++s) {
-      const fusion::SiteExtractions& a = got.site_extractions[s];
-      const fusion::SiteExtractions& b = reference_->site_extractions[s];
-      ASSERT_EQ(a.site, b.site);
-      ASSERT_EQ(a.extractions.size(), b.extractions.size()) << a.site;
-      for (size_t i = 0; i < a.extractions.size(); ++i) {
-        EXPECT_EQ(a.extractions[i].page, b.extractions[i].page);
-        EXPECT_EQ(a.extractions[i].node, b.extractions[i].node);
-        EXPECT_EQ(a.extractions[i].predicate, b.extractions[i].predicate);
-        EXPECT_EQ(a.extractions[i].subject, b.extractions[i].subject);
-        EXPECT_EQ(a.extractions[i].object, b.extractions[i].object);
-        EXPECT_EQ(a.extractions[i].confidence, b.extractions[i].confidence)
-            << a.site << " extraction " << i;
-      }
+      ExpectSameSite(got.site_extractions[s], reference_->site_extractions[s]);
     }
   }
 
@@ -146,9 +149,7 @@ TEST_F(ResumeTest, KilledCoordinatorResumesByteIdentical) {
 }
 
 TEST_F(ResumeTest, CorruptCheckpointIsDetectedAndRerun) {
-  const int32_t victim =
-      ShardOfSite(corpus_->sites[0].site,
-                  static_cast<int32_t>(corpus_->sites.size()));
+  const int32_t victim = 0;
 
   // First run completes normally but its checkpoint for `victim` is
   // corrupted in place after the atomic rename (storage-failure model).
@@ -189,9 +190,7 @@ TEST_F(ResumeTest, StaleCheckpointForDifferentCorpusIsIgnored) {
   // A checkpoint whose sites do not match the shard's current corpus
   // assignment (e.g. the corpus changed between runs) must be re-run, not
   // merged.
-  const int32_t victim =
-      ShardOfSite(corpus_->sites[0].site,
-                  static_cast<int32_t>(corpus_->sites.size()));
+  const int32_t victim = 0;
   ShardResult stale;
   stale.shard = victim;
   SiteResult site;
@@ -210,6 +209,56 @@ TEST_F(ResumeTest, StaleCheckpointForDifferentCorpusIsIgnored) {
   }
   EXPECT_TRUE(mismatch_reported);
   ExpectMatchesReference(*got);
+}
+
+TEST_F(ResumeTest, ReorderedCorpusRerunsMovedShards) {
+  // Shard k is corpus site k, and checkpoints are keyed by shard id. After
+  // the corpus is reversed, a shard whose site moved holds another site's
+  // checkpoint: it must report that and re-run, never merge it.
+  Result<DistResult> first = RunDist(CheckpointedConfig());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(ListShardCheckpoints(dir_).size(), corpus_->sites.size());
+
+  const std::vector<ShardSite> reversed(corpus_->sites.rbegin(),
+                                        corpus_->sites.rend());
+  Result<DistResult> got = RunDistributedExtraction(
+      reversed, *corpus_->seed_kb, corpus_->seed_kb->ontology(),
+      CheckpointedConfig());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+  size_t moved = 0;
+  for (size_t k = 0; k < reversed.size(); ++k) {
+    const int32_t shard = static_cast<int32_t>(k);
+    const bool site_moved = reversed[k].site != corpus_->sites[k].site;
+    if (site_moved) ++moved;
+    bool mismatch_reported = false;
+    for (const ShardFailure& failure : got->diagnostics.failures) {
+      if (failure.shard == shard && failure.attempt == 0 &&
+          failure.reason.code() == StatusCode::kInternal) {
+        mismatch_reported = true;
+      }
+    }
+    EXPECT_EQ(mismatch_reported, site_moved) << "shard " << k;
+    // The shard's checkpoint now holds its new site.
+    Result<ShardResult> checkpoint = LoadShardCheckpoint(dir_, shard);
+    ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+    ASSERT_EQ(checkpoint->sites.size(), 1u);
+    EXPECT_EQ(checkpoint->sites[0].site, reversed[k].site);
+  }
+  ASSERT_GE(moved, 2u);
+  EXPECT_EQ(got->diagnostics.shards_from_checkpoint.size(),
+            reversed.size() - moved);
+  EXPECT_EQ(got->diagnostics.shards_completed,
+            static_cast<int64_t>(reversed.size()));
+
+  // The merge is in the new corpus order, and each site's extractions are
+  // its own: equal to the reference's for that site.
+  ASSERT_EQ(got->site_extractions.size(), reversed.size());
+  for (size_t k = 0; k < reversed.size(); ++k) {
+    EXPECT_EQ(got->site_extractions[k].site, reversed[k].site);
+    ExpectSameSite(got->site_extractions[k],
+                   reference_->site_extractions[reversed.size() - 1 - k]);
+  }
 }
 
 }  // namespace

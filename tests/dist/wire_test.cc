@@ -20,8 +20,8 @@ namespace ceres::dist {
 namespace {
 
 TEST(Fnv1a64Test, PinnedReferenceValues) {
-  // FNV-1a 64 reference vectors; pinned because checkpoints and shard
-  // assignment persist these values across processes.
+  // FNV-1a 64 reference vectors; pinned because frame checksums, and so
+  // checkpoint files, persist these values across processes.
   EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);
   EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ull);
@@ -30,10 +30,10 @@ TEST(Fnv1a64Test, PinnedReferenceValues) {
 TEST(FrameTest, RoundTripThroughPipe) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  ASSERT_TRUE(WriteFrame(fds[1], FrameType::kHeartbeat, "hello").ok());
+  ASSERT_TRUE(WriteFrame(fds[1], FrameType::kWorkerError, "hello").ok());
   Result<Frame> frame = ReadFrame(fds[0]);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_EQ(frame->type, FrameType::kHeartbeat);
+  EXPECT_EQ(frame->type, FrameType::kWorkerError);
   EXPECT_EQ(frame->payload, "hello");
   ::close(fds[1]);
   // Clean EOF at a frame boundary is kNotFound, not an error.
@@ -82,7 +82,7 @@ TEST(FrameTest, FlippedPayloadByteFailsChecksum) {
 }
 
 TEST(FrameTest, BadMagicIsInternal) {
-  std::string encoded = EncodeFrame(FrameType::kHeartbeat, "x");
+  std::string encoded = EncodeFrame(FrameType::kResult, "x");
   encoded[0] = 'Z';
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
@@ -95,10 +95,10 @@ TEST(FrameTest, BadMagicIsInternal) {
 
 TEST(FrameTest, UnknownFrameTypeIsInternal) {
   // The checksum covers only the payload, so a bad type byte passes it;
-  // both decoders must reject the byte itself. 3 is the retired progress
-  // frame.
-  for (const uint8_t type : {uint8_t{0x7F}, uint8_t{3}}) {
-    std::string encoded = EncodeFrame(FrameType::kHeartbeat, "");
+  // both decoders must reject the byte itself. 2 and 3 are the retired
+  // heartbeat and progress frames.
+  for (const uint8_t type : {uint8_t{0x7F}, uint8_t{2}, uint8_t{3}}) {
+    std::string encoded = EncodeFrame(FrameType::kShutdown, "");
     encoded[1] = static_cast<char>(type);
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);
@@ -125,7 +125,7 @@ TEST(FrameTest, UnknownFrameTypeIsInternal) {
 }
 
 TEST(FrameBufferTest, DeliversFramesAcrossArbitraryChunks) {
-  const std::string a = EncodeFrame(FrameType::kHeartbeat, "one");
+  const std::string a = EncodeFrame(FrameType::kWorkerError, "one");
   const std::string b = EncodeFrame(FrameType::kResult, "two");
   const std::string stream = a + b;
   // Feed one byte at a time: every prefix must yield kNotFound until the
@@ -143,7 +143,7 @@ TEST(FrameBufferTest, DeliversFramesAcrossArbitraryChunks) {
     }
   }
   ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frames[0].type, FrameType::kHeartbeat);
+  EXPECT_EQ(frames[0].type, FrameType::kWorkerError);
   EXPECT_EQ(frames[0].payload, "one");
   EXPECT_EQ(frames[1].type, FrameType::kResult);
   EXPECT_EQ(frames[1].payload, "two");

@@ -1,18 +1,18 @@
 // ceres_dist — distributed extraction demo and self-check.
 //
-//   ceres_dist [--workers N] [--shards N] [--crash-rate F] [--hang-rate F]
+//   ceres_dist [--workers N] [--crash-rate F] [--hang-rate F]
 //              [--checkpoint-dir D] [--scale F] [--smoke] [--seed N]
 //              [--verbose]
 //
 // Generates a synthetic SWDE movie corpus, runs it through the
-// distributed coordinator on forked worker processes (optionally with
-// injected worker crashes/hangs), reruns it single-process, and verifies
-// the merged extractions are byte-identical for non-quarantined shards.
-// Exit 0 iff every check holds.
+// distributed coordinator on forked worker processes, one shard per site
+// (optionally with injected worker crashes/hangs on that fraction of the
+// shards), reruns it single-process, and verifies the merged extractions
+// are byte-identical for non-quarantined shards. Exit 0 iff every check
+// holds.
 //
-// A malformed or out-of-range numeric flag value (--workers below 1,
-// --shards below 0, a rate outside [0, 1], --scale <= 0) prints the usage
-// and exits 2.
+// A malformed or out-of-range numeric flag value (--workers below 1, a
+// rate outside [0, 1], --scale <= 0) prints the usage and exits 2.
 
 #include <algorithm>
 #include <cstdio>
@@ -31,7 +31,6 @@ using namespace ceres;  // NOLINT(build/namespaces)
 
 struct Options {
   int workers = 3;
-  int shards = 0;
   double crash_rate = 0.0;
   double hang_rate = 0.0;
   std::string checkpoint_dir;
@@ -42,9 +41,9 @@ struct Options {
 
 void PrintUsage() {
   std::fprintf(stderr,
-               "usage: ceres_dist [--workers N] [--shards N]\n"
-               "  [--crash-rate F] [--hang-rate F] [--checkpoint-dir D]\n"
-               "  [--scale F] [--smoke] [--seed N] [--verbose]\n");
+               "usage: ceres_dist [--workers N] [--crash-rate F]\n"
+               "  [--hang-rate F] [--checkpoint-dir D] [--scale F] [--smoke]\n"
+               "  [--seed N] [--verbose]\n");
 }
 
 bool ParseArgs(int argc, char** argv, Options* options) {
@@ -60,9 +59,6 @@ bool ParseArgs(int argc, char** argv, Options* options) {
     if (arg == "--workers") {
       ok = next(&value) &&
            tools::ParseFlagValue(value, &options->workers, 1);
-    } else if (arg == "--shards") {
-      // 0 keeps the default: one shard per distinct site.
-      ok = next(&value) && tools::ParseFlagValue(value, &options->shards, 0);
     } else if (arg == "--crash-rate") {
       ok = next(&value) &&
            tools::ParseFlagValue(value, &options->crash_rate, 0.0, 1.0);
@@ -127,43 +123,26 @@ int Run(const Options& options) {
 
   dist::DistConfig config;
   config.num_workers = options.workers;
-  config.num_shards = options.shards;
   config.checkpoint_dir = options.checkpoint_dir;
-  const int num_shards = config.num_shards > 0
-                             ? config.num_shards
-                             : static_cast<int>(sites.size());
-  // Hash sharding can leave shards without sites. Such a shard never runs,
-  // so a fault planned on it would never fire: the rates are fractions of
-  // the populated shards.
-  std::vector<int> populated;
-  for (const dist::ShardSite& site : sites) {
-    populated.push_back(dist::ShardOfSite(site.site, num_shards));
-  }
-  std::sort(populated.begin(), populated.end());
-  populated.erase(std::unique(populated.begin(), populated.end()),
-                  populated.end());
-  const auto plan = [&](double rate, uint64_t seed, ProcessFaultType type) {
-    ProcessFaultPlan faults = MakeProcessFaultPlan(
-        static_cast<int>(populated.size()), rate, seed, type);
-    for (ProcessFault& fault : faults.faults) {
-      fault.shard = populated[static_cast<size_t>(fault.shard)];
-    }
-    return faults.faults;
-  };
+  // One shard per site: the rates are fractions of the sites.
+  const int num_sites = static_cast<int>(sites.size());
   if (options.crash_rate > 0.0) {
-    config.faults.faults = plan(options.crash_rate, options.seed,
-                                ProcessFaultType::kWorkerCrash);
+    config.faults = MakeProcessFaultPlan(num_sites, options.crash_rate,
+                                         options.seed,
+                                         ProcessFaultType::kWorkerCrash);
   }
   if (options.hang_rate > 0.0) {
-    std::vector<ProcessFault> hangs = plan(
-        options.hang_rate, options.seed + 1, ProcessFaultType::kWorkerHang);
+    std::vector<ProcessFault> hangs =
+        MakeProcessFaultPlan(num_sites, options.hang_rate, options.seed + 1,
+                             ProcessFaultType::kWorkerHang)
+            .faults;
     config.faults.faults.insert(config.faults.faults.end(), hangs.begin(),
                                 hangs.end());
   }
   // The watchdog cannot tell "hung" from "computing": its timeout must
-  // exceed the slowest single site's pipeline time (heartbeats are
-  // per-site). The default 2 s clears the synthetic sites comfortably at
-  // these scales; each injected hang then costs one timeout to reclaim.
+  // exceed the slowest shard's, that is one site's, pipeline time. The
+  // default 2 s clears the synthetic sites comfortably at these scales;
+  // each injected hang then costs one timeout to reclaim.
 
   Result<dist::DistResult> distributed = dist::RunDistributedExtraction(
       sites, corpus.seed_kb, corpus.seed_kb.ontology(), config);
@@ -174,7 +153,6 @@ int Run(const Options& options) {
   }
 
   dist::DistConfig reference_config;
-  reference_config.num_shards = config.num_shards;
   reference_config.pipeline = config.pipeline;
   Result<dist::DistResult> reference = dist::RunSingleProcess(
       sites, corpus.seed_kb, corpus.seed_kb.ontology(), reference_config);
@@ -189,7 +167,7 @@ int Run(const Options& options) {
       "ceres_dist: %zu sites, %d shards, %d workers, forked workers%s\n"
       "  completed=%lld quarantined=%zu retries=%lld restarts=%lld "
       "checkpoint_bytes=%lld fused_triples=%zu\n",
-      sites.size(), num_shards, options.workers,
+      sites.size(), num_sites, options.workers,
       options.crash_rate > 0 || options.hang_rate > 0 ? ", faults injected"
                                                       : "",
       static_cast<long long>(diag.shards_completed),
@@ -212,8 +190,8 @@ int Run(const Options& options) {
     }
   }
   // Every planned crash fires on its shard's first attempt and must have
-  // been retried through. Every planned shard has sites; one resumed from
-  // its checkpoint ran no attempt, so its crash does not count.
+  // been retried through. A shard resumed from its checkpoint ran no
+  // attempt, so its crash does not count.
   int64_t crashes_run = 0;
   for (int shard : config.faults.ShardsWith(ProcessFaultType::kWorkerCrash)) {
     if (std::find(diag.shards_from_checkpoint.begin(),
