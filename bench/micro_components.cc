@@ -1,8 +1,9 @@
 // Micro benchmarks (google-benchmark) for the pipeline's component costs:
 // HTML parsing, entity matching, topic identification, relation
 // annotation, feature extraction (with its interning / hashing
-// sub-phases), training, and extraction. Not a paper table; used to watch
-// for performance regressions.
+// sub-phases), training (and the classifier fit on its own), and
+// extraction. Not a paper table; used to watch for performance
+// regressions.
 //
 // Usage: micro_components [--persist [path]] [google-benchmark flags]
 //   --persist: also write one JSON line per benchmark (ns per op) to
@@ -81,6 +82,10 @@ struct MicroFixture {
     annotations = AnnotateRelations(page_ptrs, mentions, topics, *kb, {});
     featurizer =
         std::make_unique<FeatureExtractor>(page_ptrs, FeatureConfig{});
+    training_set = std::move(
+        BuildTrainingSet(page_ptrs, annotations.annotations, *featurizer,
+                         kb->ontology(), TrainingConfig{})
+            .value());
     model = std::make_unique<TrainedModel>(std::move(
         TrainExtractor(page_ptrs, annotations.annotations, *featurizer,
                        kb->ontology(), TrainingConfig{}))
@@ -96,6 +101,7 @@ struct MicroFixture {
   TopicResult topics;
   AnnotationResult annotations;
   std::unique_ptr<FeatureExtractor> featurizer;
+  TrainingSet training_set;
   std::unique_ptr<TrainedModel> model;
 };
 
@@ -261,6 +267,20 @@ void BM_Training(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Training)->Unit(benchmark::kMillisecond);
+
+// The fit alone: BM_Training minus building the examples.
+void BM_Fit(benchmark::State& state) {
+  const TrainingSet& set = Fixture().training_set;
+  for (auto _ : state) {
+    LogisticRegression model;
+    Result<LbfgsResult> fit =
+        model.Train(set.examples, set.features.size(),
+                    set.classes.num_classes(), TrainingConfig{}.logreg);
+    benchmark::DoNotOptimize(fit);
+    benchmark::DoNotOptimize(model);
+  }
+}
+BENCHMARK(BM_Fit)->Unit(benchmark::kMillisecond);
 
 void BM_Extraction(benchmark::State& state) {
   MicroFixture& fixture = Fixture();

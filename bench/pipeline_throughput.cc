@@ -1,8 +1,9 @@
 // pipeline_throughput — batch-pipeline scaling sweep.
 //
-// Builds a multi-template synthetic corpus (several SWDE-style movie sites
-// concatenated into one page set, so template clustering yields several
-// independent clusters), then runs the full offline pipeline
+// Builds a multi-template synthetic corpus (four film sites whose
+// templates differ in the tag paths the clusterer compares, concatenated
+// into one page set, so template clustering yields four independent
+// clusters of comparable size), then runs the full offline pipeline
 // (cluster -> topic -> annotate -> train -> extract) at 1/2/4/8 threads and
 // reports pages/sec and speedup vs the serial run as BENCH JSON lines:
 //
@@ -10,7 +11,10 @@
 //
 // Invariants (exit 1 on violation):
 //   * the corpus clusters into at least two template clusters (otherwise
-//     the sweep would not exercise cluster-level parallelism);
+//     the sweep would not exercise cluster-level parallelism), and into at
+//     least as many as the speedup gate's thread count wherever that gate
+//     binds: clusters are the unit of batch parallelism, so fewer clusters
+//     than threads cap the speedup below the gate by construction;
 //   * every multi-threaded run's PipelineResult — cluster assignment,
 //     topics, annotations, annotated pages, extractions, diagnostics
 //     counters and typed skips — is identical to the serial run's;
@@ -21,7 +25,7 @@
 //     SKIPPED otherwise): --smoke requires >= 1.5x at 4 threads; the full
 //     sweep requires >= 3x at 8 threads. The gate times the serial run and
 //     the gated thread count as the median of kGateRepetitions runs each,
-//     alternated, not from the sweep's single runs: one ~0.1 s run is
+//     alternated, not from the sweep's single runs: one short run is
 //     decided by host noise.
 //
 // Usage: pipeline_throughput [--smoke] [--persist [path]]
@@ -41,6 +45,9 @@
 #include "bench/bench_common.h"
 #include "core/pipeline.h"
 #include "synth/corpora.h"
+#include "synth/kb_builder.h"
+#include "synth/site_generator.h"
+#include "synth/world.h"
 #include "util/alloc_counter.h"
 
 namespace {
@@ -60,12 +67,77 @@ constexpr double kMaxPipelineAllocsPerPage = 900.0;
 // Solver work per model fit on the serial run: L-BFGS iterations times the
 // classes the fit solved for. Deterministic, so it gates training work on
 // any host, noisy or 1-core. Fitting only the classes a cluster's labels
-// contain at scikit-learn's 100-iteration cap measures 800 (smoke) and 900
-// (full) per fit, 8-9 classes; the earlier 200-iteration cap measured 1,600
-// and 1,800, and fitting all 22 Movie classes at that cap measured 4,400.
-// The iteration count alone does not separate these on this corpus: every
-// fit stops at the cap.
+// contain at scikit-learn's 100-iteration cap measures 775 (smoke) and 875
+// (full) per fit, every fit stopping at the cap; fitting all 22 Movie
+// classes at the earlier 200-iteration cap measured 4,400 on the previous
+// corpus.
 constexpr double kMaxClassIterationsPerFit = 900.0;
+
+// Templates of the corpus's sites. Every site renders the same four film
+// sections, in its own layout and page chrome, so the index-free tag paths
+// the clusterer compares differ between sites: the first pages of any two
+// have Jaccard similarity <= 0.54, under the clusterer's 0.6 threshold.
+// Concatenated Movie sites of the SWDE corpus share most of their
+// skeleton and clustered into 2 clusters however many were taken.
+constexpr size_t kNumSites = 4;
+
+synth::TemplateSpec SiteTemplate(size_t site) {
+  const synth::SectionLayout layouts[kNumSites] = {
+      synth::SectionLayout::kRow, synth::SectionLayout::kTable,
+      synth::SectionLayout::kList, synth::SectionLayout::kTable};
+  const synth::SectionLayout layout = layouts[site];
+  synth::TemplateSpec tmpl;
+  tmpl.css_prefix = "tp" + std::to_string(site);
+  tmpl.topic_type = "film";
+  tmpl.page_noise_prob = 0.08;
+  tmpl.sections = {
+      {synth::pred::kFilmDirectedBy, "director", layout, 0.03, 4},
+      {synth::pred::kFilmHasGenre, "genre", layout, 0.03, 6},
+      {synth::pred::kFilmReleaseDate, "release_date", layout, 0.03, 1},
+      {synth::pred::kFilmHasCastMember, "cast", layout, 0.03, 12},
+  };
+  tmpl.nav = site == 2;
+  tmpl.footer = site == 2;
+  if (site == 3) {
+    tmpl.search_box_values = true;
+    tmpl.num_recommendations = 3;
+    tmpl.all_genres_nav = true;
+  }
+  return tmpl;
+}
+
+// The film world, its seed KB (Movie-vertical coverage, as in
+// synth::MakeSwdeCorpus) and kNumSites sites of `pages_per_site` distinct
+// films each.
+synth::Corpus MakeCorpus(double scale, int pages_per_site) {
+  synth::MovieWorldConfig world_config;
+  world_config.seed = 42;
+  world_config.scale = scale;
+  synth::World world = synth::BuildMovieWorld(world_config);
+  synth::SeedKbConfig kb_config;
+  kb_config.seed = 43;
+  kb_config.default_coverage = 0.85;
+  KnowledgeBase seed_kb = synth::BuildSeedKb(world, kb_config);
+  synth::Corpus corpus(std::move(world), std::move(seed_kb));
+  const TypeId film = *corpus.world.kb.ontology().TypeByName("film");
+  const std::vector<EntityId>& films = corpus.world.OfType(film);
+  const size_t count =
+      std::min(films.size(), static_cast<size_t>(pages_per_site));
+  for (size_t s = 0; s < kNumSites; ++s) {
+    synth::SiteSpec spec;
+    spec.name = "tp" + std::to_string(s) + ".example.com";
+    spec.seed = 52 + s;
+    spec.tmpl = SiteTemplate(s);
+    for (size_t i = 0; i < count; ++i) {
+      spec.topics.push_back(films[(s * films.size() / kNumSites + i) %
+                                  films.size()]);
+    }
+    corpus.sites.push_back(
+        synth::SyntheticSite{spec.name, "", synth::GenerateSite(corpus.world,
+                                                                spec)});
+  }
+  return corpus;
+}
 
 // Runs per thread count behind each speedup-gate timing.
 constexpr int kGateRepetitions = 5;
@@ -169,13 +241,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Several distinct-template sites concatenated into one page set: the
+  // Distinct-template sites concatenated into one page set: the
   // clustering stage recovers them as independent clusters, which is the
-  // unit of batch parallelism.
-  const double scale = smoke ? 0.25 : synth::EnvScale();
-  const size_t num_sites = smoke ? 3 : 4;
+  // unit of batch parallelism. The smoke corpus is sized so that a serial
+  // run lasts ~0.15 s on a 4-vCPU VM: much shorter runs are decided by
+  // host noise.
   synth::Corpus corpus =
-      synth::MakeSwdeCorpus(synth::SwdeVertical::kMovie, scale, /*seed=*/42);
+      smoke ? MakeCorpus(1.0, 240)
+            : MakeCorpus(synth::EnvScale(),
+                         static_cast<int>(480 * synth::EnvScale()));
   // Allocation accounting for the parse half of the parse->feature path:
   // ParseCorpus reads the counter around each ParseHtml call, so the
   // number excludes synthetic ground-truth resolution. Counters read zero
@@ -196,17 +270,23 @@ int main(int argc, char** argv) {
       parsed_pages > 0 ? static_cast<double>(parse_allocs) / parsed_pages : 0;
 
   std::vector<DomDocument> pages;
-  for (size_t s = 0; s < parsed.sites.size() && s < num_sites; ++s) {
+  for (size_t s = 0; s < parsed.sites.size(); ++s) {
     for (DomDocument& page : parsed.sites[s].pages) {
       pages.push_back(std::move(page));
     }
   }
   const size_t num_pages = pages.size();
   std::printf("pipeline_throughput: %zu pages from %zu sites (%s)\n",
-              num_pages, num_sites, smoke ? "smoke" : "full");
+              num_pages, parsed.sites.size(), smoke ? "smoke" : "full");
 
   const bench::Split split = bench::HalfSplit(num_pages);
   const unsigned hardware = std::thread::hardware_concurrency();
+
+  // Speedup gate: only binds when the host can actually run that many
+  // workers; a 1-core CI box still checks determinism below.
+  const int gate_threads = smoke ? 4 : 8;
+  const double gate_speedup = smoke ? 1.5 : 3.0;
+  const bool gate_binds = hardware >= static_cast<unsigned>(gate_threads);
 
   bench::BenchJson bench_json("pipeline_throughput");
   PipelineResult serial;
@@ -260,6 +340,11 @@ int main(int argc, char** argv) {
                   serial.models.size());
       Require(num_clusters >= 2,
               "corpus must cluster into >= 2 template clusters");
+      if (gate_binds) {
+        Require(num_clusters >= gate_threads,
+                "corpus must cluster into at least as many template "
+                "clusters as the speedup gate's threads");
+      }
       Require(!serial.extractions.empty(),
               "serial run produced no extractions");
     } else {
@@ -310,12 +395,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Speedup gate: only binds when the host can actually run that many
-  // workers; a 1-core CI box still checks determinism above. Serial and
-  // gated runs alternate, so a slow spell of the host hits both medians.
-  const int gate_threads = smoke ? 4 : 8;
-  const double gate_speedup = smoke ? 1.5 : 3.0;
-  if (hardware >= static_cast<unsigned>(gate_threads)) {
+  // Serial and gated runs alternate, so a slow spell of the host hits both
+  // medians.
+  if (gate_binds) {
     std::vector<double> serial_runs;
     std::vector<double> gated_runs;
     for (int r = 0; r < kGateRepetitions; ++r) {

@@ -55,7 +55,7 @@ bool IsLikelyListMember(
 
 }  // namespace
 
-Result<TrainedModel> TrainExtractor(
+Result<TrainingSet> BuildTrainingSet(
     const std::vector<const DomDocument*>& pages,
     const std::vector<Annotation>& annotations,
     const FeatureExtractor& featurizer, const Ontology& ontology,
@@ -88,9 +88,8 @@ Result<TrainedModel> TrainExtractor(
                config.min_annotated_pages));
   }
 
-  TrainedModel trained;
-  trained.classes = ClassMap(ontology);
-  std::vector<LabeledExample> examples;
+  TrainingSet set;
+  set.classes = ClassMap(ontology);
 
   for (PageIndex page : annotated_pages) {
     CERES_RETURN_IF_ERROR(config.deadline.Check("building training examples"));
@@ -113,10 +112,10 @@ Result<TrainedModel> TrainExtractor(
     for (const Annotation* annotation : page_annotations) {
       LabeledExample example;
       example.features =
-          featurizer.Extract(doc, annotation->node, &trained.features,
+          featurizer.Extract(doc, annotation->node, &set.features,
                              /*name_prefix=*/{}, &text_cache);
-      example.label = trained.classes.ClassOf(annotation->predicate);
-      examples.push_back(std::move(example));
+      example.label = set.classes.ClassOf(annotation->predicate);
+      set.examples.push_back(std::move(example));
     }
 
     // Negative candidates: unlabelled text fields, minus likely list
@@ -137,19 +136,33 @@ Result<TrainedModel> TrainExtractor(
     if (candidates.size() > wanted) candidates.resize(wanted);
     for (NodeId node : candidates) {
       LabeledExample example;
-      example.features = featurizer.Extract(doc, node, &trained.features,
+      example.features = featurizer.Extract(doc, node, &set.features,
                                             /*name_prefix=*/{}, &text_cache);
       example.label = ClassMap::kOtherClass;
-      examples.push_back(std::move(example));
+      set.examples.push_back(std::move(example));
     }
   }
 
+  return set;
+}
+
+Result<TrainedModel> TrainExtractor(
+    const std::vector<const DomDocument*>& pages,
+    const std::vector<Annotation>& annotations,
+    const FeatureExtractor& featurizer, const Ontology& ontology,
+    const TrainingConfig& config) {
+  CERES_ASSIGN_OR_RETURN(
+      TrainingSet set,
+      BuildTrainingSet(pages, annotations, featurizer, ontology, config));
   CERES_RETURN_IF_ERROR(config.deadline.Check("fitting extractor model"));
+  TrainedModel trained;
+  trained.features = std::move(set.features);
+  trained.classes = std::move(set.classes);
   trained.feature_config = featurizer.config();
   trained.frequent_strings = featurizer.frequent_strings();
   trained.features.Freeze();
   Result<LbfgsResult> fit =
-      trained.model.Train(examples, trained.features.size(),
+      trained.model.Train(set.examples, trained.features.size(),
                           trained.classes.num_classes(), config.logreg);
   if (!fit.ok()) return fit.status();
   trained.fit = *fit;

@@ -57,13 +57,29 @@ struct TrainedModel {
 /// Rebuilds the featurizer a persisted model was trained with.
 FeatureExtractor MakeFeaturizer(const TrainedModel& model);
 
-/// Builds labelled examples from `annotations` and fits the multinomial
-/// logistic-regression extractor.
+/// The labelled examples an extractor is fitted on, with the feature
+/// dictionary (not yet frozen) and class layout they were built with.
+struct TrainingSet {
+  std::vector<LabeledExample> examples;
+  HashedFeatureMap features;
+  ClassMap classes;
+};
+
+/// Builds labelled examples from `annotations` (§4.1).
 ///
 /// Positive examples are the annotated nodes (class = predicate, or NAME
 /// for topic nodes); negatives are r random unlabelled text fields per
 /// positive, excluding likely members of annotated value lists. Fails with
-/// kFailedPrecondition when there are no annotations.
+/// kFailedPrecondition when there are no annotations or too few annotated
+/// pages, and with kDeadlineExceeded when the budget runs out.
+Result<TrainingSet> BuildTrainingSet(
+    const std::vector<const DomDocument*>& pages,
+    const std::vector<Annotation>& annotations,
+    const FeatureExtractor& featurizer, const Ontology& ontology,
+    const TrainingConfig& config = {});
+
+/// Builds the training set (BuildTrainingSet) and fits the multinomial
+/// logistic-regression extractor on it (§4.2).
 Result<TrainedModel> TrainExtractor(
     const std::vector<const DomDocument*>& pages,
     const std::vector<Annotation>& annotations,

@@ -24,8 +24,12 @@ constexpr double kBacktrack = 0.5;
 /// Maximum backtracking steps per iteration.
 constexpr int kMaxLineSearch = 40;
 
-// Four independent partial sums: a single add chain over the ~1k
+// Every sum of products below keeps four partial sums: element j goes to
+// sum j % 4 (a tail of fewer than four to the first), and the sums are
+// added as (s0 + s1) + (s2 + s3). A single add chain over the ~1k
 // parameters of a fit waits on each add's latency; four chains overlap.
+// The fused passes accumulate in exactly this order, so fusing a vector
+// update with the dot product that reads it moves no bit of the result.
 double Dot(const double* a, const double* b, size_t n) {
   double s0 = 0;
   double s1 = 0;
@@ -42,16 +46,110 @@ double Dot(const double* a, const double* b, size_t n) {
   return (s0 + s1) + (s2 + s3);
 }
 
-double InfNorm(const std::vector<double>& v) {
-  double best = 0;
-  for (double x : v) best = std::max(best, std::fabs(x));
-  return best;
+// max is exact in any order, so four lanes give the one-lane result.
+double InfNorm(const double* v, size_t n) {
+  std::array<double, 4> lane{};
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    for (size_t l = 0; l < 4; ++l) {
+      lane[l] = std::max(lane[l], std::fabs(v[j + l]));
+    }
+  }
+  for (; j < n; ++j) lane[0] = std::max(lane[0], std::fabs(v[j]));
+  return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
+}
+
+/// One fused pass of the two-loop recursion: d[j] = update(j, d[j]) for
+/// every j, returning next'd summed as Dot sums. `update` reads only
+/// element j of its vectors, and d only through its argument.
+///
+/// Each group of four elements is computed before any of it is stored;
+/// computing, storing and multiplying one element after the other made
+/// GCC vectorize the loop badly (3x slower). The __restrict qualifiers let
+/// the compiler assume a store to d changes nothing else the pass reads;
+/// without them the fused pass runs slower than the separate loops. GCC
+/// drops them when the pass is inlined into its caller, so it stays a call
+/// of its own.
+template <typename Update>
+[[gnu::noinline]] double UpdateThenDot(double* __restrict d,
+                                       const double* __restrict next,
+                                       size_t n, Update update) {
+  double s0 = 0;
+  double s1 = 0;
+  double s2 = 0;
+  double s3 = 0;
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const double t0 = update(j, d[j]);
+    const double t1 = update(j + 1, d[j + 1]);
+    const double t2 = update(j + 2, d[j + 2]);
+    const double t3 = update(j + 3, d[j + 3]);
+    d[j] = t0;
+    d[j + 1] = t1;
+    d[j + 2] = t2;
+    d[j + 3] = t3;
+    s0 += next[j] * t0;
+    s1 += next[j + 1] * t1;
+    s2 += next[j + 2] * t2;
+    s3 += next[j + 3] * t3;
+  }
+  for (; j < n; ++j) {
+    const double t = update(j, d[j]);
+    d[j] = t;
+    s0 += next[j] * t;
+  }
+  return (s0 + s1) + (s2 + s3);
+}
+
+/// What the pass that writes a curvature pair also measures.
+struct PairStats {
+  double sy = 0;
+  double yy = 0;
+  /// ∞-norms of x_next and g_next, read by the next convergence test.
+  double x_norm = 0;
+  double g_norm = 0;
+};
+
+/// s = x_next - x and y = g_next - g in one pass with s'y, y'y (summed
+/// as Dot sums) and the ∞-norms of x_next and g_next.
+PairStats WritePair(double* __restrict s, double* __restrict y,
+                    const double* __restrict x,
+                    const double* __restrict x_next,
+                    const double* __restrict g,
+                    const double* __restrict g_next, size_t n) {
+  std::array<double, 4> sy{};
+  std::array<double, 4> yy{};
+  std::array<double, 4> x_norm{};
+  std::array<double, 4> g_norm{};
+  const auto step = [&](size_t j, size_t l) {
+    const double sj = x_next[j] - x[j];
+    const double yj = g_next[j] - g[j];
+    s[j] = sj;
+    y[j] = yj;
+    sy[l] += sj * yj;
+    yy[l] += yj * yj;
+    x_norm[l] = std::max(x_norm[l], std::fabs(x_next[j]));
+    g_norm[l] = std::max(g_norm[l], std::fabs(g_next[j]));
+  };
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    for (size_t l = 0; l < 4; ++l) step(j + l, l);
+  }
+  for (; j < n; ++j) step(j, 0);
+  const auto sum = [](const std::array<double, 4>& v) {
+    return (v[0] + v[1]) + (v[2] + v[3]);
+  };
+  const auto max = [](const std::array<double, 4>& v) {
+    return std::max(std::max(v[0], v[1]), std::max(v[2], v[3]));
+  };
+  return {sum(sy), sum(yy), max(x_norm), max(g_norm)};
 }
 
 /// The last kHistory curvature pairs s_i = x_{i+1} - x_i,
-/// y_i = g_{i+1} - g_i with rho_i = 1 / s_i'y_i, in two flat ring buffers.
-/// One slot more than kHistory is kept so that a candidate pair can be
-/// written before it is accepted without overwriting the oldest live pair.
+/// y_i = g_{i+1} - g_i with s_i'y_i and y_i'y_i, in two flat ring
+/// buffers. One slot more than kHistory is kept so that a candidate pair
+/// can be written before it is accepted without overwriting the oldest
+/// live pair.
 class CurvatureHistory {
  public:
   explicit CurvatureHistory(size_t dim)
@@ -63,15 +161,19 @@ class CurvatureHistory {
   /// Pair i, oldest first (0 <= i < size()).
   const double* s(int i) const { return s_.data() + Slot(i) * dim_; }
   const double* y(int i) const { return y_.data() + Slot(i) * dim_; }
-  double rho(int i) const { return rho_[Slot(i)]; }
+  double sy(int i) const { return sy_[Slot(i)]; }
+  double rho(int i) const { return 1.0 / sy(i); }
+  double yy(int i) const { return yy_[Slot(i)]; }
 
   /// The free slot a candidate pair is written into.
   double* candidate_s() { return s_.data() + Slot(size_) * dim_; }
   double* candidate_y() { return y_.data() + Slot(size_) * dim_; }
 
   /// Keeps the candidate pair, dropping the oldest one when full.
-  void Accept(double sy) {
-    rho_[Slot(size_)] = 1.0 / sy;
+  void Accept(double sy, double yy) {
+    const size_t slot = Slot(size_);
+    sy_[slot] = sy;
+    yy_[slot] = yy;
     if (size_ < kHistory) {
       ++size_;
     } else {
@@ -88,10 +190,59 @@ class CurvatureHistory {
   size_t dim_;
   std::vector<double> s_;
   std::vector<double> y_;
-  std::array<double, kSlots> rho_{};
+  std::array<double, kSlots> sy_{};
+  std::array<double, kSlots> yy_{};
   int start_ = 0;
   int size_ = 0;
 };
+
+/// Writes d = -H g by the two-loop recursion and returns g'd. The first
+/// loop runs newest pair first (alpha_i = rho_i s_i'd, d -= alpha_i y_i),
+/// then d *= gamma = s'y / y'y of the newest pair, then the second loop
+/// oldest first (beta_i = rho_i y_i'd, d += (alpha_i - beta_i) s_i), then
+/// d = -d. Each update shares its pass with the next dot product: the
+/// copy of g with alpha of the newest pair, the gamma scale with the last
+/// subtraction, the negation and g'd with the last addition.
+double TwoLoopDirection(const CurvatureHistory& history, const double* g,
+                        double* d, size_t dim) {
+  const int m = history.size();
+  if (m == 0) {
+    return UpdateThenDot(d, g, dim, [&](size_t j, double) { return -g[j]; });
+  }
+  std::array<double, kHistory> alpha{};
+  alpha[m - 1] = history.rho(m - 1) *
+                 UpdateThenDot(d, history.s(m - 1), dim,
+                               [&](size_t j, double) { return g[j]; });
+  for (int i = m - 1; i > 0; --i) {
+    const double* y = history.y(i);
+    const double a = alpha[i];
+    alpha[i - 1] = history.rho(i - 1) *
+                   UpdateThenDot(d, history.s(i - 1), dim,
+                                 [&](size_t j, double dj) {
+                                   return dj - a * y[j];
+                                 });
+  }
+  const double* y0 = history.y(0);
+  const double a0 = alpha[0];
+  const double yy = history.yy(m - 1);
+  const double gamma = yy > 0 ? history.sy(m - 1) / yy : 1.0;
+  double beta = history.rho(0) *
+                UpdateThenDot(d, y0, dim, [&](size_t j, double dj) {
+                  return (dj - a0 * y0[j]) * gamma;
+                });
+  for (int i = 0; i + 1 < m; ++i) {
+    const double* s = history.s(i);
+    const double c = alpha[i] - beta;
+    beta = history.rho(i + 1) *
+           UpdateThenDot(d, history.y(i + 1), dim,
+                         [&](size_t j, double dj) { return dj + c * s[j]; });
+  }
+  const double* s = history.s(m - 1);
+  const double c = alpha[m - 1] - beta;
+  return UpdateThenDot(d, g, dim, [&](size_t j, double dj) {
+    return -(dj + c * s[j]);
+  });
+}
 
 }  // namespace
 
@@ -104,41 +255,23 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
   result.evaluations = 1;
 
   CurvatureHistory history(dim);
-  std::array<double, kHistory> alpha{};
   std::vector<double> direction(dim);
   std::vector<double> x_next(dim);
   std::vector<double> grad_next(dim, 0.0);
+  // ∞-norms of x and grad; after the first iteration the pass that writes
+  // each curvature pair measures them.
+  double x_norm = InfNorm(x->data(), dim);
+  double grad_norm = InfNorm(grad.data(), dim);
 
   for (int iter = 0; iter < max_iterations; ++iter) {
     result.iterations = iter + 1;
-    if (InfNorm(grad) / std::max(1.0, InfNorm(*x)) < kGradientTolerance) {
+    if (grad_norm / std::max(1.0, x_norm) < kGradientTolerance) {
       result.converged = true;
       break;
     }
 
-    // Two-loop recursion computing d = -H * g.
-    std::copy(grad.begin(), grad.end(), direction.begin());
-    for (int i = history.size(); i-- > 0;) {
-      const double* y = history.y(i);
-      alpha[i] = history.rho(i) * Dot(history.s(i), direction.data(), dim);
-      for (size_t j = 0; j < dim; ++j) direction[j] -= alpha[i] * y[j];
-    }
-    if (history.size() > 0) {
-      // Initial Hessian scaling gamma = s'y / y'y.
-      const int newest = history.size() - 1;
-      double sy = Dot(history.s(newest), history.y(newest), dim);
-      double yy = Dot(history.y(newest), history.y(newest), dim);
-      double gamma = yy > 0 ? sy / yy : 1.0;
-      for (double& d : direction) d *= gamma;
-    }
-    for (int i = 0; i < history.size(); ++i) {
-      const double* s = history.s(i);
-      double beta = history.rho(i) * Dot(history.y(i), direction.data(), dim);
-      for (size_t j = 0; j < dim; ++j) direction[j] += (alpha[i] - beta) * s[j];
-    }
-    for (double& d : direction) d = -d;
-
-    double directional = Dot(grad.data(), direction.data(), dim);
+    double directional =
+        TwoLoopDirection(history, grad.data(), direction.data(), dim);
     if (directional >= 0) {
       // Not a descent direction (history gone stale); reset to steepest
       // descent.
@@ -152,7 +285,7 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
     }
 
     // Backtracking Armijo line search.
-    double step = iter == 0 ? std::min(1.0, 1.0 / InfNorm(grad)) : 1.0;
+    double step = iter == 0 ? std::min(1.0, 1.0 / grad_norm) : 1.0;
     double fx_next = fx;
     bool accepted = false;
     for (int ls = 0; ls < kMaxLineSearch; ++ls) {
@@ -170,14 +303,12 @@ LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
     if (!accepted) break;  // Line search failed; best point so far kept.
 
     // Update curvature history.
-    double* s = history.candidate_s();
-    double* y = history.candidate_y();
-    for (size_t j = 0; j < dim; ++j) {
-      s[j] = x_next[j] - (*x)[j];
-      y[j] = grad_next[j] - grad[j];
-    }
-    double sy = Dot(s, y, dim);
-    if (sy > 1e-12) history.Accept(sy);
+    const PairStats pair =
+        WritePair(history.candidate_s(), history.candidate_y(), x->data(),
+                  x_next.data(), grad.data(), grad_next.data(), dim);
+    if (pair.sy > 1e-12) history.Accept(pair.sy, pair.yy);
+    x_norm = pair.x_norm;
+    grad_norm = pair.g_norm;
 
     double improvement = fx - fx_next;
     x->swap(x_next);

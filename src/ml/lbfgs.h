@@ -29,6 +29,14 @@ using LbfgsObjective =
 /// LBFGS solver (§5.2). The iteration cap is the caller's
 /// (LogRegConfig::max_iterations for the classifier); the solver's other
 /// settings are fixed constants.
+///
+/// The vector work is fused into few passes: each update of the two-loop
+/// recursion computes the dot product that reads its result in the same
+/// pass, each curvature pair keeps its s'y and y'y, and one pass writes a
+/// pair together with s'y, y'y and the next iteration's ∞-norms. Every dot
+/// product keeps the four partial sums of the textbook loop, in the same
+/// order, so the result is bit-identical to one vector operation per
+/// loop (LbfgsTest.FusedPassesMatchTextbookTwoLoop).
 LbfgsResult MinimizeLbfgs(const LbfgsObjective& objective,
                           std::vector<double>* x, int max_iterations);
 

@@ -1,9 +1,11 @@
 #include "ml/logistic_regression.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -86,6 +88,128 @@ std::vector<WeightedRow> CollapseDuplicateRows(
   return rows;
 }
 
+/// The collapsed rows in compressed sparse row form, packed once per fit.
+/// Row r's entries are [row_end[r - 1], row_end[r]) of `column` and
+/// `value` (row_end[-1] = 0); entries at index >= num_features are dropped
+/// here, so the objective never tests them.
+struct PackedRows {
+  std::vector<int32_t> column;
+  std::vector<double> value;
+  std::vector<size_t> row_end;
+  /// The row's class among the fitted classes.
+  std::vector<size_t> label;
+  std::vector<double> weight;
+};
+
+PackedRows PackRows(const std::vector<WeightedRow>& rows,
+                    const std::vector<int32_t>& dense_of,
+                    int32_t num_features) {
+  PackedRows packed;
+  size_t entries = 0;
+  for (const WeightedRow& row : rows) {
+    entries += row.example->features.size();
+  }
+  packed.column.reserve(entries);
+  packed.value.reserve(entries);
+  packed.row_end.reserve(rows.size());
+  packed.label.reserve(rows.size());
+  packed.weight.reserve(rows.size());
+  for (const WeightedRow& row : rows) {
+    for (const auto& [index, value] : row.example->features.entries()) {
+      if (index >= num_features) continue;
+      packed.column.push_back(index);
+      packed.value.push_back(value);
+    }
+    packed.row_end.push_back(packed.column.size());
+    packed.label.push_back(static_cast<size_t>(
+        dense_of[static_cast<size_t>(row.example->label)]));
+    packed.weight.push_back(row.weight);
+  }
+  return packed;
+}
+
+/// The data term of the objective: the weighted softmax loss of every row,
+/// with its gradient added into grad_by_feature (feature-major, row f
+/// holds the K fitted classes' values of feature f) and bias_grad.
+/// kClasses is the fitted class count K, or 0 when it is known only at
+/// run time (num_classes). With K fixed at compile time every per-class
+/// loop unrolls and the logits and errors stay in registers. Each element
+/// receives its additions in the same order for every K, so all
+/// instantiations give the same bits.
+template <size_t kClasses>
+double RowsLoss(const PackedRows& rows, size_t num_classes,
+                const double* __restrict w_by_feature,
+                const double* __restrict bias,
+                double* __restrict grad_by_feature,
+                double* __restrict bias_grad, double* __restrict scratch) {
+  const size_t k_count = kClasses > 0 ? kClasses : num_classes;
+  std::array<double, kClasses> fixed_logits{};
+  std::array<double, kClasses> fixed_err{};
+  double* logits = scratch;
+  double* err = scratch + k_count;
+  if constexpr (kClasses > 0) {
+    logits = fixed_logits.data();
+    err = fixed_err.data();
+  }
+  const int32_t* column = rows.column.data();
+  const double* value = rows.value.data();
+  double loss = 0;
+  size_t begin = 0;
+  for (size_t r = 0; r < rows.row_end.size(); ++r) {
+    const size_t end = rows.row_end[r];
+    for (size_t k = 0; k < k_count; ++k) logits[k] = 0.0;
+    for (size_t e = begin; e < end; ++e) {
+      const double* wf =
+          w_by_feature + static_cast<size_t>(column[e]) * k_count;
+      const double v = value[e];
+      for (size_t k = 0; k < k_count; ++k) logits[k] += wf[k] * v;
+    }
+    for (size_t k = 0; k < k_count; ++k) logits[k] += bias[k];
+    // Softmax, numerically stabilized (max as std::max_element finds it).
+    double max_logit = logits[0];
+    for (size_t k = 1; k < k_count; ++k) {
+      if (max_logit < logits[k]) max_logit = logits[k];
+    }
+    double sum = 0;
+    for (size_t k = 0; k < k_count; ++k) {
+      logits[k] = std::exp(logits[k] - max_logit);
+      sum += logits[k];
+    }
+    for (size_t k = 0; k < k_count; ++k) logits[k] /= sum;
+    const size_t label = rows.label[r];
+    const double weight = rows.weight[r];
+    const double p_true = std::max(logits[label], 1e-300);
+    loss -= weight * std::log(p_true);
+    for (size_t k = 0; k < k_count; ++k) {
+      err[k] = (logits[k] - (k == label ? 1.0 : 0.0)) * weight;
+    }
+    for (size_t e = begin; e < end; ++e) {
+      double* gf = grad_by_feature + static_cast<size_t>(column[e]) * k_count;
+      const double v = value[e];
+      for (size_t k = 0; k < k_count; ++k) gf[k] += err[k] * v;
+    }
+    for (size_t k = 0; k < k_count; ++k) bias_grad[k] += err[k];
+    begin = end;
+  }
+  return loss;
+}
+
+/// Fitted class counts with their own RowsLoss instantiation (2 to 12
+/// covers every fit of the SWDE and IMDb corpora); larger counts run
+/// RowsLoss<0>.
+constexpr size_t kMaxSpecializedClasses = 12;
+
+using RowsLossFn = double (*)(const PackedRows&, size_t, const double*,
+                              const double*, double*, double*, double*);
+
+RowsLossFn RowsLossFor(size_t num_classes) {
+  static constexpr auto kTable = []<size_t... k>(std::index_sequence<k...>) {
+    return std::array<RowsLossFn, sizeof...(k)>{
+        &RowsLoss<(k < 2 ? 0 : k)>...};
+  }(std::make_index_sequence<kMaxSpecializedClasses + 1>{});
+  return num_classes < kTable.size() ? kTable[num_classes] : &RowsLoss<0>;
+}
+
 }  // namespace
 
 Result<LbfgsResult> LogisticRegression::Train(
@@ -116,6 +240,13 @@ Result<LbfgsResult> LogisticRegression::Train(
     if (!example.features.finalized()) {
       return Status::InvalidArgument("example features not finalized");
     }
+    // Finalized entries are sorted by index: the first is the smallest.
+    if (example.features.size() > 0 &&
+        example.features.entries().front().first < 0) {
+      return Status::InvalidArgument(
+          StrCat("negative feature index: ",
+                 example.features.entries().front().first));
+    }
   }
 
   // Like scikit-learn's classes_ = unique(y), only the classes the labels
@@ -143,7 +274,8 @@ Result<LbfgsResult> LogisticRegression::Train(
   std::vector<double> params(static_cast<size_t>(num_fitted) * stride, 0.0);
   const double lambda = 1.0 / config.l2_c;
 
-  const std::vector<WeightedRow> rows = CollapseDuplicateRows(examples);
+  const PackedRows rows =
+      PackRows(CollapseDuplicateRows(examples), dense_of, num_features_);
 
   // Scratch reused by every evaluation. The objective walks each row's
   // entries once for all K fitted classes, so it reads the weights and
@@ -152,9 +284,10 @@ Result<LbfgsResult> LogisticRegression::Train(
   // Every element still receives its additions in the same order as a
   // class-by-class walk, so the fit is the same to the last bit.
   const size_t k_fitted = static_cast<size_t>(num_fitted);
-  std::vector<double> logits(k_fitted);
-  std::vector<double> err(k_fitted);
+  const RowsLossFn rows_loss = RowsLossFor(k_fitted);
+  std::vector<double> bias(k_fitted);
   std::vector<double> bias_grad(k_fitted);
+  std::vector<double> scratch(2 * k_fitted);
   std::vector<double> w_by_feature(static_cast<size_t>(num_features_) *
                                    k_fitted);
   std::vector<double> grad_by_feature(w_by_feature.size());
@@ -166,38 +299,13 @@ Result<LbfgsResult> LogisticRegression::Train(
       for (int32_t f = 0; f < num_features_; ++f) {
         w_by_feature[static_cast<size_t>(f) * k_fitted + k] = wk[f];
       }
+      bias[k] = wk[num_features_];
     }
     std::fill(grad_by_feature.begin(), grad_by_feature.end(), 0.0);
     std::fill(bias_grad.begin(), bias_grad.end(), 0.0);
-    double loss = 0;
-    for (const WeightedRow& row : rows) {
-      const LabeledExample& example = *row.example;
-      const size_t label =
-          static_cast<size_t>(dense_of[static_cast<size_t>(example.label)]);
-      std::fill(logits.begin(), logits.end(), 0.0);
-      for (const auto& [index, value] : example.features.entries()) {
-        if (index >= num_features_) continue;
-        const double* wf =
-            w_by_feature.data() + static_cast<size_t>(index) * k_fitted;
-        for (size_t k = 0; k < k_fitted; ++k) logits[k] += wf[k] * value;
-      }
-      for (size_t k = 0; k < k_fitted; ++k) {
-        logits[k] += w[k * stride + static_cast<size_t>(num_features_)];
-      }
-      SoftmaxInPlace(&logits);
-      const double p_true = std::max(logits[label], 1e-300);
-      loss -= row.weight * std::log(p_true);
-      for (size_t k = 0; k < k_fitted; ++k) {
-        err[k] = (logits[k] - (k == label ? 1.0 : 0.0)) * row.weight;
-      }
-      for (const auto& [index, value] : example.features.entries()) {
-        if (index >= num_features_) continue;
-        double* gf =
-            grad_by_feature.data() + static_cast<size_t>(index) * k_fitted;
-        for (size_t k = 0; k < k_fitted; ++k) gf[k] += err[k] * value;
-      }
-      for (size_t k = 0; k < k_fitted; ++k) bias_grad[k] += err[k];
-    }
+    double loss = rows_loss(rows, k_fitted, w_by_feature.data(), bias.data(),
+                            grad_by_feature.data(), bias_grad.data(),
+                            scratch.data());
     // Back to class-major, adding the L2 penalty lambda/2 * ||W||^2 over
     // the weights, not the intercepts.
     for (size_t k = 0; k < k_fitted; ++k) {

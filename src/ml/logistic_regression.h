@@ -48,10 +48,18 @@ class LogisticRegression {
   /// -inf intercept, so its probability is exactly 0. A single observed
   /// class needs no solve (iterations == 0). Examples with the same label
   /// and features are fitted as one row carrying their summed weight, so
-  /// repeating an example is the same fit as raising its weight. Returns
-  /// solver statistics or kInvalidArgument for malformed inputs (no
-  /// examples, label out of range) and bad configs (`l2_c` not finite and
-  /// positive, `max_iterations` below 1).
+  /// repeating an example is the same fit as raising its weight. Feature
+  /// indices at or above num_features are ignored. Returns solver
+  /// statistics or kInvalidArgument for malformed inputs (no examples,
+  /// label out of range, a negative feature index) and bad configs (`l2_c`
+  /// not finite and positive, `max_iterations` below 1).
+  ///
+  /// The rows are packed once per fit into flat arrays (freed on return),
+  /// and the objective is compiled once per fitted class count from 2 to
+  /// 12, plus once for a count known only at run time, so its per-class
+  /// loops unroll. Every weight receives its additions in the same order
+  /// whichever version runs, so the fit is the same to the last bit
+  /// (LogisticRegressionTest.FitBytesUnchangedAcrossKernels).
   Result<LbfgsResult> Train(const std::vector<LabeledExample>& examples,
                             int32_t num_features, int32_t num_classes,
                             const LogRegConfig& config = {});

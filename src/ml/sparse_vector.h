@@ -50,11 +50,14 @@ class SparseVector {
     return entries_;
   }
 
-  /// Dot product against a dense weight slice w[0..dim).
+  /// Dot product against a dense weight slice w[0..dim); entries outside
+  /// it, negative indices included, are skipped.
   double Dot(const double* weights, int32_t dim) const {
     double sum = 0;
     for (const auto& [index, value] : entries_) {
-      if (index < dim) sum += weights[index] * value;
+      if (static_cast<uint32_t>(index) < static_cast<uint32_t>(dim)) {
+        sum += weights[index] * value;
+      }
     }
     return sum;
   }

@@ -339,5 +339,78 @@ TEST(LogisticRegressionTest, RecoversOnNoisyLinearlySeparableData) {
   EXPECT_GT(static_cast<double>(correct) / total, 0.9);
 }
 
+TEST(LogisticRegressionTest, RejectsNegativeFeatureIndex) {
+  // The objective indexes its weights by feature, so a negative index
+  // would read and write before the start of them.
+  const std::vector<LabeledExample> examples{Example({{-1, 1.0}, {0, 1.0}}, 0),
+                                             Example({{1, 1.0}}, 1)};
+  LogisticRegression model;
+  EXPECT_EQ(model.Train(examples, 2, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(model.trained());
+}
+
+// FNV-1a over the weight bytes and the solver statistics of one fit.
+uint64_t FitHash(const LogisticRegression& model, const LbfgsResult& fit) {
+  uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 1099511628211ull;
+    }
+  };
+  mix(model.weights().data(), model.weights().size() * sizeof(double));
+  const int32_t stats[] = {fit.converged ? 1 : 0, fit.iterations,
+                           fit.evaluations};
+  mix(stats, sizeof(stats));
+  mix(&fit.final_objective, sizeof(double));
+  return hash;
+}
+
+TEST(LogisticRegressionTest, FitBytesUnchangedAcrossKernels) {
+  // The objective is compiled once per fitted class count up to a limit and
+  // once for a count known only at run time. Every one of them must give
+  // the fit a plain per-row, per-class walk gives, to the last bit; these
+  // hashes were recorded from that walk (x86-64, glibc's libm). Counts 2 to
+  // 14 reach both kinds; 37 features leave a remainder after groups of four
+  // in every solver pass; entries at index >= num_features are ignored;
+  // repeated rows are collapsed; two classes of each fit are absent.
+  constexpr uint64_t kExpected[] = {
+      0x4abf5fde2f5e4171, 0x38b4dee613e90375, 0xa0fe80d1e938e488,
+      0xfcc8c977276a5de7, 0xcdcd8b725c188225, 0x06ab0ec3bc64eda8,
+      0x10317f65dd31ca6a, 0x7b900ac740a6c426, 0x210b602ced657494,
+      0xdb1b03641d197f5b, 0x671c4d80f195f0a7, 0x97fa44acea699275,
+      0x24b9fad7d7ac8a77};
+  constexpr int32_t kFeatures = 37;
+  for (int32_t fitted = 2; fitted <= 14; ++fitted) {
+    Rng rng(static_cast<uint64_t>(100 + fitted));
+    std::vector<LabeledExample> examples;
+    for (int32_t i = 0; i < 8 * fitted; ++i) {
+      const int32_t cls = i % fitted;
+      LabeledExample example;
+      // Class ids skip 1 and end before num_classes - 1: both are absent.
+      example.label = cls == 0 ? 0 : cls + 1;
+      example.features.Add((cls * 5) % kFeatures, 1.0);
+      const int extra = static_cast<int>(rng.Uniform(2, 7));
+      for (int j = 0; j < extra; ++j) {
+        example.features.Add(
+            static_cast<int32_t>(rng.Uniform(0, kFeatures + 4)),
+            rng.Gaussian(0.5, 1.0));
+      }
+      example.features.Finalize();
+      examples.push_back(example);
+      if (rng.Bernoulli(0.2)) examples.push_back(std::move(example));
+    }
+    LogisticRegression model;
+    Result<LbfgsResult> fit = model.Train(examples, kFeatures, fitted + 2);
+    ASSERT_TRUE(fit.ok());
+    EXPECT_GT(fit->iterations, 1);
+    EXPECT_EQ(FitHash(model, *fit), kExpected[fitted - 2])
+        << "fitted classes " << fitted << ": 0x" << std::hex
+        << FitHash(model, *fit);
+  }
+}
+
 }  // namespace
 }  // namespace ceres

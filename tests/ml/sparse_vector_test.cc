@@ -37,6 +37,7 @@ TEST(SparseVectorTest, DotProduct) {
 
 TEST(SparseVectorTest, DotIgnoresOutOfRangeIndices) {
   SparseVector v;
+  v.Add(-1, 1000.0);  // Before the slice.
   v.Add(1, 1.0);
   v.Add(7, 100.0);  // Beyond dim.
   v.Finalize();
