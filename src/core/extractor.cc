@@ -20,7 +20,7 @@ void ExtractFromPage(const DomDocument& doc, PageIndex page,
   if (fields.empty()) return;
 
   // Score all fields once.
-  NormalizedTextCache text_cache(doc);
+  NormalizedTextCache text_cache(doc, featurizer.frequent_strings());
   std::vector<std::vector<double>> probabilities(fields.size());
   for (size_t f = 0; f < fields.size(); ++f) {
     SparseVector features = featurizer.Extract(doc, fields[f],

@@ -6,6 +6,7 @@
 
 #include "dom/dom_utils.h"
 #include "text/normalize.h"
+#include "util/logging.h"
 #include "util/string_pool.h"
 
 namespace ceres {
@@ -154,14 +155,15 @@ void FeatureExtractor::AddText(const DomDocument& doc, NodeId node,
                                NormalizedTextCache* text_cache,
                                FeatureNameTrace* trace) const {
   const bool tracing = trace != nullptr;
-  // Scratch used only on the cache-less path; with a cache the normalized
-  // strings are computed once per document, not once per featurized field.
+  // Scratch used only on the cache-less path; with a cache each node is
+  // normalized and looked up in the lexicon once per document, not once
+  // per featurized field.
   std::string scratch;
   std::string name;
-  auto normalized = [&](NodeId id) -> const std::string& {
-    if (text_cache != nullptr) return text_cache->Normalized(id);
+  auto frequent = [&](NodeId id) -> const std::string* {
+    if (text_cache != nullptr) return text_cache->Frequent(id);
     NormalizeTextInto(doc.node(id).text, &scratch);
-    return scratch;
+    return frequent_strings_.count(scratch) > 0 ? &scratch : nullptr;
   };
   // Legacy names were "<prefix>T|<relation>|<norm>"; `compose_relation`
   // feeds the relation bytes ("self", "l2", "l1s-3", "l1s-3c").
@@ -176,17 +178,16 @@ void FeatureExtractor::AddText(const DomDocument& doc, NodeId node,
   auto consider = [&](NodeId nearby, auto compose_relation) {
     if (nearby == kInvalidNode || nearby == node) return;
     if (!doc.node(nearby).HasText()) return;
-    const std::string& norm = normalized(nearby);
-    if (frequent_strings_.count(norm) == 0) return;
-    emit_text(norm, compose_relation);
+    if (const std::string* norm = frequent(nearby)) {
+      emit_text(*norm, compose_relation);
+    }
   };
 
   // The node's own text, when it is itself a frequent site string, is a
   // strong OTHER signal (boilerplate labels).
   if (doc.node(node).HasText()) {
-    const std::string& norm = normalized(node);
-    if (frequent_strings_.count(norm) > 0) {
-      emit_text(norm, [](FeatureIdBuilder& b) { b.Add("self"); });
+    if (const std::string* norm = frequent(node)) {
+      emit_text(*norm, [](FeatureIdBuilder& b) { b.Add("self"); });
     }
   }
 
@@ -224,6 +225,8 @@ SparseVector FeatureExtractor::Extract(const DomDocument& doc, NodeId node,
                                        std::string_view name_prefix,
                                        NormalizedTextCache* text_cache,
                                        FeatureNameTrace* trace) const {
+  CERES_CHECK(text_cache == nullptr ||
+              text_cache->Serves(doc, frequent_strings_));
   SparseVector out;
   out.Reserve(64);
   if (config_.structural_features) {

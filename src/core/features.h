@@ -72,8 +72,9 @@ class FeatureExtractor {
   /// vector is finalized. `name_prefix` is folded into every feature id;
   /// the pair-based baseline uses it to keep subject-node and object-node
   /// features distinct. `text_cache`, when given, must be a cache over
-  /// `doc`; the nearby-node text features then reuse its normalizations
-  /// instead of re-normalizing the same label nodes for every field.
+  /// `doc` and this extractor's frequent_strings() (checked); the text
+  /// features then reuse its per-node lexicon tests instead of normalizing
+  /// and looking up the same label nodes for every field.
   /// `trace`, when given, records the legacy string name of every emitted
   /// feature id.
   SparseVector Extract(const DomDocument& doc, NodeId node,

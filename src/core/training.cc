@@ -98,7 +98,7 @@ Result<TrainingSet> BuildTrainingSet(
     // Featurization itself must stay serial (HashedFeatureMap interning order
     // defines the feature ids), but the normalized-label lookups it makes
     // are memoized per page.
-    NormalizedTextCache text_cache(doc);
+    NormalizedTextCache text_cache(doc, featurizer.frequent_strings());
 
     std::set<NodeId> positive_nodes;
     std::map<PredicateId, std::vector<XPath>> positives_by_predicate;

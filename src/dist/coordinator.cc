@@ -29,6 +29,8 @@ constexpr int kMaxAttemptsPerShard = 3;
 /// base * 2^(n-1) after the failure, capped at kRetryBackoffMax.
 constexpr std::chrono::milliseconds kRetryBackoffBase{10};
 constexpr std::chrono::milliseconds kRetryBackoffMax{500};
+/// How long stopped workers get to exit before they are killed.
+constexpr std::chrono::milliseconds kShutdownGrace{500};
 
 /// Ignores SIGPIPE for the scope of a run (a dead worker's pipe must
 /// surface as an EPIPE Status, not kill the coordinator) and restores the
@@ -243,27 +245,32 @@ class Coordinator {
     return Status::Ok();
   }
 
-  /// Kills (if needed) and reaps one worker, failing its assigned shard.
-  /// Only unexpected deaths come through here (EOF, corrupt stream,
-  /// watchdog, dispatch failure — never clean shutdown), so this is the
-  /// exact place to count lost-and-replaced workers: a surviving idle
-  /// worker may absorb the retry without a respawn, which would undercount
-  /// if restarts were tallied at Spawn time.
+  /// Kills and reaps one worker, failing its assigned shard. Only
+  /// unexpected deaths come through here (EOF, corrupt stream, watchdog,
+  /// dispatch failure — never shutdown), so this is the exact place to
+  /// count lost-and-replaced workers: a surviving idle worker may absorb
+  /// the retry without a respawn, which would undercount if restarts were
+  /// tallied at Spawn time.
   void RetireWorker(WorkerProc* worker, const Status& reason) {
     if (!worker->alive) return;
     ++diagnostics_.worker_restarts;
     (void)::kill(worker->pid, SIGKILL);
+    const int32_t shard = worker->shard;
+    Reap(worker);
+    if (shard >= 0) FailShard(shard, reason);
+  }
+
+  /// Waits for a worker that is exiting (killed, or its outbound pipe at
+  /// EOF) and releases its pipes.
+  static void Reap(WorkerProc* worker) {
     int wait_status = 0;
     (void)::waitpid(worker->pid, &wait_status, 0);
-    (void)::close(worker->to_fd);
+    if (worker->to_fd >= 0) (void)::close(worker->to_fd);
     (void)::close(worker->from_fd);
     worker->to_fd = -1;
     worker->from_fd = -1;
     worker->alive = false;
-    if (worker->shard >= 0) {
-      FailShard(worker->shard, reason);
-      worker->shard = -1;
-    }
+    worker->shard = -1;
   }
 
   int LiveWorkers() const {
@@ -400,7 +407,10 @@ class Coordinator {
     return Status::Ok();
   }
 
-  void PollWorkers() {
+  /// Waits up to `timeout_ms` on the live workers' outbound pipes and
+  /// hands each one that has news to `on_ready`. False when none is live.
+  template <typename OnReady>
+  bool PollLive(int timeout_ms, OnReady on_ready) {
     std::vector<pollfd> fds;
     std::vector<WorkerProc*> polled;
     for (WorkerProc& worker : workers_) {
@@ -408,20 +418,24 @@ class Coordinator {
       fds.push_back(pollfd{worker.from_fd, POLLIN, 0});
       polled.push_back(&worker);
     }
-    if (fds.empty()) return;
-    // Short slices keep the watchdog, backoff gates, and run deadline
-    // responsive without any sleeping in the loop.
-    const int timeout_ms = 20;
-    const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (ready <= 0) return;
-    for (size_t i = 0; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
-      DrainWorker(polled[i]);
+    if (fds.empty()) return false;
+    if (::poll(fds.data(), fds.size(), timeout_ms) > 0) {
+      for (size_t i = 0; i < fds.size(); ++i) {
+        if (fds[i].revents != 0) on_ready(polled[i]);
+      }
     }
+    return true;
   }
 
-  void DrainWorker(WorkerProc* worker) {
-    bool saw_eof = false;
+  void PollWorkers() {
+    // Short slices keep the watchdog, backoff gates, and run deadline
+    // responsive without any sleeping in the loop.
+    (void)PollLive(20, [this](WorkerProc* worker) { DrainWorker(worker); });
+  }
+
+  /// Appends what a worker's non-blocking outbound pipe holds to its
+  /// inbound buffer; true once the pipe is at EOF (or unreadable).
+  static bool ReadInbound(WorkerProc* worker) {
     char buffer[65536];
     for (;;) {
       const ssize_t r = ::read(worker->from_fd, buffer, sizeof(buffer));
@@ -429,15 +443,14 @@ class Coordinator {
         worker->inbound.Append(buffer, static_cast<size_t>(r));
         continue;
       }
-      if (r == 0) {
-        saw_eof = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      saw_eof = true;  // read error: treat like a dead pipe
-      break;
+      if (r < 0 && errno == EINTR) continue;
+      // A read error is treated like a dead pipe.
+      return r == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
     }
+  }
+
+  void DrainWorker(WorkerProc* worker) {
+    const bool saw_eof = ReadInbound(worker);
     // Deliver complete frames before acting on EOF — a worker may write
     // its result and exit in the same scheduling quantum.
     for (;;) {
@@ -494,7 +507,6 @@ class Coordinator {
         return;
       }
       case FrameType::kAssignShard:
-      case FrameType::kShutdown:
         RetireWorker(worker, Status::Internal(
                                  StrCat("unexpected ",
                                         FrameTypeName(frame.type),
@@ -519,45 +531,33 @@ class Coordinator {
     }
   }
 
+  /// Stops the pool. Closing a worker's inbound pipe is the stop signal:
+  /// RunWorkerLoop returns on that clean EOF. A worker's outbound pipe
+  /// reports EOF once its process is exiting, and the worker is reaped right
+  /// then. Late bytes are read (a worker blocked writing a result must get
+  /// to its EOF) but never decoded. Whatever is alive when the grace ends —
+  /// a worker hung on a shard at the run deadline — is killed and reaped.
   void Shutdown() {
     for (WorkerProc& worker : workers_) {
       if (!worker.alive) continue;
-      (void)WriteFrame(worker.to_fd, FrameType::kShutdown, "");
       (void)::close(worker.to_fd);
       worker.to_fd = -1;
     }
-    // Grace period for clean exits; poll doubles as the wait.
-    const obs::TimePoint grace_end =
-        obs::MonotonicNow() + std::chrono::milliseconds(500);
-    while (obs::MonotonicNow() < grace_end) {
-      bool any_alive = false;
-      for (WorkerProc& worker : workers_) {
-        if (!worker.alive) continue;
-        int wait_status = 0;
-        const pid_t reaped =
-            ::waitpid(worker.pid, &wait_status, WNOHANG);
-        if (reaped == worker.pid) {
-          (void)::close(worker.from_fd);
-          worker.from_fd = -1;
-          worker.alive = false;
-          worker.shard = -1;
-        } else {
-          any_alive = true;
-        }
-      }
-      if (!any_alive) break;
-      pollfd idle{-1, 0, 0};
-      (void)::poll(&idle, 1, 10);  // bounded nap without sleep_for
+    const obs::TimePoint grace_end = obs::MonotonicNow() + kShutdownGrace;
+    for (;;) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          grace_end - obs::MonotonicNow());
+      if (left.count() <= 0) break;
+      const bool any_live =
+          PollLive(static_cast<int>(left.count()), [](WorkerProc* worker) {
+            if (ReadInbound(worker)) Reap(worker);
+          });
+      if (!any_live) break;
     }
     for (WorkerProc& worker : workers_) {
       if (!worker.alive) continue;
       (void)::kill(worker.pid, SIGKILL);
-      int wait_status = 0;
-      (void)::waitpid(worker.pid, &wait_status, 0);
-      (void)::close(worker.from_fd);
-      worker.from_fd = -1;
-      worker.alive = false;
-      worker.shard = -1;
+      Reap(&worker);
     }
   }
 

@@ -78,7 +78,6 @@ Status ParseFrameType(char byte, FrameType* type) {
   switch (static_cast<FrameType>(value)) {
     case FrameType::kAssignShard:
     case FrameType::kResult:
-    case FrameType::kShutdown:
     case FrameType::kWorkerError:
       *type = static_cast<FrameType>(value);
       return Status::Ok();
@@ -95,8 +94,6 @@ const char* FrameTypeName(FrameType type) {
       return "assign-shard";
     case FrameType::kResult:
       return "result";
-    case FrameType::kShutdown:
-      return "shutdown";
     case FrameType::kWorkerError:
       return "worker-error";
   }

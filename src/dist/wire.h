@@ -32,12 +32,11 @@ namespace ceres::dist {
 enum class FrameType : uint8_t {
   /// Coordinator -> worker: a ShardTask payload.
   kAssignShard = 1,
-  // 2 (heartbeat) and 3 (progress) are retired; decoders reject them like
-  // any byte outside this enum.
+  // 2 (heartbeat), 3 (progress) and 5 (shutdown: a worker stops on EOF
+  // of its inbound pipe) are retired; decoders reject them like any byte
+  // outside this enum.
   /// Worker -> coordinator: the finished ShardResult.
   kResult = 4,
-  /// Coordinator -> worker: exit cleanly.
-  kShutdown = 5,
   /// Worker -> coordinator: shard-scoped failure message (string payload);
   /// the coordinator retries the shard per its budget.
   kWorkerError = 6,

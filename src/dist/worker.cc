@@ -110,11 +110,11 @@ Status RunWorkerLoop(int in_fd, int out_fd, const KnowledgeBase& kb) {
   for (;;) {
     Result<Frame> frame = ReadFrame(in_fd);
     if (!frame.ok()) {
-      // Clean EOF = the coordinator is gone; that is a normal way to stop.
+      // Clean EOF is the stop signal: the coordinator closed the pipe at
+      // shutdown, or it is gone.
       if (frame.status().code() == StatusCode::kNotFound) return Status::Ok();
       return PrependContext(frame.status(), "worker inbound");
     }
-    if (frame->type == FrameType::kShutdown) return Status::Ok();
     if (frame->type != FrameType::kAssignShard) {
       return Status::Internal(StrCat("worker got unexpected ",
                                      FrameTypeName(frame->type), " frame"));

@@ -351,8 +351,13 @@ std::vector<double> LogisticRegression::PredictProbabilities(
   std::vector<double> logits(static_cast<size_t>(num_classes_));
   for (int32_t k = 0; k < num_classes_; ++k) {
     const double* wk = weights_.data() + static_cast<size_t>(k) * stride;
+    const double bias = wk[num_features_];
+    // An unfitted class's logit is -inf whatever its finite dot product,
+    // so it skips the dot; exp still gives it exactly 0.
     logits[static_cast<size_t>(k)] =
-        features.Dot(wk, num_features_) + wk[num_features_];
+        bias == -std::numeric_limits<double>::infinity()
+            ? bias
+            : features.Dot(wk, num_features_) + bias;
   }
   SoftmaxInPlace(&logits);
   return logits;

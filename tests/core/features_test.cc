@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "synth/corpora.h"
 #include "testing/fixtures.h"
 
 namespace ceres {
@@ -168,6 +172,59 @@ TEST_F(FeaturesTest, SameTemplatePositionSameFeaturesAcrossPages) {
   SparseVector v0 = extractor.Extract(docs_[0], d0, &map, {}, nullptr, &trace);
   SparseVector v1 = extractor.Extract(docs_[1], d1, &map, {}, nullptr, &trace);
   EXPECT_EQ(FeatureNames(v0, map, trace), FeatureNames(v1, map, trace));
+}
+
+TEST(FeatureExtractorTest, CachedFeaturesEqualCacheless) {
+  // Every text field of seeded SWDE pages, featurized through a per-page
+  // cache and without one: same ids interned in the same order, same
+  // entries, same value bits.
+  int64_t text_features = 0;
+  for (const synth::SwdeVertical vertical :
+       {synth::SwdeVertical::kMovie, synth::SwdeVertical::kBook,
+        synth::SwdeVertical::kNbaPlayer, synth::SwdeVertical::kUniversity}) {
+    const synth::Corpus corpus =
+        synth::MakeSwdeCorpus(vertical, /*scale=*/0.12, /*seed=*/7);
+    for (size_t s = 0; s < 2; ++s) {
+      std::vector<DomDocument> docs;
+      for (const synth::GeneratedPage& page : corpus.sites[s].pages) {
+        docs.push_back(ParseOrDie(page.html));
+      }
+      std::vector<const DomDocument*> ptrs;
+      for (const DomDocument& doc : docs) ptrs.push_back(&doc);
+      const FeatureExtractor featurizer(ptrs, FeatureConfig{});
+      ASSERT_FALSE(featurizer.frequent_strings().empty());
+      HashedFeatureMap cached_map;
+      HashedFeatureMap cacheless_map;
+      FeatureNameTrace trace;
+      for (const DomDocument& doc : docs) {
+        NormalizedTextCache cache(doc, featurizer.frequent_strings());
+        for (NodeId node : doc.TextFields()) {
+          const SparseVector cached =
+              featurizer.Extract(doc, node, &cached_map, {}, &cache);
+          const SparseVector cacheless =
+              featurizer.Extract(doc, node, &cacheless_map, {}, nullptr, &trace);
+          const auto& a = cached.entries();
+          const auto& b = cacheless.entries();
+          ASSERT_EQ(a.size(), b.size()) << corpus.sites[s].name;
+          for (size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(a[i].first, b[i].first);
+            ASSERT_EQ(std::bit_cast<uint64_t>(a[i].second),
+                      std::bit_cast<uint64_t>(b[i].second));
+            if (trace.NameOf(cacheless_map.IdAt(b[i].first)).starts_with(
+                    "T|")) {
+              ++text_features;
+            }
+          }
+        }
+      }
+      ASSERT_EQ(cached_map.size(), cacheless_map.size());
+      for (int32_t f = 0; f < cached_map.size(); ++f) {
+        ASSERT_EQ(cached_map.IdAt(f), cacheless_map.IdAt(f));
+      }
+    }
+  }
+  // The lexicon side of the featurizer must actually have fired.
+  EXPECT_GT(text_features, 1000);
 }
 
 }  // namespace

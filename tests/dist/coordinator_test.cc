@@ -7,6 +7,11 @@
 
 #include "dist/coordinator.h"
 
+#include <errno.h>
+#include <sys/wait.h>
+
+#include <algorithm>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -101,6 +106,15 @@ class CoordinatorTest : public ::testing::Test {
 DistTestCorpus* CoordinatorTest::corpus_ = nullptr;
 DistResult* CoordinatorTest::reference_ = nullptr;
 
+// Every worker is reaped before the run returns: the process has no child
+// left to wait for.
+void ExpectNoChildLeft() {
+  int wait_status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &wait_status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
 TEST_F(CoordinatorTest, CleanRunMatchesSingleProcessByteForByte) {
   Result<DistResult> got = RunDist(BaseConfig());
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -121,6 +135,30 @@ TEST_F(CoordinatorTest, CleanRunMatchesSingleProcessByteForByte) {
     EXPECT_EQ(got->fused.triples[i].score,
               reference_->fused.triples[i].score);
   }
+  ExpectNoChildLeft();
+}
+
+TEST_F(CoordinatorTest, WorkerHungAtRunDeadlineIsKilledAndReaped) {
+  DistConfig config = BaseConfig();
+  // The liveness timeout (60 s) is far past the deadline, so only the
+  // shutdown grace can end the hung worker.
+  const int32_t victim = 0;
+  config.faults.faults.push_back(
+      ProcessFault{victim, ProcessFaultType::kWorkerHang, 1});
+  const auto start = std::chrono::steady_clock::now();
+  config.deadline = Deadline::After(std::chrono::milliseconds(300));
+
+  Result<DistResult> got = RunDist(config);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->diagnostics.deadline_expired);
+  EXPECT_TRUE(got->diagnostics.failures.empty());
+  const std::vector<int32_t>& unfinished = got->diagnostics.unfinished_shards;
+  EXPECT_NE(std::find(unfinished.begin(), unfinished.end(), victim),
+            unfinished.end());
+  ExpectNoChildLeft();
+  // Deadline + the 500 ms grace + 2 s of slack for a loaded box.
+  EXPECT_LT(elapsed, std::chrono::milliseconds(300 + 500 + 2000));
 }
 
 TEST_F(CoordinatorTest, CrashesOnHalfTheShardsRetryToByteIdentical) {

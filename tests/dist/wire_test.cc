@@ -45,10 +45,10 @@ TEST(FrameTest, RoundTripThroughPipe) {
 TEST(FrameTest, EmptyPayloadRoundTrips) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  ASSERT_TRUE(WriteFrame(fds[1], FrameType::kShutdown, "").ok());
+  ASSERT_TRUE(WriteFrame(fds[1], FrameType::kWorkerError, "").ok());
   Result<Frame> frame = ReadFrame(fds[0]);
   ASSERT_TRUE(frame.ok());
-  EXPECT_EQ(frame->type, FrameType::kShutdown);
+  EXPECT_EQ(frame->type, FrameType::kWorkerError);
   EXPECT_TRUE(frame->payload.empty());
   ::close(fds[0]);
   ::close(fds[1]);
@@ -95,10 +95,11 @@ TEST(FrameTest, BadMagicIsInternal) {
 
 TEST(FrameTest, UnknownFrameTypeIsInternal) {
   // The checksum covers only the payload, so a bad type byte passes it;
-  // both decoders must reject the byte itself. 2 and 3 are the retired
-  // heartbeat and progress frames.
-  for (const uint8_t type : {uint8_t{0x7F}, uint8_t{2}, uint8_t{3}}) {
-    std::string encoded = EncodeFrame(FrameType::kShutdown, "");
+  // both decoders must reject the byte itself. 2, 3 and 5 are the retired
+  // heartbeat, progress and shutdown frames.
+  for (const uint8_t type :
+       {uint8_t{0x7F}, uint8_t{2}, uint8_t{3}, uint8_t{5}}) {
+    std::string encoded = EncodeFrame(FrameType::kWorkerError, "");
     encoded[1] = static_cast<char>(type);
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -120,6 +121,87 @@ TEST(LogisticRegressionTest, FitsOnlyObservedClassesBitIdentically) {
   for (int32_t absent : {1, 2, 4}) EXPECT_EQ(probs[absent], 0.0);
   EXPECT_EQ(probs[0], reference[0]);
   EXPECT_EQ(probs[3], reference[1]);
+}
+
+// Class probabilities with a dot product for every class, unfitted ones
+// included: the softmax PredictProbabilities computed before it learned to
+// skip classes whose intercept is -inf.
+std::vector<double> EveryClassProbabilities(const LogisticRegression& model,
+                                            const SparseVector& features) {
+  const int32_t stride = model.num_features() + 1;
+  std::vector<double> logits;
+  for (int32_t k = 0; k < model.num_classes(); ++k) {
+    const double* wk = model.weights().data() + static_cast<size_t>(k) * stride;
+    logits.push_back(features.Dot(wk, model.num_features()) +
+                     wk[model.num_features()]);
+  }
+  const double max_logit = *std::max_element(logits.begin(), logits.end());
+  double sum = 0;
+  for (double& v : logits) {
+    v = std::exp(v - max_logit);
+    sum += v;
+  }
+  for (double& v : logits) v /= sum;
+  return logits;
+}
+
+TEST(LogisticRegressionTest, SkippedClassesGiveBitEqualProbabilities) {
+  constexpr int32_t kFeatures = 23;
+  std::vector<LogisticRegression> models;
+  for (int32_t fitted = 2; fitted <= 8; ++fitted) {
+    Rng rng(static_cast<uint64_t>(500 + fitted));
+    std::vector<LabeledExample> examples;
+    for (int32_t i = 0; i < 6 * fitted; ++i) {
+      const int32_t cls = i % fitted;
+      LabeledExample example;
+      // Every other class id is absent, so unfitted classes interleave.
+      example.label = 2 * cls;
+      example.features.Add((cls * 3) % kFeatures, 1.0);
+      for (int j = 0; j < 4; ++j) {
+        example.features.Add(static_cast<int32_t>(rng.Uniform(0, kFeatures)),
+                             rng.Gaussian(0.5, 1.0));
+      }
+      example.features.Finalize();
+      examples.push_back(std::move(example));
+    }
+    LogisticRegression model;
+    ASSERT_TRUE(model.Train(examples, kFeatures, 2 * fitted).ok());
+    models.push_back(std::move(model));
+  }
+  // A loaded model may hold finite, non-zero weights under a -inf bias.
+  std::vector<double> weights(3 * (kFeatures + 1), 0.25);
+  weights[kFeatures] = 0.5;
+  weights[2 * (kFeatures + 1) - 1] = -std::numeric_limits<double>::infinity();
+  Result<LogisticRegression> loaded =
+      LogisticRegression::FromWeights(kFeatures, 3, std::move(weights));
+  ASSERT_TRUE(loaded.ok());
+  models.push_back(std::move(loaded.value()));
+
+  Rng rng(7);
+  int unfitted = 0;
+  for (const LogisticRegression& model : models) {
+    for (int32_t k = 0; k < model.num_classes(); ++k) {
+      if (std::isinf(model.BiasAt(k))) ++unfitted;
+    }
+    for (int probe = 0; probe < 50; ++probe) {
+      SparseVector features;
+      const int entries = static_cast<int>(rng.Uniform(0, 9));
+      for (int j = 0; j < entries; ++j) {
+        // Indices past num_features are ignored by both.
+        features.Add(static_cast<int32_t>(rng.Uniform(0, kFeatures + 3)),
+                     rng.Gaussian(0.0, 2.0));
+      }
+      features.Finalize();
+      const std::vector<double> got = model.PredictProbabilities(features);
+      const std::vector<double> want = EveryClassProbabilities(model, features);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
+                0)
+          << model.num_classes() << " classes, probe " << probe;
+    }
+  }
+  EXPECT_GE(unfitted, 30);
 }
 
 TEST(LogisticRegressionTest, SingleObservedClassNeedsNoSolve) {
