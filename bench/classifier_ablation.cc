@@ -187,10 +187,9 @@ int main() {
   {
     RandomForest forest;
     auto start = Clock::now();
-    CERES_CHECK(forest
-                    .Train(examples, feature_map.size(),
-                           classes.num_classes(), RandomForestConfig{})
-                    .ok());
+    CERES_CHECK(
+        forest.Train(examples, feature_map.size(), classes.num_classes())
+            .ok());
     double ms = std::chrono::duration<double, std::milli>(Clock::now() -
                                                           start)
                     .count();

@@ -2,8 +2,14 @@
 // varying confidence thresholds. The paper's shape: precision rises
 // monotonically with the threshold while extraction volume falls; the 0.75
 // threshold yields ~90% precision (1.25M extractions at paper scale).
+//
+// Every run checks that shape and exits 1 on a violation: the extraction
+// count falls strictly from each threshold to the next, and precision
+// never falls. ctest runs it as paper_shape.fig6_confidence_sweep. The
+// verdict goes to stderr, so stdout is the table alone.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/longtail_common.h"
 
@@ -21,9 +27,10 @@ int main() {
 
   eval::TableReport table(
       {"Threshold", "#Extractions", "Precision", "Series"});
+  std::vector<ThresholdPoint> sweep;
   for (double threshold :
        {0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95}) {
-    ThresholdPoint total;
+    ThresholdPoint& total = sweep.emplace_back();
     total.threshold = threshold;
     for (const LongTailSiteRun& run : runs) {
       ThresholdPoint point = CountAtThreshold(run, threshold);
@@ -41,5 +48,26 @@ int main() {
       "\nPaper (Figure 6): precision increases monotonically with the "
       "threshold; 0.5 -> 1.69M extractions at 0.83 precision, 0.75 -> "
       "1.25M at 0.90.\n");
+
+  int violations = 0;
+  for (size_t i = 1; i < sweep.size(); ++i) {
+    const ThresholdPoint& low = sweep[i - 1];
+    const ThresholdPoint& high = sweep[i];
+    if (high.extractions >= low.extractions ||
+        high.precision() < low.precision()) {
+      std::fprintf(stderr,
+                   "SHAPE VIOLATION: threshold %.2f -> %.2f: extractions "
+                   "%lld -> %lld, precision %.4f -> %.4f\n",
+                   low.threshold, high.threshold,
+                   static_cast<long long>(low.extractions),
+                   static_cast<long long>(high.extractions), low.precision(),
+                   high.precision());
+      ++violations;
+    }
+  }
+  if (violations > 0) return 1;
+  std::fprintf(stderr,
+               "Shape holds: extractions fall strictly and precision never "
+               "falls as the threshold rises.\n");
   return 0;
 }

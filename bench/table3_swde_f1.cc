@@ -10,8 +10,17 @@
 // exactly as footnote a of the paper's Table 3).
 //
 // Paper reference rows are printed below the measured table.
+//
+// Every run checks the paper's shape and exits 1 on a violation: CERES-Full
+// and CERES-Topic score at least CERES-Baseline wherever the baseline
+// completes, and Book is CERES-Full's lowest vertical. At the default scale
+// (1.0) every cell must also equal, to two decimals, the value committed in
+// EXPERIMENTS.md. ctest runs it as paper_shape.table3_swde_f1. The verdict
+// goes to stderr, so stdout is the table alone.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "baselines/ceres_baseline.h"
 #include "bench/bench_common.h"
@@ -98,18 +107,35 @@ VerticalScore ScorePairBaseline(const ParsedCorpus& corpus,
   return score;
 }
 
+// EXPERIMENTS.md's Table 3 at scale 1.0, as printed.
+const std::vector<std::vector<std::string>> kCommittedRows = {
+    {"Vertex++", "yes", "0.98", "0.98", "0.98", "0.97"},
+    {"CERES-Baseline", "no", "NA", "0.85", "0.77", "0.51"},
+    {"CERES-Topic", "no", "0.97", "1.00", "1.00", "0.87"},
+    {"CERES-Full", "no", "0.96", "1.00", "0.97", "0.87"},
+};
+
+int violations = 0;
+
+void Violation(const std::string& what) {
+  std::fprintf(stderr, "SHAPE VIOLATION: %s\n", what.c_str());
+  ++violations;
+}
+
 }  // namespace
 
 int main() {
   const double scale = synth::EnvScale();
   std::printf("Table 3: SWDE page-hit F1 by system (scale=%.2f)\n\n", scale);
 
-  eval::TableReport table({"System", "Manual labels", "Movie", "NBA Player",
-                           "University", "Book"});
+  const std::vector<std::string> columns = {
+      "System", "Manual labels", "Movie", "NBA Player", "University", "Book"};
+  eval::TableReport table(columns);
   std::vector<std::string> vertex_row{"Vertex++", "yes"};
   std::vector<std::string> baseline_row{"CERES-Baseline", "no"};
   std::vector<std::string> topic_row{"CERES-Topic", "no"};
   std::vector<std::string> full_row{"CERES-Full", "no"};
+  std::vector<std::pair<std::string, double>> full_f1;  // Book last.
 
   for (synth::SwdeVertical vertical :
        {synth::SwdeVertical::kMovie, synth::SwdeVertical::kNbaPlayer,
@@ -154,6 +180,12 @@ int main() {
         eval::RatioOrNa(baseline.available, baseline.prf.f1()));
     topic_row.push_back(eval::FormatRatio(topic.prf.f1()));
     full_row.push_back(eval::FormatRatio(full.prf.f1()));
+    full_f1.emplace_back(SwdeVerticalName(vertical), full.prf.f1());
+    if (baseline.available && (full.prf.f1() < baseline.prf.f1() ||
+                               topic.prf.f1() < baseline.prf.f1())) {
+      Violation(SwdeVerticalName(vertical) +
+                ": CERES-Full or CERES-Topic below CERES-Baseline");
+    }
     if (!baseline.available) {
       std::fprintf(stderr, "[table3] baseline on %s: %s\n",
                    SwdeVerticalName(vertical).c_str(),
@@ -173,5 +205,26 @@ int main() {
       "  CERES-Baseline no     NA     0.78  0.72  0.27\n"
       "  CERES-Topic    no     0.99   0.97  0.96  0.72\n"
       "  CERES-Full     no     0.99   0.98  0.94  0.76\n");
+
+  for (size_t v = 0; v + 1 < full_f1.size(); ++v) {
+    if (full_f1[v].second <= full_f1.back().second) {
+      Violation("CERES-Full on " + full_f1[v].first + " is not above Book");
+    }
+  }
+  const std::vector<std::vector<std::string>> rows = {vertex_row, baseline_row,
+                                                      topic_row, full_row};
+  for (size_t r = 0; scale == 1.0 && r < rows.size(); ++r) {
+    for (size_t c = 2; c < rows[r].size(); ++c) {
+      if (rows[r][c] != kCommittedRows[r][c]) {
+        Violation(rows[r][0] + " on " + columns[c] + " reads " + rows[r][c] +
+                  ", EXPERIMENTS.md has " + kCommittedRows[r][c]);
+      }
+    }
+  }
+  if (violations > 0) return 1;
+  std::fprintf(stderr,
+               "Shape holds: CERES-Full and CERES-Topic >= CERES-Baseline, "
+               "Book is CERES-Full's lowest vertical%s.\n",
+               scale == 1.0 ? ", every F1 equals EXPERIMENTS.md" : "");
   return 0;
 }

@@ -4,12 +4,20 @@
 #include <set>
 
 #include "core/entity_matcher.h"
+#include "ml/logistic_regression.h"
 #include "util/random.h"
 #include "util/string_util.h"
 
 namespace ceres {
 
 namespace {
+
+// Negative pair examples sampled per candidate field of an annotated page.
+constexpr size_t kNegativesPerField = 3;
+// Minimum class probability for emitting a pair extraction.
+constexpr double kConfidenceThreshold = 0.5;
+// Seed of the negative sampling.
+constexpr uint64_t kSeed = 7;
 
 // Concatenates two finalized sparse vectors (their feature names are kept
 // disjoint via the "A|" / "B|" prefixes).
@@ -37,19 +45,11 @@ Result<PairBaselineResult> RunPairBaseline(
   FeatureExtractor featurizer(all_docs, FeatureConfig{});
   HashedFeatureMap feature_map;
   ClassMap classes(kb.ontology());
-  Rng rng(config.seed);
+  Rng rng(kSeed);
 
   // --- Annotation: label co-mentioned entity pairs ------------------------
   std::vector<LabeledExample> examples;
   int64_t positives = 0;
-  int64_t training_bytes = 0;
-  // Approximate cost of one stored sparse entry (index + value).
-  constexpr int64_t kBytesPerEntry = 16;
-  auto charge_memory = [&](const SparseVector& features) {
-    training_bytes += static_cast<int64_t>(features.size()) * kBytesPerEntry;
-    return config.max_training_bytes == 0 ||
-           training_bytes <= config.max_training_bytes;
-  };
   for (PageIndex page : annotation_pages) {
     const DomDocument& doc = pages[static_cast<size_t>(page)];
     PageMentions mentions = MatchPageMentions(doc, kb);
@@ -92,30 +92,19 @@ Result<PairBaselineResult> RunPairBaseline(
           LabeledExample example;
           example.features = ConcatFeatures(side_a[f1], side_b[f2]);
           example.label = classes.ClassOf(predicate);
-          if (!charge_memory(example.features)) {
-            return Status::ResourceExhausted(
-                StrCat("pair training examples exceed the memory budget of ",
-                       config.max_training_bytes, " bytes"));
-          }
           examples.push_back(std::move(example));
         }
       }
     }
-    // Negatives: random unrelated pairs, r per positive on this page.
-    size_t wanted = std::min(
-        unrelated_pairs.size(),
-        static_cast<size_t>(config.negatives_per_positive) * field_count);
+    // Negatives: random unrelated pairs, a few per field on this page.
+    size_t wanted =
+        std::min(unrelated_pairs.size(), kNegativesPerField * field_count);
     rng.Shuffle(&unrelated_pairs);
     for (size_t i = 0; i < wanted; ++i) {
       LabeledExample example;
       example.features = ConcatFeatures(side_a[unrelated_pairs[i].first],
                                         side_b[unrelated_pairs[i].second]);
       example.label = ClassMap::kOtherClass;
-      if (!charge_memory(example.features)) {
-        return Status::ResourceExhausted(
-            StrCat("pair training examples exceed the memory budget of ",
-                   config.max_training_bytes, " bytes"));
-      }
       examples.push_back(std::move(example));
     }
   }
@@ -128,8 +117,8 @@ Result<PairBaselineResult> RunPairBaseline(
 
   feature_map.Freeze();
   LogisticRegression model;
-  Result<LbfgsResult> fit = model.Train(examples, feature_map.size(),
-                                        classes.num_classes(), config.logreg);
+  Result<LbfgsResult> fit =
+      model.Train(examples, feature_map.size(), classes.num_classes());
   if (!fit.ok()) return fit.status();
 
   // --- Extraction: score candidate pairs per page -------------------------
@@ -157,7 +146,7 @@ Result<PairBaselineResult> RunPairBaseline(
         if (cls == ClassMap::kOtherClass || cls == ClassMap::kNameClass) {
           continue;
         }
-        if (confidence < config.confidence_threshold) continue;
+        if (confidence < kConfidenceThreshold) continue;
         result.extractions.push_back(
             Extraction{page, mentions.fields[f2], classes.PredicateOf(cls),
                        std::string(doc.node(mentions.fields[f1]).text),

@@ -7,7 +7,6 @@
 #include "core/types.h"
 #include "dom/dom_tree.h"
 #include "kb/knowledge_base.h"
-#include "ml/logistic_regression.h"
 #include "util/status.h"
 
 namespace ceres {
@@ -16,23 +15,14 @@ namespace ceres {
 /// baseline 2), which applies the original DS assumption: any pair of
 /// co-mentioned entities holding a KB relation is annotated.
 struct PairBaselineConfig {
-  /// Negative pair examples per positive.
-  int negatives_per_positive = 3;
   /// Hard cap on generated pair annotations. The quadratic blow-up of the
   /// pair formulation is real (the paper's run on the Movie vertical
   /// exhausted 32 GB); exceeding the cap aborts with kResourceExhausted so
   /// benches can report the NA outcome instead of thrashing.
   int64_t max_pair_annotations = 2'000'000;
-  /// Memory budget for the materialized training examples (bytes of sparse
-  /// feature storage); 0 = unlimited. Exceeding it aborts with
-  /// kResourceExhausted — the paper's 32 GB OOM, parameterized.
-  int64_t max_training_bytes = 0;
   /// Cap on candidate entity fields considered per page at extraction time
   /// (the paper identifies candidates by string-matching against the KB).
   int max_candidate_fields_per_page = 400;
-  double confidence_threshold = 0.5;
-  uint64_t seed = 7;
-  LogRegConfig logreg;
 };
 
 /// Result of the baseline run.
@@ -45,9 +35,11 @@ struct PairBaselineResult {
 ///
 /// Annotation: for every page and every pair of entity mentions (n1, n2)
 /// whose entities hold a KB relation r, the node pair is labelled r;
-/// features are the concatenation of both nodes' features. Extraction
-/// scores all candidate pairs per page. Both phases are quadratic in page
-/// entity density — exactly the failure the Detail-Page DS assumption
+/// features are the concatenation of both nodes' features, and up to three
+/// random unrelated pairs per candidate field are sampled as negatives
+/// (seeded, so runs repeat). Extraction scores all candidate pairs per page
+/// and keeps those at confidence 0.5 or above. Both phases are quadratic in
+/// page entity density — exactly the failure the Detail-Page DS assumption
 /// removes.
 Result<PairBaselineResult> RunPairBaseline(
     const std::vector<DomDocument>& pages, const KnowledgeBase& kb,

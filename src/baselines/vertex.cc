@@ -11,6 +11,9 @@ namespace ceres {
 
 namespace {
 
+// Ancestor levels inspected for attribute anchors.
+constexpr int kMaxAnchorLevel = 3;
+
 // Tag signature of a path, used to group examples of identical shape.
 std::string ShapeKey(const XPath& path) {
   std::string key;
@@ -22,13 +25,14 @@ std::string ShapeKey(const XPath& path) {
 }
 
 // Collects (level, attribute, value) anchor candidates for one node.
-std::vector<VertexRule::Anchor> AnchorsOf(const DomDocument& doc, NodeId node,
-                                          int max_level) {
+std::vector<VertexRule::Anchor> AnchorsOf(const DomDocument& doc,
+                                          NodeId node) {
   static constexpr const char* kAttrs[] = {"class", "id", "itemprop",
                                            "itemtype", "property"};
   std::vector<VertexRule::Anchor> anchors;
   NodeId cur = node;
-  for (int level = 0; level <= max_level && cur != kInvalidNode; ++level) {
+  for (int level = 0; level <= kMaxAnchorLevel && cur != kInvalidNode;
+       ++level) {
     for (const char* attr : kAttrs) {
       std::string_view value = doc.Attribute(cur, attr);
       if (!value.empty()) {
@@ -119,8 +123,7 @@ std::vector<NodeId> MatchRulePath(const DomDocument& doc,
 
 Result<VertexWrapper> VertexWrapper::Learn(
     const std::vector<const DomDocument*>& pages,
-    const std::vector<Annotation>& manual_annotations,
-    const VertexConfig& config) {
+    const std::vector<Annotation>& manual_annotations) {
   if (manual_annotations.empty()) {
     return Status::InvalidArgument("no manual annotations");
   }
@@ -186,30 +189,27 @@ Result<VertexWrapper> VertexWrapper::Learn(
       }
     }
     // Attribute anchors shared by all examples.
-    if (config.use_attribute_anchors) {
-      bool first = true;
-      std::set<std::tuple<int, std::string, std::string>> shared;
-      for (const auto& [page, node] : examples) {
-        std::set<std::tuple<int, std::string, std::string>> current;
-        for (const VertexRule::Anchor& anchor :
-             AnchorsOf(*pages[static_cast<size_t>(page)], node,
-                       config.max_anchor_level)) {
-          current.emplace(anchor.level, anchor.attribute, anchor.value);
-        }
-        if (first) {
-          shared = std::move(current);
-          first = false;
-        } else {
-          std::set<std::tuple<int, std::string, std::string>> kept;
-          std::set_intersection(shared.begin(), shared.end(), current.begin(),
-                                current.end(),
-                                std::inserter(kept, kept.begin()));
-          shared = std::move(kept);
-        }
+    bool first = true;
+    std::set<std::tuple<int, std::string, std::string>> shared;
+    for (const auto& [page, node] : examples) {
+      std::set<std::tuple<int, std::string, std::string>> current;
+      for (const VertexRule::Anchor& anchor :
+           AnchorsOf(*pages[static_cast<size_t>(page)], node)) {
+        current.emplace(anchor.level, anchor.attribute, anchor.value);
       }
-      for (const auto& [level, attribute, value] : shared) {
-        rule.anchors.push_back(VertexRule::Anchor{level, attribute, value});
+      if (first) {
+        shared = std::move(current);
+        first = false;
+      } else {
+        std::set<std::tuple<int, std::string, std::string>> kept;
+        std::set_intersection(shared.begin(), shared.end(), current.begin(),
+                              current.end(),
+                              std::inserter(kept, kept.begin()));
+        shared = std::move(kept);
       }
+    }
+    for (const auto& [level, attribute, value] : shared) {
+      rule.anchors.push_back(VertexRule::Anchor{level, attribute, value});
     }
     rules.push_back(std::move(rule));
   }

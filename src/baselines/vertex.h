@@ -13,16 +13,6 @@
 
 namespace ceres {
 
-/// Configuration of the Vertex++ wrapper learner (§5.2 baseline 1).
-struct VertexConfig {
-  /// Validate rule matches with structural attribute anchors shared by all
-  /// training examples (the "richer feature set" of Vertex++). Disable to
-  /// get plain generalized-XPath Vertex.
-  bool use_attribute_anchors = true;
-  /// Ancestor levels inspected for anchors.
-  int max_anchor_level = 3;
-};
-
 /// A learned extraction rule for one predicate: a generalized absolute
 /// XPath (index -1 = wildcard, matching any sibling index) plus structural
 /// and textual anchors every match must satisfy.
@@ -30,7 +20,8 @@ struct VertexRule {
   PredicateId predicate = kInvalidPredicate;
   std::vector<XPathStep> steps;  // step.index == -1 means wildcard.
   /// Anchors: (ancestor level, attribute name, attribute value) common to
-  /// all training examples.
+  /// all training examples, for levels 0 to 3 (the "richer feature set" of
+  /// Vertex++).
   struct Anchor {
     int level;
     std::string attribute;
@@ -61,8 +52,7 @@ class VertexWrapper {
   /// present among the annotations so extraction can locate subjects.
   static Result<VertexWrapper> Learn(
       const std::vector<const DomDocument*>& pages,
-      const std::vector<Annotation>& manual_annotations,
-      const VertexConfig& config = {});
+      const std::vector<Annotation>& manual_annotations);
 
   /// Applies the wrapper. `page_indices` are the global ids reported in
   /// the extractions, parallel to `pages`. Confidence is always 1 (rules

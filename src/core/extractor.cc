@@ -9,6 +9,10 @@ namespace ceres {
 
 namespace {
 
+// Minimum NAME probability for accepting a node as the page's topic name;
+// a page without an accepted name node yields no extractions.
+constexpr double kNameThreshold = 0.5;
+
 // Extraction pass over one page, appending to `out`. Runs concurrently for
 // distinct pages: the model is only read (the HashedFeatureMap is frozen, so
 // featurization interns nothing), and each worker owns its output slot.
@@ -39,7 +43,7 @@ void ExtractFromPage(const DomDocument& doc, PageIndex page,
       name_field = f;
     }
   }
-  if (name_prob < config.name_threshold) return;
+  if (name_prob < kNameThreshold) return;
   const std::string subject(doc.node(fields[name_field]).text);
   out->push_back(Extraction{page, fields[name_field], kNamePredicate,
                             subject, subject, name_prob});

@@ -17,9 +17,6 @@ struct ExtractionConfig {
   /// Minimum class probability for emitting a relation extraction. Benches
   /// that sweep thresholds set this to 0 and filter afterwards.
   double confidence_threshold = 0.5;
-  /// Minimum NAME probability for accepting a node as the page's topic
-  /// name; pages without an accepted name node yield no extractions.
-  double name_threshold = 0.5;
   /// Cooperative time budget, checked at page granularity: once expired,
   /// remaining pages yield no extractions (partial output, never a hang).
   Deadline deadline;
@@ -34,7 +31,8 @@ struct ExtractionConfig {
 /// given by `page_indices`, parallel to `pages`).
 ///
 /// Per page: the field with the highest NAME probability becomes the
-/// subject; every other field whose argmax class is a predicate with
+/// subject, and a page whose best NAME probability is below 0.5 yields
+/// nothing; every other field whose argmax class is a predicate with
 /// confidence above the threshold yields one (subject, predicate, object)
 /// extraction. A NAME extraction for the subject itself is also emitted
 /// (predicate == kNamePredicate) so name accuracy can be scored.

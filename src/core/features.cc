@@ -139,7 +139,7 @@ void FeatureExtractor::AddStructural(const DomDocument& doc, NodeId node,
   while (cur != kInvalidNode) {
     EmitNodeTuples(doc, cur, level, 0, prefix, map, out, trace);
     ForEachSiblingInWindow(
-        doc, cur, config_.sibling_window, [&](NodeId sibling) {
+        doc, cur, kSiblingWindow, [&](NodeId sibling) {
           int offset = doc.node(sibling).child_position -
                        doc.node(cur).child_position;
           EmitNodeTuples(doc, sibling, level, offset, prefix, map, out, trace);
@@ -194,14 +194,13 @@ void FeatureExtractor::AddText(const DomDocument& doc, NodeId node,
   // Nearby nodes: for the node and its first few ancestors, the siblings
   // within the window (and the ancestor itself).
   NodeId cur = node;
-  for (int level = 0;
-       level <= config_.text_feature_levels && cur != kInvalidNode;
+  for (int level = 0; level <= kTextFeatureLevels && cur != kInvalidNode;
        ++level) {
     if (level > 0) {
       consider(cur, [&](FeatureIdBuilder& b) { b.Add('l').AddInt(level); });
     }
     ForEachSiblingInWindow(
-        doc, cur, config_.sibling_window, [&](NodeId sibling) {
+        doc, cur, kSiblingWindow, [&](NodeId sibling) {
           int offset =
               doc.node(sibling).child_position - doc.node(cur).child_position;
           consider(sibling, [&](FeatureIdBuilder& b) {

@@ -16,17 +16,19 @@
 
 namespace ceres {
 
+/// Width of the sibling window examined on each side of the node and of
+/// every ancestor (§4.2: 5). Model files record it (core/model_io.h).
+inline constexpr int kSiblingWindow = 5;
+/// Ancestor levels examined for text features (nearby-node search). Model
+/// files record it (core/model_io.h).
+inline constexpr int kTextFeatureLevels = 3;
+
 /// Configuration of the §4.2 node featurizer.
 struct FeatureConfig {
-  /// Width of the sibling window examined on each side of the node and of
-  /// every ancestor (paper: 5).
-  int sibling_window = 5;
   /// Enable the Vertex-style structural features.
   bool structural_features = true;
   /// Enable the node-text features built from frequent site strings.
   bool text_features = true;
-  /// Ancestor levels examined for text features (nearby-node search).
-  int text_feature_levels = 3;
   /// Cooperative time budget for lexicon mining, checked per page: once
   /// expired, remaining pages contribute no frequent strings (a shallower
   /// lexicon, never a hang).

@@ -78,10 +78,10 @@ Status SaveModel(const TrainedModel& model, const Ontology& ontology,
   *out << "#format\n" << kModelFormatVersion << '\n';
   *out << "#model\n" << classes << '\t' << features << '\n';
   *out << "#featureconfig\n"
-       << model.feature_config.sibling_window << '\t'
+       << kSiblingWindow << '\t'
        << (model.feature_config.structural_features ? 1 : 0) << '\t'
        << (model.feature_config.text_features ? 1 : 0) << '\t'
-       << model.feature_config.text_feature_levels << '\n';
+       << kTextFeatureLevels << '\n';
   *out << "#lexicon\n";
   {
     std::vector<std::string> lexicon(model.frequent_strings.begin(),
@@ -221,10 +221,16 @@ Result<TrainedModel> LoadModel(std::istream* in, const Ontology& ontology) {
             !ParseInt(fields[2], &text) || !ParseInt(fields[3], &levels)) {
           return MalformedLine(line_number, line, "bad feature config");
         }
-        model.feature_config.sibling_window = static_cast<int>(window);
+        // The featurizer has one window and one depth; a model trained
+        // with others would featurize pages differently than it learned.
+        if (window != kSiblingWindow || levels != kTextFeatureLevels) {
+          return MalformedLine(
+              line_number, line,
+              StrCat("feature config must have window ", kSiblingWindow,
+                     " and levels ", kTextFeatureLevels));
+        }
         model.feature_config.structural_features = structural != 0;
         model.feature_config.text_features = text != 0;
-        model.feature_config.text_feature_levels = static_cast<int>(levels);
         break;
       }
       case Section::kLexicon: {

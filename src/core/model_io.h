@@ -22,6 +22,10 @@ namespace ceres {
 ///   2
 ///   #model
 ///   <num classes> \t <num features>
+///   #featureconfig
+///   <sibling window> \t <structural 0|1> \t <text 0|1> \t <text levels>
+///   #lexicon
+///   <frequent site string>                               (one per line)
 ///   #classes
 ///   <class index> \t <OTHER|NAME|predicate name>
 ///   #featureids
@@ -33,6 +37,10 @@ namespace ceres {
 /// Weights are finite, except that a bias may be `-inf`: the intercept of a
 /// class the training labels never contained. A NaN or `+inf` value, a
 /// `-inf` feature weight, and a model whose every bias is `-inf` are
+/// rejected with kInvalidArgument.
+///
+/// The window and levels must be kSiblingWindow and kTextFeatureLevels
+/// (core/features.h), the only ones the featurizer has; any other value is
 /// rejected with kInvalidArgument.
 ///
 /// The `#format` section is mandatory and must hold 2. Any other version,

@@ -12,6 +12,14 @@ namespace ceres {
 
 namespace {
 
+// Strings appearing in at least this fraction of KB triples are never topic
+// candidates (§3.1.1, "e.g., 0.01%").
+constexpr double kCommonStringFraction = 0.0001;
+
+// Uniqueness filter: a candidate chosen as the local topic of at least this
+// many pages is discarded (§3.1.2 step 1, "e.g., >= 5 pages").
+constexpr int kMaxPagesPerTopic = 5;
+
 // Score map for one page: topic candidate -> Jaccard score (Equation 1).
 using CandidateScores = std::unordered_map<EntityId, double>;
 
@@ -96,7 +104,7 @@ TopicResult IdentifyTopics(const std::vector<const DomDocument*>& pages,
   result.score.assign(n, 0.0);
 
   const std::unordered_set<std::string> common_strings =
-      kb.CommonObjectStrings(config.common_string_fraction,
+      kb.CommonObjectStrings(kCommonStringFraction,
                              config.common_string_min_count);
 
   // Local candidate identification (§3.1.1).
@@ -119,113 +127,97 @@ TopicResult IdentifyTopics(const std::vector<const DomDocument*>& pages,
 
   // Uniqueness filter (§3.1.2 step 1): an entity that is the best candidate
   // of many pages is boilerplate, not a topic.
-  if (config.apply_uniqueness_filter) {
-    for (size_t i = 0; i < n; ++i) {
-      for (auto it = page_scores[i].begin(); it != page_scores[i].end();) {
-        auto count_it = candidate_page_count.find(it->first);
-        if (count_it != candidate_page_count.end() &&
-            count_it->second >= config.max_pages_per_topic) {
-          it = page_scores[i].erase(it);
-        } else {
-          ++it;
-        }
+  for (size_t i = 0; i < n; ++i) {
+    for (auto it = page_scores[i].begin(); it != page_scores[i].end();) {
+      auto count_it = candidate_page_count.find(it->first);
+      if (count_it != candidate_page_count.end() &&
+          count_it->second >= kMaxPagesPerTopic) {
+        it = page_scores[i].erase(it);
+      } else {
+        ++it;
       }
-      if (local_candidate[i] != kInvalidEntity &&
-          page_scores[i].count(local_candidate[i]) == 0) {
-        local_candidate[i] = BestCandidate(page_scores[i]);
-      }
+    }
+    if (local_candidate[i] != kInvalidEntity &&
+        page_scores[i].count(local_candidate[i]) == 0) {
+      local_candidate[i] = BestCandidate(page_scores[i]);
     }
   }
 
-  if (!config.apply_dominant_xpath) {
-    // Ablation mode: accept the local candidate at its first mention.
-    for (size_t i = 0; i < n; ++i) {
-      EntityId topic = local_candidate[i];
-      if (topic == kInvalidEntity) continue;
-      const auto& nodes = mentions[i].mentions_of.at(topic);
-      result.topic[i] = topic;
-      result.topic_node[i] = nodes.front();
-      result.score[i] = page_scores[i][topic];
+  // Dominant-XPath step (§3.1.2 step 2): count, across the site, the
+  // XPaths at which each page's best candidate is mentioned. Counting is
+  // order-insensitive (unordered_map + cached path strings); the sort
+  // below makes the final ranking deterministic.
+  std::unordered_map<std::string, int64_t> path_counts;
+  std::unordered_map<std::string, XPath> path_by_string;
+  for (size_t i = 0; i < n; ++i) {
+    if (config.deadline.expired()) {
+      result.deadline_expired = true;
+      return result;
     }
-  } else {
-    // Dominant-XPath step (§3.1.2 step 2): count, across the site, the
-    // XPaths at which each page's best candidate is mentioned. Counting is
-    // order-insensitive (unordered_map + cached path strings); the sort
-    // below makes the final ranking deterministic.
-    std::unordered_map<std::string, int64_t> path_counts;
-    std::unordered_map<std::string, XPath> path_by_string;
-    for (size_t i = 0; i < n; ++i) {
-      if (config.deadline.expired()) {
-        result.deadline_expired = true;
-        return result;
-      }
-      if (local_candidate[i] == kInvalidEntity) continue;
-      XPathStringCache paths(*pages[i]);
-      const auto& nodes = mentions[i].mentions_of.at(local_candidate[i]);
-      for (NodeId node : nodes) {
-        const std::string& key = paths.PathString(node);
-        ++path_counts[key];
-        if (path_by_string.count(key) == 0) {
-          path_by_string.emplace(key, paths.Path(node));
-        }
+    if (local_candidate[i] == kInvalidEntity) continue;
+    XPathStringCache paths(*pages[i]);
+    const auto& nodes = mentions[i].mentions_of.at(local_candidate[i]);
+    for (NodeId node : nodes) {
+      const std::string& key = paths.PathString(node);
+      ++path_counts[key];
+      if (path_by_string.count(key) == 0) {
+        path_by_string.emplace(key, paths.Path(node));
       }
     }
-    std::vector<std::pair<std::string, int64_t>> ranked(path_counts.begin(),
-                                                        path_counts.end());
-    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
-    for (const auto& [key, count] : ranked) {
-      result.ranked_paths.push_back(path_by_string.at(key));
-    }
+  }
+  std::vector<std::pair<std::string, int64_t>> ranked(path_counts.begin(),
+                                                      path_counts.end());
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  for (const auto& [key, count] : ranked) {
+    result.ranked_paths.push_back(path_by_string.at(key));
+  }
 
-    // Re-examine each page at the highest-ranked path extant on it.
-    for (size_t i = 0; i < n; ++i) {
-      if (config.deadline.expired()) {
-        result.deadline_expired = true;
-        return result;
-      }
-      if (page_scores[i].empty()) continue;
-      for (const XPath& path : result.ranked_paths) {
-        NodeId node = path.Resolve(*pages[i]);
-        if (node == kInvalidNode || !pages[i]->node(node).HasText()) continue;
-        // Pick the best-scoring candidate entity mentioned at this field.
-        EntityId best = kInvalidEntity;
-        double best_score = -1;
-        for (const auto& [entity, score] : page_scores[i]) {
-          auto mention_it = mentions[i].mentions_of.find(entity);
-          if (mention_it == mentions[i].mentions_of.end()) continue;
-          const std::vector<NodeId>& entity_nodes = mention_it->second;
-          if (std::find(entity_nodes.begin(), entity_nodes.end(), node) ==
-              entity_nodes.end()) {
-            continue;
-          }
-          if (score > best_score || (score == best_score && entity < best)) {
-            best = entity;
-            best_score = score;
-          }
+  // Re-examine each page at the highest-ranked path extant on it.
+  for (size_t i = 0; i < n; ++i) {
+    if (config.deadline.expired()) {
+      result.deadline_expired = true;
+      return result;
+    }
+    if (page_scores[i].empty()) continue;
+    for (const XPath& path : result.ranked_paths) {
+      NodeId node = path.Resolve(*pages[i]);
+      if (node == kInvalidNode || !pages[i]->node(node).HasText()) continue;
+      // Pick the best-scoring candidate entity mentioned at this field.
+      EntityId best = kInvalidEntity;
+      double best_score = -1;
+      for (const auto& [entity, score] : page_scores[i]) {
+        auto mention_it = mentions[i].mentions_of.find(entity);
+        if (mention_it == mentions[i].mentions_of.end()) continue;
+        const std::vector<NodeId>& entity_nodes = mention_it->second;
+        if (std::find(entity_nodes.begin(), entity_nodes.end(), node) ==
+            entity_nodes.end()) {
+          continue;
         }
-        if (best != kInvalidEntity) {
-          result.topic[i] = best;
-          result.topic_node[i] = node;
-          result.score[i] = best_score;
+        if (score > best_score || (score == best_score && entity < best)) {
+          best = entity;
+          best_score = score;
         }
-        break;  // Only the highest-ranked extant path is consulted.
       }
+      if (best != kInvalidEntity) {
+        result.topic[i] = best;
+        result.topic_node[i] = node;
+        result.score[i] = best_score;
+      }
+      break;  // Only the highest-ranked extant path is consulted.
     }
   }
 
   // Informativeness filter (§3.1.2 step 3).
-  if (config.apply_informativeness_filter) {
-    for (size_t i = 0; i < n; ++i) {
-      if (result.topic[i] == kInvalidEntity) continue;
-      if (PotentialAnnotationCount(kb, result.topic[i], mentions[i]) <
-          config.min_annotations_per_page) {
-        result.topic[i] = kInvalidEntity;
-        result.topic_node[i] = kInvalidNode;
-        result.score[i] = 0.0;
-      }
+  for (size_t i = 0; i < n; ++i) {
+    if (result.topic[i] == kInvalidEntity) continue;
+    if (PotentialAnnotationCount(kb, result.topic[i], mentions[i]) <
+        config.min_annotations_per_page) {
+      result.topic[i] = kInvalidEntity;
+      result.topic_node[i] = kInvalidNode;
+      result.score[i] = 0.0;
     }
   }
   return result;

@@ -13,25 +13,18 @@ namespace ceres {
 
 /// Parameters of Algorithm 1 (Page Topic Identification). Defaults are the
 /// paper's example values; per §3.1.2 they are deliberately small — the goal
-/// is to filter obvious noise and let the learner absorb the rest.
+/// is to filter obvious noise and let the learner absorb the rest. The
+/// common-string fraction (0.01%) and the uniqueness filter's page count
+/// (5) are fixed in topic_identification.cc; every step of §3.1.2 always
+/// runs.
 struct TopicConfig {
-  /// Strings appearing in at least this fraction of KB triples are never
-  /// topic candidates (§3.1.1, "e.g., 0.01%").
-  double common_string_fraction = 0.0001;
   /// Absolute floor for the common-string threshold; the paper's fraction
   /// presumes an 85M-triple KB, so small KBs need a floor to avoid
   /// filtering everything.
   int64_t common_string_min_count = 200;
-  /// Uniqueness filter: discard candidates chosen as topic of at least this
-  /// many pages (§3.1.2 step 1, "e.g., >= 5 pages").
-  int max_pages_per_topic = 5;
   /// Informativeness filter: pages with fewer potential relation
   /// annotations than this get no topic (§3.1.2 step 3, "e.g., >= 3").
   int min_annotations_per_page = 3;
-  /// Disable individual steps for ablation studies.
-  bool apply_uniqueness_filter = true;
-  bool apply_dominant_xpath = true;
-  bool apply_informativeness_filter = true;
   /// Cooperative time budget, checked at page granularity. On expiry the
   /// algorithm stops early and sets TopicResult::deadline_expired; pages
   /// not reached keep kInvalidEntity.
@@ -60,7 +53,7 @@ struct TopicResult {
 /// Runs Algorithm 1 over the pages of one template cluster.
 ///
 /// `mentions[i]` must be MatchPageMentions(pages[i], kb). Literal-typed
-/// entities, common strings (per TopicConfig), and low-information strings
+/// entities, common strings (§3.1.1), and low-information strings
 /// are never topic candidates.
 TopicResult IdentifyTopics(const std::vector<const DomDocument*>& pages,
                            const std::vector<PageMentions>& mentions,

@@ -12,6 +12,9 @@ namespace ceres::fusion {
 
 namespace {
 
+// Per-extraction confidences below this are ignored entirely.
+constexpr double kMinExtractionConfidence = 0.5;
+
 // Initial reliability assumed for every site.
 constexpr double kInitialSiteReliability = 0.8;
 // Reliability is clamped into [floor, ceiling] so no site is treated as
@@ -66,7 +69,7 @@ FusionResult FuseExtractions(const std::vector<SiteExtractions>& sites,
     reliability.emplace(site.site, kInitialSiteReliability);
     for (const Extraction& extraction : site.extractions) {
       if (extraction.predicate == kNamePredicate) continue;
-      if (extraction.confidence < config.min_extraction_confidence) continue;
+      if (extraction.confidence < kMinExtractionConfidence) continue;
       TripleKey key{CanonicalSubject(extraction.subject),
                     extraction.predicate,
                     NormalizeText(extraction.object)};
@@ -117,7 +120,7 @@ FusionResult FuseExtractions(const std::vector<SiteExtractions>& sites,
   }
 
   // 4. Functional-predicate conflict resolution: keep the best object per
-  // (subject, predicate); flag or drop the rest.
+  // (subject, predicate); drop the rest.
   std::map<std::pair<std::string, PredicateId>, const FusedTriple*> winner;
   for (const FusedTriple& triple : result.triples) {
     if (ontology.predicate(triple.predicate).multi_valued) continue;
@@ -132,10 +135,7 @@ FusionResult FuseExtractions(const std::vector<SiteExtractions>& sites,
   for (FusedTriple& triple : result.triples) {
     if (!ontology.predicate(triple.predicate).multi_valued) {
       auto key = std::make_pair(triple.subject, triple.predicate);
-      if (winner.at(key) != &triple) {
-        if (!config.keep_conflicts) continue;
-        triple.conflicting = true;
-      }
+      if (winner.at(key) != &triple) continue;
     }
     resolved.push_back(std::move(triple));
   }
@@ -185,7 +185,7 @@ KnowledgeBase BuildKbFromFusedTriples(const FusionResult& fused,
     return id;
   };
   for (const FusedTriple& triple : fused.triples) {
-    if (triple.score < min_score || triple.conflicting) continue;
+    if (triple.score < min_score) continue;
     const PredicateDecl& predicate = ontology.predicate(triple.predicate);
     EntityId subject = intern(predicate.subject_type, triple.subject);
     EntityId object = intern(predicate.object_type, triple.object);

@@ -27,22 +27,14 @@ struct FusedTriple {
   double score = 0.0;
   /// Sites asserting the triple.
   std::vector<std::string> sites;
-  /// True when a functional predicate had competing objects and this one
-  /// won; losers are dropped (or kept with `conflicting` when
-  /// keep_conflicts is set).
-  bool conflicting = false;
 };
 
-/// Configuration of the fusion pass.
+/// Configuration of the fusion pass. Extractions below confidence 0.5 are
+/// ignored, and the losing objects of a functional predicate are dropped.
 struct FusionConfig {
-  /// Per-extraction confidences below this are ignored entirely.
-  double min_extraction_confidence = 0.5;
   /// Iterations of the alternating site-reliability / triple-belief
   /// estimate (2–5 suffice; 0 disables reliability weighting).
   int reliability_iterations = 3;
-  /// Keep losing objects of functional-predicate conflicts (flagged
-  /// `conflicting`) instead of dropping them.
-  bool keep_conflicts = false;
   /// Cooperative time budget for the merge step, so a coordinator-level
   /// deadline also covers fusion (the last pipeline stage). Checked at site
   /// granularity while collecting support and per reliability iteration;

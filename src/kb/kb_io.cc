@@ -89,9 +89,8 @@ Status SaveKbToFile(const KnowledgeBase& kb, const std::string& path) {
 
 namespace {
 
-/// Incremental parser state of one LoadKb call. ConsumeLine returns a
-/// per-line Status so the caller can choose strict (propagate) or lenient
-/// (tally and continue) handling without duplicating the grammar.
+/// Incremental parser state of one LoadKb call. ConsumeLine returns the
+/// status of one line; the first failure ends the load.
 class KbParser {
  public:
   /// Section-header / comment lines; never fails.
@@ -227,14 +226,8 @@ class KbParser {
 
 }  // namespace
 
-Result<KnowledgeBase> LoadKb(std::istream* in, const KbLoadOptions& options,
-                             KbLoadStats* stats) {
+Result<KnowledgeBase> LoadKb(std::istream* in) {
   KbParser parser;
-  KbLoadStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  stats->bad_lines = 0;
-  stats->errors.clear();
-
   std::string line;
   int line_number = 0;
   while (std::getline(*in, line)) {
@@ -242,31 +235,17 @@ Result<KnowledgeBase> LoadKb(std::istream* in, const KbLoadOptions& options,
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     if (parser.ConsumeDirective(line)) continue;
-    Status status = parser.ConsumeLine(line_number, line);
-    if (status.ok()) continue;
-    if (options.strict) return status;
-    ++stats->bad_lines;
-    if (stats->errors.size() < KbLoadStats::kMaxRecordedErrors) {
-      stats->errors.push_back(status.ToString());
-    }
-    if (stats->bad_lines > options.max_bad_lines) {
-      return Status::ResourceExhausted(
-          StrCat("gave up after ", stats->bad_lines,
-                 " malformed lines (max_bad_lines=", options.max_bad_lines,
-                 "); last: ", status.message()));
-    }
+    CERES_RETURN_IF_ERROR(parser.ConsumeLine(line_number, line));
   }
   return parser.Finish();
 }
 
-Result<KnowledgeBase> LoadKbFromFile(const std::string& path,
-                                     const KbLoadOptions& options,
-                                     KbLoadStats* stats) {
+Result<KnowledgeBase> LoadKbFromFile(const std::string& path) {
   std::ifstream in(path);
   if (!in.is_open()) {
     return Status::NotFound(StrCat("cannot open: ", path));
   }
-  CERES_ASSIGN_OR_RETURN(KnowledgeBase kb, LoadKb(&in, options, stats),
+  CERES_ASSIGN_OR_RETURN(KnowledgeBase kb, LoadKb(&in),
                          StrCat("loading ", path));
   return kb;
 }

@@ -1,11 +1,8 @@
 #ifndef CERES_KB_KB_IO_H_
 #define CERES_KB_KB_IO_H_
 
-#include <cstdint>
 #include <iosfwd>
-#include <limits>
 #include <string>
-#include <vector>
 
 #include "kb/knowledge_base.h"
 #include "util/status.h"
@@ -36,40 +33,13 @@ Status SaveKb(const KnowledgeBase& kb, std::ostream* out);
 /// Convenience: SaveKb to a file path.
 Status SaveKbToFile(const KnowledgeBase& kb, const std::string& path);
 
-/// Controls how LoadKb reacts to malformed lines. Real seed KBs scraped
-/// from the web routinely carry a few broken records; strict mode is for
-/// trusted round-trip files, lenient mode for everything else.
-struct KbLoadOptions {
-  /// Strict (default): the first malformed line aborts the load with
-  /// kInvalidArgument. Lenient: malformed lines are skipped and tallied;
-  /// the rest of the file still loads.
-  bool strict = true;
-  /// Lenient mode only: give up with kResourceExhausted once more than
-  /// this many lines are bad (the file is probably not a KB at all).
-  int64_t max_bad_lines = std::numeric_limits<int64_t>::max();
-};
-
-/// Tally of what a lenient load skipped.
-struct KbLoadStats {
-  int64_t bad_lines = 0;
-  /// Messages of the first few malformed lines (for diagnostics).
-  std::vector<std::string> errors;
-  /// Cap on recorded `errors`; later failures only count toward the tally.
-  static constexpr size_t kMaxRecordedErrors = 20;
-};
-
-/// Parses a serialized KB. Returns a frozen KnowledgeBase; in strict mode a
-/// kInvalidArgument status names the first offending line, in lenient mode
-/// malformed lines are skipped and counted into `stats` (optional).
-Result<KnowledgeBase> LoadKb(std::istream* in,
-                             const KbLoadOptions& options = {},
-                             KbLoadStats* stats = nullptr);
+/// Parses a serialized KB. Returns a frozen KnowledgeBase, or a
+/// kInvalidArgument status naming the first malformed line.
+Result<KnowledgeBase> LoadKb(std::istream* in);
 
 /// Convenience: LoadKb from a file path (kNotFound if unreadable). Errors
 /// are prefixed with the path.
-Result<KnowledgeBase> LoadKbFromFile(const std::string& path,
-                                     const KbLoadOptions& options = {},
-                                     KbLoadStats* stats = nullptr);
+Result<KnowledgeBase> LoadKbFromFile(const std::string& path);
 
 }  // namespace ceres
 

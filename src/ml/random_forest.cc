@@ -12,6 +12,12 @@ namespace ceres {
 
 namespace {
 
+// Trees in the ensemble.
+constexpr int kNumTrees = 20;
+// Nodes at this depth become leaves.
+constexpr int kMaxDepth = 12;
+// Seed of the bootstrap and candidate-feature draws.
+constexpr uint64_t kSeed = 13;
 // Nodes with fewer than twice this many examples become leaves.
 constexpr int64_t kMinSamplesLeaf = 2;
 
@@ -41,8 +47,7 @@ double Gini(const std::vector<int64_t>& counts, int64_t total) {
 }  // namespace
 
 Status RandomForest::Train(const std::vector<LabeledExample>& examples,
-                           int32_t num_features, int32_t num_classes,
-                           const RandomForestConfig& config) {
+                           int32_t num_features, int32_t num_classes) {
   if (examples.empty()) {
     return Status::InvalidArgument("no training examples");
   }
@@ -58,18 +63,15 @@ Status RandomForest::Train(const std::vector<LabeledExample>& examples,
           StrCat("label out of range: ", example.label));
     }
   }
-  if (config.num_trees < 1 || config.max_depth < 1) {
-    return Status::InvalidArgument("num_trees and max_depth must be >= 1");
-  }
 
   num_classes_ = num_classes;
   trees_.clear();
-  trees_.resize(static_cast<size_t>(config.num_trees));
+  trees_.resize(static_cast<size_t>(kNumTrees));
   const int candidates_per_split = std::max(
       1, static_cast<int>(
              std::ceil(std::sqrt(static_cast<double>(num_features)))));
 
-  Rng rng(config.seed);
+  Rng rng(kSeed);
   for (Tree& tree : trees_) {
     Rng tree_rng = rng.Fork();
     // Bootstrap sample, as large as the training set.
@@ -114,7 +116,7 @@ Status RandomForest::Train(const std::vector<LabeledExample>& examples,
       }
       const int64_t total = static_cast<int64_t>(indices.size());
       const double parent_gini = Gini(counts, total);
-      if (pending.depth >= config.max_depth ||
+      if (pending.depth >= kMaxDepth ||
           total < 2 * kMinSamplesLeaf || parent_gini == 0.0) {
         make_leaf(&tree.nodes[static_cast<size_t>(pending.node)], indices);
         continue;

@@ -10,29 +10,24 @@
 
 namespace ceres {
 
-/// Configuration of the random-forest classifier — one of the alternative
-/// node classifiers the paper reports experimenting with before settling
-/// on multinomial logistic regression (§4.2).
-struct RandomForestConfig {
-  int num_trees = 20;
-  int max_depth = 12;
-  uint64_t seed = 13;
-};
-
-/// A bagged ensemble of binary-split decision trees over sparse feature
-/// vectors. Splits test feature *presence* (value != 0), which matches the
-/// one-hot structural/text features of the DOM extractor. Each tree fits a
-/// full-size bootstrap sample and tries ceil(sqrt(num_features)) candidate
-/// features per split. Prediction averages the per-tree leaf class
-/// distributions.
+/// The random-forest classifier — one of the alternative node classifiers
+/// the paper reports experimenting with before settling on multinomial
+/// logistic regression (§4.2).
+///
+/// A bagged ensemble of 20 binary-split decision trees, at most 12 levels
+/// deep, over sparse feature vectors. Splits test feature *presence*
+/// (value != 0), which matches the one-hot structural/text features of the
+/// DOM extractor. Each tree fits a full-size bootstrap sample and tries
+/// ceil(sqrt(num_features)) candidate features per split. Prediction
+/// averages the per-tree leaf class distributions.
 class RandomForest {
  public:
   RandomForest() = default;
 
-  /// Fits the forest. Deterministic for a given config.seed.
+  /// Fits the forest. Deterministic: the bootstrap and candidate draws
+  /// use a fixed seed.
   Status Train(const std::vector<LabeledExample>& examples,
-               int32_t num_features, int32_t num_classes,
-               const RandomForestConfig& config = {});
+               int32_t num_features, int32_t num_classes);
 
   /// Averaged leaf distributions; requires a trained forest.
   std::vector<double> PredictProbabilities(const SparseVector& features) const;

@@ -294,46 +294,4 @@ std::vector<RawPage> InjectFaults(const std::vector<RawPage>& pages,
   return out;
 }
 
-std::string CorruptKbText(std::string_view kb_text, double line_fault_rate,
-                          uint64_t seed, int64_t* corrupted_lines) {
-  Rng rng(seed);
-  int64_t corrupted = 0;
-  std::string out;
-  out.reserve(kb_text.size());
-  bool in_triples = false;
-  size_t start = 0;
-  while (start <= kb_text.size()) {
-    size_t end = kb_text.find('\n', start);
-    const bool had_newline = end != std::string_view::npos;
-    if (!had_newline) end = kb_text.size();
-    std::string_view line = kb_text.substr(start, end - start);
-    std::string_view trimmed = line;
-    while (!trimmed.empty() && (trimmed.back() == '\r')) {
-      trimmed.remove_suffix(1);
-    }
-    if (!trimmed.empty() && trimmed[0] == '#') in_triples = trimmed == "#triples";
-    // Only fact lines are corrupted: no other record references a triple,
-    // so each mangled line is exactly one bad line on load — corrupting
-    // schema or entity lines would cascade into their referents and make
-    // the tally unpredictable.
-    const bool data_line = in_triples && !trimmed.empty() && trimmed[0] != '#';
-    if (data_line && rng.Bernoulli(line_fault_rate)) {
-      // A single tab-less token is malformed in every section of the KB
-      // grammar, so the bad-line tally is exactly predictable.
-      out.append("~corrupt ");
-      for (char c : line) {
-        if (c != '\t') out.push_back(c);
-      }
-      ++corrupted;
-    } else {
-      out.append(line);
-    }
-    if (had_newline) out.push_back('\n');
-    start = end + 1;
-    if (!had_newline) break;
-  }
-  if (corrupted_lines != nullptr) *corrupted_lines = corrupted;
-  return out;
-}
-
 }  // namespace ceres

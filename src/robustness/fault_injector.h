@@ -156,17 +156,6 @@ ProcessFaultPlan MakeProcessFaultPlan(int num_shards, double fault_fraction,
                                           ProcessFaultType::kWorkerCrash,
                                       int attempts = 1);
 
-/// Corrupts a serialized knowledge base (kb_io.h format): each fact line
-/// (#triples section) is mangled into a malformed record with probability
-/// `line_fault_rate`. Schema and entity lines are left alone — nothing
-/// references a triple, so every mangled line is exactly one bad line on a
-/// lenient load, while a lost type or entity would cascade into its
-/// referents. The number of mangled lines is written to `corrupted_lines`
-/// (optional) — it is the exact bad-line tally a lenient LoadKb of the
-/// result must report.
-std::string CorruptKbText(std::string_view kb_text, double line_fault_rate,
-                          uint64_t seed, int64_t* corrupted_lines = nullptr);
-
 }  // namespace ceres
 
 #endif  // CERES_ROBUSTNESS_FAULT_INJECTOR_H_

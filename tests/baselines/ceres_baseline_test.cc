@@ -30,12 +30,11 @@ class PairBaselineTest : public ::testing::Test {
 };
 
 TEST_F(PairBaselineTest, ProducesPairAnnotationsAndExtractions) {
-  PairBaselineConfig config;
-  config.confidence_threshold = 0.3;
-  Result<PairBaselineResult> result = RunPairBaseline(
-      pages_, kb_.kb, {0, 1}, {2}, config);
+  Result<PairBaselineResult> result =
+      RunPairBaseline(pages_, kb_.kb, {0, 1}, {2});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->num_annotations, 0);
+  EXPECT_FALSE(result->extractions.empty());
   // Extractions are plausible pairs from page 2 only.
   for (const Extraction& extraction : result->extractions) {
     EXPECT_EQ(extraction.page, 2);
@@ -70,7 +69,6 @@ TEST_F(PairBaselineTest, RequiresFrozenKb) {
 TEST_F(PairBaselineTest, CandidateFieldCapBoundsWork) {
   PairBaselineConfig config;
   config.max_candidate_fields_per_page = 2;
-  config.confidence_threshold = 0.0;
   Result<PairBaselineResult> result =
       RunPairBaseline(pages_, kb_.kb, {0, 1}, {2}, config);
   ASSERT_TRUE(result.ok());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "core/entity_matcher.h"
@@ -150,10 +151,25 @@ TEST_F(ExtractorTest, ConfidenceThresholdFilters) {
   EXPECT_LE(high_count, low_count);
 }
 
+// A page of another layout has no field the model takes for a title: its
+// best NAME probability is below the 0.5 name threshold, so it yields
+// nothing, not even a NAME extraction.
 TEST_F(ExtractorTest, NameThresholdSkipsPages) {
+  DomDocument page = ParseOrDie(
+      "<body><table><tr><td>Runtime</td><td>97 min</td></tr>"
+      "<tr><td>Country</td><td>Norway</td></tr></table></body>");
+  double best_name = 0;
+  for (NodeId field : page.TextFields()) {
+    SparseVector features =
+        featurizer_->Extract(page, field, &model_->features);
+    best_name = std::max(best_name, model_->model.PredictProbabilities(
+                                        features)[ClassMap::kNameClass]);
+  }
+  ASSERT_GT(best_name, 0.0);
+  ASSERT_LT(best_name, 0.5);
   ExtractionConfig config;
-  config.name_threshold = 1.1;  // Impossible.
-  EXPECT_TRUE(ExtractFromPages({eval_page()}, {kTrainPages}, model_.get(),
+  config.confidence_threshold = 0.0;
+  EXPECT_TRUE(ExtractFromPages({&page}, {kTrainPages}, model_.get(),
                                *featurizer_, config)
                   .empty());
 }

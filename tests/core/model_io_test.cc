@@ -142,12 +142,39 @@ TEST_F(ModelIoTest, FeaturizerStateSurvivesRoundTrip) {
   std::istringstream in(out.str());
   Result<TrainedModel> loaded = LoadModel(&in, kb_.kb.ontology());
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->feature_config.sibling_window,
-            model_->feature_config.sibling_window);
+  EXPECT_EQ(loaded->feature_config.structural_features,
+            model_->feature_config.structural_features);
   EXPECT_EQ(loaded->feature_config.text_features,
             model_->feature_config.text_features);
   EXPECT_FALSE(loaded->frequent_strings.empty());
   EXPECT_TRUE(loaded->frequent_strings.count("director") > 0);
+}
+
+// The featurizer has one sibling window and one text depth, so a model
+// file recording any other is rejected rather than applied with features
+// it was not trained on.
+TEST_F(ModelIoTest, FeatureConfigOtherThanTheFeaturizersIsRejected) {
+  std::ostringstream out;
+  ASSERT_TRUE(SaveModel(*model_, kb_.kb.ontology(), &out).ok());
+  const std::string full = out.str();
+  const std::string header = "#featureconfig\n";
+  const size_t line_at = full.find(header) + header.size();
+  const size_t line_end = full.find('\n', line_at);
+  ASSERT_NE(full.find(header), std::string::npos);
+  ASSERT_EQ(full.substr(line_at, line_end - line_at), "5\t1\t1\t3");
+  auto load_with = [&](const std::string& line) {
+    std::istringstream in(full.substr(0, line_at) + line +
+                          full.substr(line_end));
+    return LoadModel(&in, kb_.kb.ontology()).status();
+  };
+  EXPECT_TRUE(load_with("5\t1\t1\t3").ok());
+  for (const char* line : {"7\t1\t1\t3", "5\t1\t1\t4", "0\t1\t1\t3",
+                           "4294967301\t1\t1\t3", "5\t1\t1\t-1"}) {
+    Status status = load_with(line);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(status.message().find("feature config"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST_F(ModelIoTest, LoadRejectsOntologyMismatch) {

@@ -1,6 +1,8 @@
 // Ablation tests for the pipeline's configuration switches (the design
-// choices DESIGN.md calls out): each filter must move metrics in its
-// documented direction on a corpus engineered to exercise it.
+// choices DESIGN.md calls out): each switch must move metrics in its
+// documented direction on a corpus engineered to exercise it. Algorithm 1's
+// steps have no switch; tests/core/topic_identification_test.cc pins each
+// one with a fixture that fails without it.
 
 #include <gtest/gtest.h>
 
@@ -57,17 +59,6 @@ class PipelineAblationTest : public ::testing::Test {
 synth::Corpus* PipelineAblationTest::corpus_ = nullptr;
 ParsedSiteFixture* PipelineAblationTest::fixture_ = nullptr;
 
-TEST_F(PipelineAblationTest, InformativenessFilterTradesPagesForPrecision) {
-  PipelineConfig with;
-  PipelineConfig without;
-  without.topic.apply_informativeness_filter = false;
-  PipelineResult result_with = Run(with);
-  PipelineResult result_without = Run(without);
-  // Dropping the filter can only keep equal or more annotated pages.
-  EXPECT_GE(result_without.annotated_pages.size(),
-            result_with.annotated_pages.size());
-}
-
 TEST_F(PipelineAblationTest, RelationFilteringRaisesAnnotationPrecision) {
   PipelineConfig full;
   PipelineConfig topic_only;
@@ -97,20 +88,6 @@ TEST_F(PipelineAblationTest, ClusteringOffStillRuns) {
   // still happens (quality may differ; that's Table 5's business).
   EXPECT_GT(result.extractions.size(), 0u);
   for (int cluster : result.cluster_of_page) EXPECT_EQ(cluster, 0);
-}
-
-TEST_F(PipelineAblationTest, DominantXPathAblationChangesTopicChoice) {
-  PipelineConfig with;
-  PipelineConfig without;
-  without.topic.apply_dominant_xpath = false;
-  PipelineResult result_with = Run(with);
-  PipelineResult result_without = Run(without);
-  eval::Prf prf_with = eval::ScoreTopics(result_with.topic_of_page,
-                                         fixture_->truth, corpus_->seed_kb);
-  eval::Prf prf_without = eval::ScoreTopics(
-      result_without.topic_of_page, fixture_->truth, corpus_->seed_kb);
-  // The global step never hurts topic precision on template sites.
-  EXPECT_GE(prf_with.precision() + 1e-9, prf_without.precision());
 }
 
 TEST_F(PipelineAblationTest, HigherExtractionThresholdNeverAddsVolume) {

@@ -216,6 +216,77 @@ TEST(RelationAnnotatorTest, SuspiciousValueGuardUsesClustering) {
   }
 }
 
+// The informativeness guard (§3.2.2 case 2) changing an annotation. Four
+// films share the genre Comedy, so the value recurs on every annotated page.
+// On page 3 Comedy is absent from the genre list and appears only in the
+// recommendation block: local evidence picks that lone mention, but it lies
+// outside hasGenre's dominant XPath cluster (the main genre lists), so the
+// guard drops it. Page 3's own genre, in the main list, is still annotated.
+TEST(RelationAnnotatorTest, InformativenessGuardDropsRecurringValueOffCluster) {
+  Ontology ontology;
+  TypeId film = ontology.AddEntityType("film");
+  TypeId genre_type = ontology.AddEntityType("genre");
+  PredicateId genre = ontology.AddPredicate("hasGenre", film, genre_type, true);
+  KnowledgeBase kb(std::move(ontology));
+  const EntityId comedy = kb.AddEntity(genre_type, "Comedy");
+  const std::vector<std::string> titles = {"Film Zero", "Film One",
+                                           "Film Two", "Film Three"};
+  const std::vector<std::string> own_genres = {"Noir", "Western", "Musical",
+                                               "Satire"};
+  std::vector<EntityId> films;
+  std::vector<EntityId> own;
+  for (size_t i = 0; i < titles.size(); ++i) {
+    films.push_back(kb.AddEntity(film, titles[i]));
+    own.push_back(kb.AddEntity(genre_type, own_genres[i]));
+    kb.AddTriple(films[i], genre, comedy);
+    kb.AddTriple(films[i], genre, own[i]);
+  }
+  kb.Freeze();
+
+  std::vector<DomDocument> docs;
+  // Page 0 also repeats Comedy in its rec block: a two-mention task, so
+  // hasGenre's paths are clustered into two groups.
+  docs.push_back(ParseOrDie(FilmPageHtml(titles[0], "X", "Y", {},
+                                         {"Comedy", own_genres[0]},
+                                         {"Comedy"})));
+  for (size_t i = 1; i < 3; ++i) {
+    docs.push_back(ParseOrDie(
+        FilmPageHtml(titles[i], "X", "Y", {}, {"Comedy", own_genres[i]})));
+  }
+  docs.push_back(ParseOrDie(
+      FilmPageHtml(titles[3], "X", "Y", {}, {own_genres[3]}, {"Comedy"})));
+
+  std::vector<const DomDocument*> ptrs;
+  std::vector<PageMentions> mentions;
+  TopicResult topics;
+  for (size_t i = 0; i < docs.size(); ++i) {
+    ptrs.push_back(&docs[i]);
+    mentions.push_back(MatchPageMentions(docs[i], kb));
+    topics.topic.push_back(films[i]);
+    topics.topic_node.push_back(mentions[i].mentions_of.at(films[i]).front());
+    topics.score.push_back(1.0);
+  }
+  AnnotationResult result = AnnotateRelations(ptrs, mentions, topics, kb);
+
+  std::set<std::pair<PageIndex, EntityId>> annotated;
+  for (const Annotation& a : result.annotations) {
+    if (a.predicate != genre) continue;
+    annotated.emplace(a.page, a.object);
+    NodeId parent = docs[static_cast<size_t>(a.page)].node(a.node).parent;
+    EXPECT_EQ(docs[static_cast<size_t>(a.page)].Attribute(parent, "class"),
+              "genres")
+        << "page " << a.page;
+  }
+  for (PageIndex page = 0; page < 3; ++page) {
+    EXPECT_EQ(annotated.count({page, comedy}), 1u) << "page " << page;
+  }
+  EXPECT_EQ(annotated.count({3, comedy}), 0u);
+  for (PageIndex page = 0; page < 4; ++page) {
+    EXPECT_EQ(annotated.count({page, own[static_cast<size_t>(page)]}), 1u)
+        << "page " << page;
+  }
+}
+
 TEST(RelationAnnotatorTest, PagesWithoutTopicIgnored) {
   TinyMovieKb fixture;
   AnnotatorHarness harness(&fixture);

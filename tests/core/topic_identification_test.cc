@@ -64,15 +64,20 @@ TEST(TopicIdentificationTest, DominantPathOverridesSpuriousLocalWinner) {
   site.Add(fixture.kb,
            FilmPageHtml("Crooklyn", "Spike Lee", "Joie Lee",
                         {"Zelda Harris"}, {"Comedy"}));
-  // ...then a page whose h1 is Selma but which also mentions Crooklyn data
-  // in a side box; the topic must come from the h1 field.
+  // ...then a page whose h1 is Selma but which carries more of Crooklyn's
+  // facts (Spike Lee, Zelda Harris, Comedy) than of Selma's (Danny Aiello,
+  // Dramedy) and names Crooklyn in a side box. Crooklyn wins the page's
+  // local Jaccard score (3/7 against 2/7); only the site's dominant h1
+  // path makes Selma the topic.
   site.Add(fixture.kb,
-           FilmPageHtml("Selma", "Ava DuVernay", "Paul Webb",
-                        {"Danny Aiello"},
-                        {"Dramedy"}, {"Crooklyn", "Comedy"}));
+           FilmPageHtml("Selma", "Spike Lee", "Paul Webb",
+                        {"Danny Aiello", "Zelda Harris"},
+                        {"Dramedy", "Comedy"}, {"Crooklyn"}));
   TopicResult result = IdentifyTopics(site.ptrs, site.mentions, fixture.kb,
                                       LooseConfig());
   EXPECT_EQ(result.topic[2], fixture.selma);
+  ASSERT_NE(result.topic_node[2], kInvalidNode);
+  EXPECT_EQ(site.docs[2].node(result.topic_node[2]).tag, "h1");
 }
 
 TEST(TopicIdentificationTest, UniquenessFilterDropsRepeatedCandidate) {
@@ -87,21 +92,13 @@ TEST(TopicIdentificationTest, UniquenessFilterDropsRepeatedCandidate) {
                           "Spike Lee", {"Danny Aiello", "John Turturro"},
                           {"Comedy", "Dramedy"}, {"Crooklyn"}));
   }
-  TopicConfig config = LooseConfig();
-  config.max_pages_per_topic = 5;
-  TopicResult result =
-      IdentifyTopics(site.ptrs, site.mentions, fixture.kb, config);
+  // Crooklyn is the local candidate of 6 >= 5 pages, so the uniqueness
+  // filter discards it everywhere; without the filter it would stick.
+  TopicResult result = IdentifyTopics(site.ptrs, site.mentions, fixture.kb,
+                                      LooseConfig());
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(result.topic[i], kInvalidEntity) << "page " << i;
   }
-  // Without the uniqueness filter the spurious candidate sticks.
-  config.apply_uniqueness_filter = false;
-  result = IdentifyTopics(site.ptrs, site.mentions, fixture.kb, config);
-  int assigned = 0;
-  for (int i = 0; i < 6; ++i) {
-    if (result.topic[i] != kInvalidEntity) ++assigned;
-  }
-  EXPECT_GT(assigned, 0);
 }
 
 TEST(TopicIdentificationTest, InformativenessFilterDropsThinPages) {
@@ -178,7 +175,6 @@ TEST(TopicIdentificationTest, CommonStringFloorPreventsOverFiltering) {
   std::vector<PageMentions> mentions{MatchPageMentions(page, kb)};
   TopicConfig config;
   config.min_annotations_per_page = 1;
-  config.common_string_fraction = 0.0001;
   config.common_string_min_count = 1;  // Floor disabled: everything common.
   TopicResult no_floor = IdentifyTopics(pages, mentions, kb, config);
   EXPECT_EQ(no_floor.topic[0], kInvalidEntity);

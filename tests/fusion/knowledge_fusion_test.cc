@@ -56,9 +56,7 @@ TEST(KnowledgeFusionTest, ConfidenceFloorFiltersWeakExtractions) {
   std::vector<SiteExtractions> sites{
       {"a.com", {Make("Film", 0, "Someone", 0.3)}},
   };
-  FusionConfig config;
-  config.min_extraction_confidence = 0.5;
-  EXPECT_TRUE(FuseExtractions(sites, ontology, config).triples.empty());
+  EXPECT_TRUE(FuseExtractions(sites, ontology).triples.empty());
 }
 
 TEST(KnowledgeFusionTest, FunctionalConflictKeepsBestObject) {
@@ -71,13 +69,6 @@ TEST(KnowledgeFusionTest, FunctionalConflictKeepsBestObject) {
   FusionResult result = FuseExtractions(sites, ontology);
   ASSERT_EQ(result.triples.size(), 1u);
   EXPECT_EQ(result.triples[0].object, "12 june 1989");
-
-  FusionConfig keep;
-  keep.keep_conflicts = true;
-  result = FuseExtractions(sites, ontology, keep);
-  ASSERT_EQ(result.triples.size(), 2u);
-  EXPECT_FALSE(result.triples[0].conflicting);
-  EXPECT_TRUE(result.triples[1].conflicting);
 }
 
 TEST(KnowledgeFusionTest, MultiValuedPredicatesNeverConflict) {
@@ -161,13 +152,14 @@ TEST(BuildKbFromFusedTriplesTest, ScoreFloorAndConflictsRespected) {
       {"a.com", {Make("Film", 1, "12 June 1989", 0.95)}},
       {"b.com", {Make("Film", 1, "1 January 1990", 0.55)}},
   };
-  FusionConfig keep;
-  keep.keep_conflicts = true;
-  FusionResult fused = FuseExtractions(sites, ontology, keep);
-  ASSERT_EQ(fused.triples.size(), 2u);
+  FusionResult fused = FuseExtractions(sites, ontology);
+  // Fusion already dropped the conflicting loser, so it is never
+  // materialized.
+  ASSERT_EQ(fused.triples.size(), 1u);
   KnowledgeBase kb = BuildKbFromFusedTriples(fused, ontology, 0.0);
-  // The conflicting loser is never materialized.
   EXPECT_EQ(kb.num_triples(), 1);
+  EXPECT_FALSE(kb.MatchMentions("12 june 1989").empty());
+  EXPECT_TRUE(kb.MatchMentions("1 january 1990").empty());
   // A floor above every score yields an empty KB.
   KnowledgeBase strict = BuildKbFromFusedTriples(fused, ontology, 0.999);
   EXPECT_EQ(strict.num_triples(), 0);

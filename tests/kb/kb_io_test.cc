@@ -133,59 +133,13 @@ TEST(KbIoTest, LoadToleratesCommentsBlanksAndCrlf) {
   EXPECT_EQ(kb->MatchMentions("Selma").size(), 1u);
 }
 
-TEST(KbIoTest, LenientLoadSkipsAndTalliesBadLines) {
-  KnowledgeBase original = MakeSmallKb();
-  std::ostringstream out;
-  ASSERT_TRUE(SaveKb(original, &out).ok());
-  // Splice malformed lines around the serialized text: one before any
-  // section, one trailing in the #triples section.
-  std::string corrupted =
-      "stray data\n" + out.str() + "not\ta\tvalid\ttriple\textra\n";
-  std::istringstream in(corrupted);
-  KbLoadOptions options;
-  options.strict = false;
-  KbLoadStats stats;
-  Result<KnowledgeBase> kb = LoadKb(&in, options, &stats);
-  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
-  EXPECT_EQ(stats.bad_lines, 2);
-  ASSERT_EQ(stats.errors.size(), 2u);
-  // The good records all survive.
-  EXPECT_EQ(kb->num_entities(), original.num_entities());
-  EXPECT_EQ(kb->num_triples(), original.num_triples());
-}
-
-TEST(KbIoTest, LenientLoadStopsPastMaxBadLines) {
-  KnowledgeBase original = MakeSmallKb();
-  std::ostringstream out;
-  ASSERT_TRUE(SaveKb(original, &out).ok());
-  std::string corrupted = "junk one\njunk two\n" + out.str();
-  std::istringstream in(corrupted);
-  KbLoadOptions options;
-  options.strict = false;
-  options.max_bad_lines = 1;
-  KbLoadStats stats;
-  Result<KnowledgeBase> kb = LoadKb(&in, options, &stats);
-  EXPECT_EQ(kb.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(KbIoTest, LenientLoadCapsRecordedErrors) {
-  std::string corrupted;
-  for (int i = 0; i < 30; ++i) corrupted += "junk line\n";
-  std::istringstream in(corrupted);
-  KbLoadOptions options;
-  options.strict = false;
-  KbLoadStats stats;
-  Result<KnowledgeBase> kb = LoadKb(&in, options, &stats);
-  ASSERT_TRUE(kb.ok());
-  EXPECT_EQ(stats.bad_lines, 30);
-  EXPECT_EQ(stats.errors.size(), KbLoadStats::kMaxRecordedErrors);
-}
-
 TEST(KbIoTest, StrictLoadStillFailsFast) {
   std::istringstream in("stray data\nmore stray data\n");
-  KbLoadStats stats;
-  Result<KnowledgeBase> kb = LoadKb(&in, KbLoadOptions{}, &stats);
+  Result<KnowledgeBase> kb = LoadKb(&in);
   EXPECT_EQ(kb.status().code(), StatusCode::kInvalidArgument);
+  // The first malformed line ends the load, and the error names it.
+  EXPECT_NE(kb.status().message().find("line 1:"), std::string::npos)
+      << kb.status().ToString();
 }
 
 TEST(KbIoTest, FileHelpersReportMissingPath) {

@@ -8,13 +8,11 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "dom/html_parser.h"
 #include "eval/metrics.h"
-#include "kb/kb_io.h"
 #include "robustness/fault_injector.h"
 #include "robustness/resilient_loader.h"
 #include "synth/corpora.h"
@@ -237,29 +235,6 @@ TEST_F(ChaosTest, PreExpiredDeadlineYieldsTypedSkipsNotHangs) {
   EXPECT_EQ(diag.counts(PipelineStage::kTopicIdentification).skipped, 1);
   // The diagnostics summary names the outcome for humans.
   EXPECT_NE(diag.Summary().find("DEADLINE_EXCEEDED"), std::string::npos);
-}
-
-TEST_F(ChaosTest, CorruptedSeedKbLoadsLenientlyAndPipelineRuns) {
-  std::ostringstream serialized;
-  ASSERT_TRUE(SaveKb(*seed_kb_, &serialized).ok());
-  int64_t corrupted_lines = 0;
-  std::string corrupted_text =
-      CorruptKbText(serialized.str(), 0.05, /*seed=*/13, &corrupted_lines);
-  ASSERT_GT(corrupted_lines, 0);
-
-  std::istringstream in(corrupted_text);
-  KbLoadOptions options;
-  options.strict = false;
-  KbLoadStats stats;
-  Result<KnowledgeBase> kb = LoadKb(&in, options, &stats);
-  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
-  EXPECT_EQ(stats.bad_lines, corrupted_lines);
-
-  Result<PipelineResult> result =
-      RunPipelineResilient(RawCrawl(), *kb, PipelineConfig{}, LoadOptions());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  // A 5% thinner KB still drives the pipeline to useful extractions.
-  EXPECT_GT(result->extractions.size(), 100u);
 }
 
 }  // namespace

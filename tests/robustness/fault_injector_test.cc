@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
-
-#include "kb/kb_io.h"
 
 namespace ceres {
 namespace {
@@ -141,53 +138,6 @@ TEST(FaultInjectorTest, ShapeFaultsLeaveHtmlAlone) {
   EXPECT_EQ(CorruptHtml(html, FaultType::kNone, config, &rng), html);
   EXPECT_EQ(CorruptHtml(html, FaultType::kDrop, config, &rng), html);
   EXPECT_EQ(CorruptHtml(html, FaultType::kDuplicate, config, &rng), html);
-}
-
-TEST(FaultInjectorTest, CorruptKbTextTallyMatchesLenientLoad) {
-  // Build a KB file with a known number of fact lines.
-  std::string kb_text = "#types\n";
-  kb_text += "film\tentity\n";
-  kb_text += "person\tentity\n";
-  kb_text += "#predicates\n";
-  kb_text += "directedBy\tfilm\tperson\tmulti\n";
-  kb_text += "#entities\n";
-  for (int i = 0; i < 20; ++i) {
-    kb_text += std::to_string(i) + "\tfilm\tFilm " + std::to_string(i) + "\n";
-  }
-  for (int i = 20; i < 40; ++i) {
-    kb_text +=
-        std::to_string(i) + "\tperson\tPerson " + std::to_string(i) + "\n";
-  }
-  kb_text += "#triples\n";
-  for (int i = 0; i < 20; ++i) {
-    kb_text += std::to_string(i) + "\tdirectedBy\t" + std::to_string(20 + i) +
-               "\n";
-  }
-  int64_t corrupted_lines = 0;
-  std::string corrupted = CorruptKbText(kb_text, 0.3, /*seed=*/5,
-                                        &corrupted_lines);
-  ASSERT_GT(corrupted_lines, 0);
-  std::istringstream in(corrupted);
-  KbLoadOptions options;
-  options.strict = false;
-  KbLoadStats stats;
-  Result<KnowledgeBase> kb = LoadKb(&in, options, &stats);
-  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
-  // Every mangled line is malformed, and nothing else is: exact accounting.
-  EXPECT_EQ(stats.bad_lines, corrupted_lines);
-  EXPECT_EQ(kb->num_triples(), 20 - corrupted_lines);
-  EXPECT_EQ(kb->num_entities(), 40);
-}
-
-TEST(FaultInjectorTest, CorruptKbTextSparesEverythingOutsideTriples) {
-  std::string kb_text =
-      "# comment\n#types\nfilm\tentity\n#entities\n0\tfilm\tA\n"
-      "1\tfilm\tB\n#triples\n";
-  int64_t corrupted_lines = 0;
-  std::string corrupted = CorruptKbText(kb_text, 1.0, /*seed=*/1,
-                                        &corrupted_lines);
-  EXPECT_EQ(corrupted_lines, 0);  // No fact lines to corrupt.
-  EXPECT_EQ(corrupted, kb_text);
 }
 
 TEST(FaultInjectorTest, FaultTypeNamesAreDistinct) {

@@ -20,21 +20,25 @@
 // Usage:
 //   ceres_chaos [--rates 0,0.1,0.2,0.3,0.5] [--seed 77] [--pages 80]
 //               [--budget-ms N] [--verbose]
+//
+// Rates lie in [0, 1], --pages is at least 10 and --budget-ms at least 0;
+// any other value prints the usage and exits 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "dom/html_parser.h"
 #include "eval/metrics.h"
+#include "flag_value.h"
 #include "robustness/fault_injector.h"
 #include "robustness/resilient_loader.h"
 #include "synth/corpora.h"
 #include "synth/kb_builder.h"
 #include "synth/truth.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -62,40 +66,36 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       *out = argv[++i];
       return true;
     };
+    std::string value;
+    bool ok = true;
     if (arg == "--rates") {
-      std::string value;
-      if (!next(&value)) return false;
+      ok = next(&value);
       options->rates.clear();
-      size_t start = 0;
-      while (start <= value.size()) {
-        size_t comma = value.find(',', start);
-        if (comma == std::string::npos) comma = value.size();
-        options->rates.push_back(
-            std::strtod(value.substr(start, comma - start).c_str(), nullptr));
-        start = comma + 1;
+      for (const std::string& item : Split(value, ',')) {
+        options->rates.push_back(0);
+        ok = ok && tools::ParseFlagValue(item, &options->rates.back(), 0.0,
+                                         1.0);
       }
     } else if (arg == "--seed") {
-      std::string value;
-      if (!next(&value)) return false;
-      options->seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = next(&value) && tools::ParseFlagValue(value, &options->seed);
     } else if (arg == "--pages") {
-      std::string value;
-      if (!next(&value)) return false;
-      options->pages =
-          static_cast<size_t>(std::strtoul(value.c_str(), nullptr, 10));
+      ok = next(&value) &&
+           tools::ParseFlagValue(value, &options->pages, size_t{10});
     } else if (arg == "--budget-ms") {
-      std::string value;
-      if (!next(&value)) return false;
-      options->budget_ms = static_cast<int>(
-          std::strtol(value.c_str(), nullptr, 10));
+      ok = next(&value) &&
+           tools::ParseFlagValue(value, &options->budget_ms, 0);
     } else if (arg == "--verbose") {
       options->verbose = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;
     }
+    if (!ok) {
+      std::fprintf(stderr, "bad %s: %s\n", arg.c_str(), value.c_str());
+      return false;
+    }
   }
-  return !options->rates.empty() && options->pages >= 10;
+  return true;
 }
 
 int g_violations = 0;

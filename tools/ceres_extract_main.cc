@@ -32,6 +32,7 @@
 #include "core/model_io.h"
 #include "core/pipeline.h"
 #include "dom/html_parser.h"
+#include "flag_value.h"
 #include "kb/kb_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -60,8 +61,8 @@ void PrintUsage() {
       stderr,
       "usage: ceres_extract --kb <kb file> --pages <dir> --out <tsv>\n"
       "  [--threshold 0.5] [--no-cluster] [--min-cluster N]\n"
-      "  [--topic-only] [--save-model <file>] [--trace_json <file>]\n"
-      "  [--verbose]\n");
+      "  [--topic-only] [--save-model <file>] [--model <file>]\n"
+      "  [--trace_json <file>] [--verbose]\n");
 }
 
 bool ParseArgs(int argc, char** argv, Options* options) {
@@ -89,13 +90,18 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       if (options->trace_json_path.empty()) return false;
     } else if (arg == "--threshold") {
       std::string value;
-      if (!next(&value)) return false;
-      options->threshold = std::strtod(value.c_str(), nullptr);
+      if (!next(&value) ||
+          !tools::ParseFlagValue(value, &options->threshold, 0.0, 1.0)) {
+        std::fprintf(stderr, "bad --threshold: %s\n", value.c_str());
+        return false;
+      }
     } else if (arg == "--min-cluster") {
       std::string value;
-      if (!next(&value)) return false;
-      options->min_cluster =
-          static_cast<size_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!next(&value) ||
+          !tools::ParseFlagValue(value, &options->min_cluster, size_t{1})) {
+        std::fprintf(stderr, "bad --min-cluster: %s\n", value.c_str());
+        return false;
+      }
     } else if (arg == "--no-cluster") {
       options->cluster = false;
     } else if (arg == "--topic-only") {

@@ -17,8 +17,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 
+#include "flag_value.h"
 #include "kb/kb_io.h"
 #include "synth/corpora.h"
 #include "util/string_util.h"
@@ -48,6 +50,14 @@ Result<synth::Corpus> BuildCorpus(const std::string& name, double scale,
   return Status::InvalidArgument(StrCat("unknown corpus: ", name));
 }
 
+void PrintUsage() {
+  std::fprintf(stderr,
+               "usage: ceres_gen_corpus --corpus <name> --out <dir> "
+               "[--scale S] [--seed N]\n"
+               "corpora: swde-movie swde-book swde-nba swde-university "
+               "imdb longtail\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -55,35 +65,31 @@ int main(int argc, char** argv) {
   std::string out_dir;
   double scale = 1.0;
   uint64_t seed = 100;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
+  // Every flag takes a value. An unknown flag, a missing value, and a
+  // malformed or out-of-range number print the usage and exit 2.
+  bool ok = true;
+  for (int i = 1; ok && i < argc; i += 2) {
+    const std::string arg = argv[i];
+    const std::string value = i + 1 < argc ? argv[i + 1] : "";
+    ok = i + 1 < argc;
     if (arg == "--corpus") {
-      const char* v = next();
-      if (v == nullptr) break;
-      corpus_name = v;
+      corpus_name = value;
     } else if (arg == "--out") {
-      const char* v = next();
-      if (v == nullptr) break;
-      out_dir = v;
+      out_dir = value;
     } else if (arg == "--scale") {
-      const char* v = next();
-      if (v == nullptr) break;
-      scale = std::strtod(v, nullptr);
+      // Strictly positive: the smallest normal double is the floor.
+      ok = ok && tools::ParseFlagValue(value, &scale,
+                                       std::numeric_limits<double>::min());
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) break;
-      seed = std::strtoull(v, nullptr, 10);
+      ok = ok && tools::ParseFlagValue(value, &seed);
+    } else {
+      ok = false;
     }
+    if (!ok) std::fprintf(stderr, "bad argument: %s %s\n", arg.c_str(),
+                          value.c_str());
   }
-  if (corpus_name.empty() || out_dir.empty()) {
-    std::fprintf(stderr,
-                 "usage: ceres_gen_corpus --corpus <name> --out <dir> "
-                 "[--scale S] [--seed N]\n"
-                 "corpora: swde-movie swde-book swde-nba swde-university "
-                 "imdb longtail\n");
+  if (!ok || corpus_name.empty() || out_dir.empty()) {
+    PrintUsage();
     return 2;
   }
 
