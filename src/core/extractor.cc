@@ -1,6 +1,7 @@
 #include "core/extractor.h"
 
 #include <algorithm>
+#include <span>
 
 #include "core/doc_cache.h"
 #include "util/logging.h"
@@ -23,21 +24,26 @@ void ExtractFromPage(const DomDocument& doc, PageIndex page,
   std::vector<NodeId> fields = doc.TextFields();
   if (fields.empty()) return;
 
-  // Score all fields once.
+  // Score all fields once, into one buffer: field f's class probabilities
+  // are [f * classes, (f + 1) * classes).
   NormalizedTextCache text_cache(doc, featurizer.frequent_strings());
-  std::vector<std::vector<double>> probabilities(fields.size());
+  const auto classes = static_cast<size_t>(model->model.num_classes());
+  std::vector<double> probabilities(fields.size() * classes);
+  const auto probabilities_of = [&](size_t f) {
+    return std::span<double>(probabilities).subspan(f * classes, classes);
+  };
   for (size_t f = 0; f < fields.size(); ++f) {
     SparseVector features = featurizer.Extract(doc, fields[f],
                                                &model->features,
                                                /*name_prefix=*/{}, &text_cache);
-    probabilities[f] = model->model.PredictProbabilities(features);
+    model->model.PredictProbabilities(features, probabilities_of(f));
   }
 
   // Topic-name node: the field with the highest NAME probability.
   size_t name_field = 0;
   double name_prob = -1;
   for (size_t f = 0; f < fields.size(); ++f) {
-    double prob = probabilities[f][ClassMap::kNameClass];
+    double prob = probabilities_of(f)[ClassMap::kNameClass];
     if (prob > name_prob) {
       name_prob = prob;
       name_field = f;
@@ -50,7 +56,7 @@ void ExtractFromPage(const DomDocument& doc, PageIndex page,
 
   for (size_t f = 0; f < fields.size(); ++f) {
     if (f == name_field) continue;
-    const std::vector<double>& probs = probabilities[f];
+    const std::span<double> probs = probabilities_of(f);
     auto it = std::max_element(probs.begin(), probs.end());
     int32_t cls = static_cast<int32_t>(it - probs.begin());
     if (cls == ClassMap::kOtherClass || cls == ClassMap::kNameClass) {

@@ -2,6 +2,7 @@
 #define CERES_ML_LOGISTIC_REGRESSION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ml/lbfgs.h"
@@ -28,8 +29,6 @@ struct LogRegConfig {
 struct LabeledExample {
   SparseVector features;
   int32_t label = 0;
-  /// Importance weight (1 for normal examples).
-  double weight = 1.0;
 };
 
 /// Multinomial (softmax) logistic regression trained with L-BFGS.
@@ -47,25 +46,30 @@ class LogisticRegression {
   /// (scikit-learn's `classes_`); an absent class gets zero weights and a
   /// -inf intercept, so its probability is exactly 0. A single observed
   /// class needs no solve (iterations == 0). Examples with the same label
-  /// and features are fitted as one row carrying their summed weight, so
-  /// repeating an example is the same fit as raising its weight. Feature
+  /// and features are fitted as one row counted once per copy. Feature
   /// indices at or above num_features are ignored. Returns solver
   /// statistics or kInvalidArgument for malformed inputs (no examples,
   /// label out of range, a negative feature index) and bad configs (`l2_c`
   /// not finite and positive, `max_iterations` below 1).
   ///
-  /// The rows are packed once per fit into flat arrays (freed on return),
-  /// and the objective is compiled once per fitted class count from 2 to
-  /// 12, plus once for a count known only at run time, so its per-class
-  /// loops unroll. Every weight receives its additions in the same order
-  /// whichever version runs, so the fit is the same to the last bit
-  /// (LogisticRegressionTest.FitBytesUnchangedAcrossKernels).
+  /// The rows are planned once per fit (freed on return) so that the
+  /// objective computes a prefix shared by two rows' logits once, and the
+  /// gradient of features that occur in the same rows with the same values
+  /// once. It is compiled once per fitted class count from 2 to 12, plus
+  /// once for a count known only at run time, so its per-class loops
+  /// unroll. Every value receives its additions in the order of a plain
+  /// per-row walk, whichever version runs, so the fit is the same to the
+  /// last bit (LogisticRegressionTest.FitBytesUnchangedAcrossKernels and
+  /// FitBytesUnchangedOnEdgeCases).
   Result<LbfgsResult> Train(const std::vector<LabeledExample>& examples,
                             int32_t num_features, int32_t num_classes,
                             const LogRegConfig& config = {});
 
   /// Class probabilities for one example; requires a trained model.
   std::vector<double> PredictProbabilities(const SparseVector& features) const;
+  /// The same probabilities, written into `out` (num_classes() values).
+  void PredictProbabilities(const SparseVector& features,
+                            std::span<double> out) const;
 
   /// Argmax class with its probability.
   std::pair<int32_t, double> Predict(const SparseVector& features) const;

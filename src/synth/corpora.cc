@@ -1,8 +1,11 @@
 #include "synth/corpora.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "synth/kb_builder.h"
 #include "util/logging.h"
@@ -608,9 +611,16 @@ Corpus MakeLongTailCorpus(double scale, uint64_t seed) {
 double EnvScale() {
   const char* raw = std::getenv("CERES_SCALE");
   if (raw == nullptr || *raw == '\0') return 1.0;
-  char* end = nullptr;
-  double value = std::strtod(raw, &end);
-  if (end == raw || value <= 0) return 1.0;
+  const char* end = raw + std::strlen(raw);
+  double value = 0;
+  const auto [stop, error] = std::from_chars(raw, end, value);
+  if (error != std::errc() || stop != end || !std::isfinite(value) ||
+      value <= 0) {
+    std::fprintf(stderr,
+                 "CERES_SCALE must be a finite number above 0, got \"%s\"\n",
+                 raw);
+    std::exit(2);
+  }
   return value;
 }
 

@@ -65,7 +65,9 @@ struct LongTailSiteInfo {
 Corpus MakeLongTailCorpus(double scale = 1.0, uint64_t seed = 300);
 
 /// Reads the CERES_SCALE environment variable (default 1.0) used by the
-/// benches to size every corpus.
+/// benches to size every corpus. A value that is not a finite number above
+/// 0 with nothing after it ("abc", "0.2x", "-2", "inf") prints a message
+/// and exits the process with status 2.
 double EnvScale();
 
 }  // namespace ceres::synth

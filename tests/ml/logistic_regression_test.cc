@@ -21,6 +21,24 @@ LabeledExample Example(std::vector<std::pair<int32_t, double>> entries,
   return example;
 }
 
+// FNV-1a over the weight bytes and the solver statistics of one fit.
+uint64_t FitHash(const LogisticRegression& model, const LbfgsResult& fit) {
+  uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 1099511628211ull;
+    }
+  };
+  mix(model.weights().data(), model.weights().size() * sizeof(double));
+  const int32_t stats[] = {fit.converged ? 1 : 0, fit.iterations,
+                           fit.evaluations};
+  mix(stats, sizeof(stats));
+  mix(&fit.final_objective, sizeof(double));
+  return hash;
+}
+
 TEST(LogisticRegressionTest, SeparatesTwoClasses) {
   std::vector<LabeledExample> examples;
   for (int i = 0; i < 20; ++i) {
@@ -342,50 +360,27 @@ TEST(LogisticRegressionTest, RejectsBadSolverConfig) {
 }
 
 TEST(LogisticRegressionTest, DuplicateRowsTrainAsOneWeightedRow) {
-  // Rows with the same label and features are one row whose weight is the
-  // sum of theirs, kept at its first occurrence: the two inputs below are
-  // the same fit to the last bit.
+  // Rows with the same label and features are one row, kept at its first
+  // occurrence and weighted by its number of copies: where the later
+  // copies stand makes no difference to the last bit, but their number
+  // does.
   const LabeledExample a = Example({{0, 1.0}, {2, 0.5}}, 0);
   const LabeledExample b = Example({{1, 1.0}, {2, 0.25}}, 1);
-  const std::vector<LabeledExample> repeated{a, b, a, a};
-  LabeledExample heavy_a = a;
-  heavy_a.weight = 3.0;
-  const std::vector<LabeledExample> weighted{heavy_a, b};
-
-  LogisticRegression from_repeated;
-  Result<LbfgsResult> fit_repeated = from_repeated.Train(repeated, 3, 2);
-  ASSERT_TRUE(fit_repeated.ok());
-  LogisticRegression from_weighted;
-  Result<LbfgsResult> fit_weighted = from_weighted.Train(weighted, 3, 2);
-  ASSERT_TRUE(fit_weighted.ok());
-
-  const std::vector<double>& w1 = from_repeated.weights();
-  const std::vector<double>& w2 = from_weighted.weights();
-  ASSERT_EQ(w1.size(), w2.size());
-  EXPECT_EQ(std::memcmp(w1.data(), w2.data(), w1.size() * sizeof(double)), 0);
-  EXPECT_EQ(fit_repeated->converged, fit_weighted->converged);
-  EXPECT_EQ(fit_repeated->iterations, fit_weighted->iterations);
-  EXPECT_EQ(fit_repeated->evaluations, fit_weighted->evaluations);
-  EXPECT_EQ(std::memcmp(&fit_repeated->final_objective,
-                        &fit_weighted->final_objective, sizeof(double)),
-            0);
-  EXPECT_GT(fit_repeated->iterations, 1);
-}
-
-TEST(LogisticRegressionTest, ExampleWeightsMatter) {
-  // One heavily weighted contrarian example should beat three normal ones
-  // carrying the same feature.
-  std::vector<LabeledExample> examples;
-  for (int i = 0; i < 3; ++i) examples.push_back(Example({{0, 1.0}}, 0));
-  LabeledExample heavy = Example({{0, 1.0}}, 1);
-  heavy.weight = 30.0;
-  examples.push_back(std::move(heavy));
-  LogisticRegression model;
-  ASSERT_TRUE(model.Train(examples, 1, 2).ok());
-  SparseVector v;
-  v.Add(0, 1.0);
-  v.Finalize();
-  EXPECT_EQ(model.Predict(v).first, 1);
+  const auto fit = [](const std::vector<LabeledExample>& examples) {
+    LogisticRegression model;
+    Result<LbfgsResult> result = model.Train(examples, 3, 2);
+    if (!result.ok()) {
+      ADD_FAILURE() << result.status().ToString();
+      return uint64_t{0};
+    }
+    EXPECT_GT(result->iterations, 1);
+    return FitHash(model, *result);
+  };
+  const uint64_t three_copies = fit({a, b, a, a});
+  EXPECT_EQ(fit({a, a, b, a}), three_copies);
+  EXPECT_EQ(fit({a, a, a, b}), three_copies);
+  EXPECT_NE(fit({a, b}), three_copies);
+  EXPECT_NE(fit({a, b, a}), three_copies);
 }
 
 TEST(LogisticRegressionTest, RecoversOnNoisyLinearlySeparableData) {
@@ -432,24 +427,6 @@ TEST(LogisticRegressionTest, RejectsNegativeFeatureIndex) {
   EXPECT_FALSE(model.trained());
 }
 
-// FNV-1a over the weight bytes and the solver statistics of one fit.
-uint64_t FitHash(const LogisticRegression& model, const LbfgsResult& fit) {
-  uint64_t hash = 14695981039346656037ull;
-  const auto mix = [&hash](const void* data, size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 1099511628211ull;
-    }
-  };
-  mix(model.weights().data(), model.weights().size() * sizeof(double));
-  const int32_t stats[] = {fit.converged ? 1 : 0, fit.iterations,
-                           fit.evaluations};
-  mix(stats, sizeof(stats));
-  mix(&fit.final_objective, sizeof(double));
-  return hash;
-}
-
 TEST(LogisticRegressionTest, FitBytesUnchangedAcrossKernels) {
   // The objective is compiled once per fitted class count up to a limit and
   // once for a count known only at run time. Every one of them must give
@@ -489,6 +466,76 @@ TEST(LogisticRegressionTest, FitBytesUnchangedAcrossKernels) {
     ASSERT_TRUE(fit.ok());
     EXPECT_GT(fit->iterations, 1);
     EXPECT_EQ(FitHash(model, *fit), kExpected[fitted - 2])
+        << "fitted classes " << fitted << ": 0x" << std::hex
+        << FitHash(model, *fit);
+  }
+}
+
+TEST(LogisticRegressionTest, FitBytesUnchangedOnEdgeCases) {
+  // The rows of one site's fit share long prefixes and many features occur
+  // in exactly the same rows with the same values. These fits pin the
+  // corner cases of that structure to hashes recorded from the plain
+  // per-row walk (x86-64, glibc's libm):
+  // - a row that is a strict prefix of another, and a row whose entries
+  //   all lie past num_features (empty once they are dropped);
+  // - values 2.0 and 0.5 beside 1.0;
+  // - features 7 and 8 occur in the same rows with different values, and
+  //   features 9 and 10 with equal ones;
+  // - rows that differ only past num_features, which stay two rows;
+  // - the same features under two labels.
+  // The template rows are interleaved with seeded near-copies and repeats.
+  constexpr uint64_t kExpected[] = {0x2dd13f8fe689c302, 0xb669968c584c7864,
+                                    0x965b47ceb1be383f, 0x69ee2228d6bc10e3};
+  constexpr int32_t kFeatures = 12;
+  constexpr int32_t kFitted[] = {2, 3, 9, 13};
+  for (size_t fit_index = 0; fit_index < std::size(kFitted); ++fit_index) {
+    const int32_t fitted = kFitted[fit_index];
+    const auto label = [fitted](int32_t i) { return i % fitted; };
+    const std::vector<LabeledExample> fixed{
+        Example({{0, 1.0}, {1, 1.0}, {2, 2.0}, {5, 0.5}}, label(0)),
+        Example({{0, 1.0}, {1, 1.0}}, label(1)),
+        Example({{12, 1.0}, {14, 2.0}}, label(2)),
+        Example({{0, 1.0}, {1, 1.0}, {2, 2.0}, {5, 0.5}, {13, 1.0}},
+                label(0)),
+        Example({{3, 1.0}, {7, 1.0}, {8, 2.0}, {9, 0.5}, {10, 0.5}},
+                label(3)),
+        Example({{4, 1.0}, {7, 1.0}, {8, 2.0}, {9, 0.5}, {10, 0.5}, {11, 1.0}},
+                label(4)),
+        Example({{3, 1.0}, {4, 1.0}}, label(5)),
+        Example({{3, 1.0}, {4, 1.0}}, label(6)),
+        Example({{0, 1.0}, {1, 1.0}, {15, 0.5}}, label(1)),
+    };
+    Rng rng(static_cast<uint64_t>(700 + fitted));
+    std::vector<LabeledExample> examples;
+    for (int32_t i = 0; i < 6 * fitted + 12; ++i) {
+      const LabeledExample& base = fixed[static_cast<size_t>(i) % fixed.size()];
+      examples.push_back(base);
+      if (rng.Bernoulli(0.5)) {
+        // A near-copy: a prefix of the base row's entries below 7, all of
+        // its others (so features 7 to 10 keep their rows), and one more
+        // entry outside 7 to 10.
+        LabeledExample near;
+        const auto& entries = base.features.entries();
+        const size_t keep = rng.Index(entries.size() + 1);
+        for (size_t e = 0; e < entries.size(); ++e) {
+          if (e < keep || entries[e].first >= 7) {
+            near.features.Add(entries[e].first, entries[e].second);
+          }
+        }
+        constexpr int32_t kExtra[] = {0, 1, 2, 3, 4, 5, 6, 11, 12, 13, 14, 15};
+        constexpr double kValues[] = {1.0, 2.0, 0.5};
+        near.features.Add(kExtra[rng.Index(std::size(kExtra))],
+                          kValues[rng.Index(3)]);
+        near.features.Finalize();
+        near.label = label(static_cast<int32_t>(rng.Uniform(0, fitted - 1)));
+        examples.push_back(std::move(near));
+      }
+    }
+    LogisticRegression model;
+    Result<LbfgsResult> fit = model.Train(examples, kFeatures, fitted);
+    ASSERT_TRUE(fit.ok());
+    EXPECT_GT(fit->iterations, 1);
+    EXPECT_EQ(FitHash(model, *fit), kExpected[fit_index])
         << "fitted classes " << fitted << ": 0x" << std::hex
         << FitHash(model, *fit);
   }

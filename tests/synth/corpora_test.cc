@@ -130,12 +130,19 @@ TEST(LongTailCorpusTest, ObscureSitesHaveLowKbOverlap) {
 TEST(EnvScaleTest, ParsesAndDefaults) {
   unsetenv("CERES_SCALE");
   EXPECT_DOUBLE_EQ(EnvScale(), 1.0);
+  setenv("CERES_SCALE", "", 1);
+  EXPECT_DOUBLE_EQ(EnvScale(), 1.0);
   setenv("CERES_SCALE", "0.5", 1);
   EXPECT_DOUBLE_EQ(EnvScale(), 0.5);
-  setenv("CERES_SCALE", "garbage", 1);
-  EXPECT_DOUBLE_EQ(EnvScale(), 1.0);
-  setenv("CERES_SCALE", "-2", 1);
-  EXPECT_DOUBLE_EQ(EnvScale(), 1.0);
+  // A malformed scale stops the run rather than sizing it by a default or
+  // by the number it starts with.
+  for (const char* bad : {"garbage", "0.2x", " 0.5", "-2", "0", "inf", "nan",
+                          "1e999"}) {
+    setenv("CERES_SCALE", bad, 1);
+    EXPECT_EXIT(EnvScale(), ::testing::ExitedWithCode(2),
+                "CERES_SCALE must be a finite number above 0")
+        << bad;
+  }
   unsetenv("CERES_SCALE");
 }
 
