@@ -5,9 +5,20 @@
 // bypassing Algorithm 2 (CERES-Topic) floods training with mislabelled
 // mentions and collapses precision on ambiguous person-page predicates,
 // while CERES-Full keeps precision high at some recall cost.
+//
+// Every run checks the paper's shape and exits 1 on a violation: in both
+// domains CERES-Full's all-extractions precision is at least CERES-Topic's.
+// At the default scale (1.0) every P, R and F1 cell of both systems in
+// both domains must also lie within 0.03 of the value committed in
+// EXPERIMENTS.md, and the rows must be the committed ones. ctest runs it
+// as paper_shape.table5_imdb_extraction. The verdict goes to stderr, so
+// stdout is the table alone.
 
+#include <cmath>
 #include <cstdio>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 
@@ -15,6 +26,75 @@ namespace {
 
 using namespace ceres;         // NOLINT(build/namespaces)
 using namespace ceres::bench;  // NOLINT(build/namespaces)
+
+// EXPERIMENTS.md's Table 5 at scale 1.0: per row, Topic P/R/F1 then Full
+// P/R/F1.
+struct CommittedRow {
+  const char* label;
+  double cells[6];
+};
+const std::vector<CommittedRow> kCommittedPerson = {
+    {"name", {1.00, 1.00, 1.00, 1.00, 1.00, 1.00}},
+    {"person.actedIn.film", {0.55, 0.96, 0.70, 1.00, 1.00, 1.00}},
+    {"person.directorOf.film", {1.00, 0.83, 0.91, 1.00, 0.97, 0.99}},
+    {"person.writerOf.film", {0.96, 0.99, 0.98, 1.00, 0.91, 0.96}},
+    {"person.producerOf.film", {1.00, 0.42, 0.59, 1.00, 0.37, 0.54}},
+    {"person.createdMusicFor.film", {1.00, 1.00, 1.00, 1.00, 1.00, 1.00}},
+    {"person.hasAlias.name", {1.00, 0.65, 0.79, 1.00, 0.65, 0.79}},
+    {"person.placeOfBirth.place", {0.98, 1.00, 0.99, 0.95, 1.00, 0.98}},
+    {"person.dateOfBirth.date", {0.93, 1.00, 0.97, 0.93, 1.00, 0.97}},
+    {"All Extractions", {0.67, 0.94, 0.78, 0.99, 0.96, 0.97}},
+};
+const std::vector<CommittedRow> kCommittedFilm = {
+    {"title", {1.00, 1.00, 1.00, 1.00, 1.00, 1.00}},
+    {"film.hasCastMember.person", {1.00, 0.96, 0.98, 1.00, 1.00, 1.00}},
+    {"film.wasDirectedBy.person", {1.00, 0.96, 0.98, 1.00, 0.92, 0.96}},
+    {"film.wasWrittenBy.person", {0.98, 1.00, 0.99, 1.00, 1.00, 1.00}},
+    {"film.hasGenre.genre", {0.54, 1.00, 0.70, 1.00, 1.00, 1.00}},
+    {"film.hasReleaseDate.date", {1.00, 1.00, 1.00, 1.00, 1.00, 1.00}},
+    {"film.hasReleaseYear.year", {1.00, 1.00, 1.00, 1.00, 1.00, 1.00}},
+    {"episode.episodeNumber.number", {1.00, 0.97, 0.98, 1.00, 0.97, 0.98}},
+    {"episode.seasonNumber.number", {1.00, 0.97, 0.98, 1.00, 0.97, 0.98}},
+    {"episode.partOfSeries.series", {1.00, 0.97, 0.98, 1.00, 0.97, 0.98}},
+    {"All Extractions", {0.90, 0.97, 0.93, 1.00, 0.99, 1.00}},
+};
+// A printed cell may drift this far from its committed value.
+constexpr double kCellTolerance = 0.03;
+const char* const kCellNames[6] = {"Topic P", "Topic R", "Topic F1",
+                                   "Full P",  "Full R",  "Full F1"};
+
+int violations = 0;
+
+void Violation(const std::string& what) {
+  std::fprintf(stderr, "SHAPE VIOLATION: %s\n", what.c_str());
+  ++violations;
+}
+
+// Compares one domain's printed rows with the committed ones.
+void CheckCells(const std::string& domain,
+                const std::vector<std::vector<std::string>>& rows,
+                const std::vector<CommittedRow>& committed) {
+  if (rows.size() != committed.size()) {
+    Violation(domain + " prints " + std::to_string(rows.size()) +
+              " rows, EXPERIMENTS.md has " + std::to_string(committed.size()));
+    return;
+  }
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (rows[r][0] != committed[r].label) {
+      Violation(domain + " row " + std::to_string(r) + " is " + rows[r][0] +
+                ", EXPERIMENTS.md has " + committed[r].label);
+      continue;
+    }
+    for (size_t c = 0; c < 6; ++c) {
+      const double printed = std::stod(rows[r][c + 1]);
+      if (std::fabs(printed - committed[r].cells[c]) > kCellTolerance + 1e-9) {
+        Violation(domain + " " + rows[r][0] + " " + kCellNames[c] +
+                  " reads " + rows[r][c + 1] + ", EXPERIMENTS.md has " +
+                  eval::FormatRatio(committed[r].cells[c]));
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -73,32 +153,41 @@ int main() {
                              "Full P", "Full R", "Full F1"});
     eval::Prf topic_total;
     eval::Prf full_total;
-    auto add_row = [&](PredicateId predicate, const std::string& label) {
+    std::vector<std::vector<std::string>> rows;
+    auto add_row = [&](const std::string& label, const eval::Prf& t,
+                       const eval::Prf& f) {
+      rows.push_back({label, eval::FormatRatio(t.precision()),
+                      eval::FormatRatio(t.recall()), eval::FormatRatio(t.f1()),
+                      eval::FormatRatio(f.precision()),
+                      eval::FormatRatio(f.recall()),
+                      eval::FormatRatio(f.f1())});
+      table.AddRow(rows.back());
+    };
+    auto add_predicate = [&](PredicateId predicate, const std::string& label) {
       const eval::Prf& t = scored[0][predicate];
       const eval::Prf& f = scored[1][predicate];
       if (t.tp + t.fp + t.fn + f.tp + f.fp + f.fn == 0) return;
-      table.AddRow({label, eval::FormatRatio(t.precision()),
-                    eval::FormatRatio(t.recall()),
-                    eval::FormatRatio(t.f1()),
-                    eval::FormatRatio(f.precision()),
-                    eval::FormatRatio(f.recall()),
-                    eval::FormatRatio(f.f1())});
+      add_row(label, t, f);
       topic_total += t;
       full_total += f;
     };
-    add_row(kNamePredicate, person_domain ? "name" : "title");
+    add_predicate(kNamePredicate, person_domain ? "name" : "title");
     for (const PredicateDecl& predicate : ontology.predicates()) {
-      add_row(predicate.id, predicate.name);
+      add_predicate(predicate.id, predicate.name);
     }
-    table.AddRow({"All Extractions",
-                  eval::FormatRatio(topic_total.precision()),
-                  eval::FormatRatio(topic_total.recall()),
-                  eval::FormatRatio(topic_total.f1()),
-                  eval::FormatRatio(full_total.precision()),
-                  eval::FormatRatio(full_total.recall()),
-                  eval::FormatRatio(full_total.f1())});
+    add_row("All Extractions", topic_total, full_total);
     table.Print();
     std::printf("\n");
+
+    const std::string domain = person_domain ? "Person" : "Film/TV";
+    if (full_total.precision() < topic_total.precision()) {
+      Violation(domain + ": CERES-Full all-extractions precision below "
+                         "CERES-Topic's");
+    }
+    if (scale == 1.0) {
+      CheckCells(domain, rows,
+                 person_domain ? kCommittedPerson : kCommittedFilm);
+    }
   }
 
   std::printf(
@@ -106,5 +195,11 @@ int main() {
       "0.93/0.68 (P/R); Film/TV Topic 0.88/0.59 vs Full 0.99/0.65. "
       "CERES-Full lifts precision dramatically on ambiguous person "
       "predicates (alias 0.06 -> 0.98, acted_in 0.41 -> 0.93).\n");
+  if (violations > 0) return 1;
+  std::fprintf(stderr,
+               "Shape holds: CERES-Full all-extractions precision >= "
+               "CERES-Topic's in both domains%s.\n",
+               scale == 1.0 ? ", every cell within 0.03 of EXPERIMENTS.md"
+                            : "");
   return 0;
 }
