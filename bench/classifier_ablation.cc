@@ -172,9 +172,8 @@ int main() {
   {
     LogisticRegression lr;
     auto start = Clock::now();
-    CERES_CHECK(lr.Train(examples, feature_map.size(),
-                         classes.num_classes(), LogRegConfig{})
-                    .ok());
+    CERES_CHECK(
+        lr.Train(examples, feature_map.size(), classes.num_classes()).ok());
     double ms = std::chrono::duration<double, std::milli>(Clock::now() -
                                                           start)
                     .count();

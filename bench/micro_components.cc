@@ -273,9 +273,8 @@ void BM_Fit(benchmark::State& state) {
   const TrainingSet& set = Fixture().training_set;
   for (auto _ : state) {
     LogisticRegression model;
-    Result<LbfgsResult> fit =
-        model.Train(set.examples, set.features.size(),
-                    set.classes.num_classes(), TrainingConfig{}.logreg);
+    Result<LbfgsResult> fit = model.Train(set.examples, set.features.size(),
+                                          set.classes.num_classes());
     benchmark::DoNotOptimize(fit);
     benchmark::DoNotOptimize(model);
   }

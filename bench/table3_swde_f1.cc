@@ -100,7 +100,6 @@ VerticalScore ScorePairBaseline(const ParsedCorpus& corpus,
     options.pages = split.eval;
     options.predicates = predicates;
     options.confidence_threshold = 0.5;
-    options.check_subject = true;
     score.prf += eval::ScorePageHits(result->extractions, site.truth,
                                      options);
   }

@@ -16,8 +16,6 @@ namespace {
 // A normalized string is "frequent on the website" when it occurs on at
 // least this fraction of pages.
 constexpr double kFrequentStringPageFraction = 0.2;
-// At most this many frequent strings are mined per site.
-constexpr size_t kMaxFrequentStrings = 200;
 
 // Tracked attribute names, pre-interned so DomDocument::Attribute resolves
 // them by pointer comparison against the parser-interned names.
@@ -93,7 +91,7 @@ FeatureExtractor::FeatureExtractor(
     std::string norm;
     for (NodeId id : pages[i]->TextFields()) {
       NormalizeTextInto(pages[i]->node(id).text, &norm);
-      if (!norm.empty() && norm.size() <= 60) on_page.insert(norm);
+      if (!norm.empty()) on_page.insert(norm);
     }
   });
   std::unordered_map<std::string, size_t> page_counts;

@@ -22,6 +22,10 @@ inline constexpr int kSiblingWindow = 5;
 /// Ancestor levels examined for text features (nearby-node search). Model
 /// files record it (core/model_io.h).
 inline constexpr int kTextFeatureLevels = 3;
+/// Most frequent strings mined per site: a bound on the lexicon (and on
+/// the text features) a crawled site can produce. The strings on the most
+/// pages are kept, ties broken by the string.
+inline constexpr size_t kMaxFrequentStrings = 200;
 
 /// Configuration of the §4.2 node featurizer.
 struct FeatureConfig {

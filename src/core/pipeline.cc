@@ -383,7 +383,6 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
 }
 
 void AddPipelineCounters(const PipelineResult& result,
-                         const PipelineConfig& config,
                          obs::MetricsRegistry* registry) {
   const auto add = [registry](const char* name, int64_t value) {
     registry->GetCounter(name)->Increment(value);
@@ -406,10 +405,7 @@ void AddPipelineCounters(const PipelineResult& result,
   int64_t evaluations = 0;
   for (const ClusterModel& cluster : result.models) {
     const LbfgsResult& fit = cluster.model.fit;
-    if (!fit.converged &&
-        fit.iterations >= config.training.logreg.max_iterations) {
-      ++capped;
-    }
+    if (!fit.converged && fit.iterations >= kLogRegMaxIterations) ++capped;
     iterations += fit.iterations;
     evaluations += fit.evaluations;
   }

@@ -187,9 +187,8 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
 /// `ceres_kb_mention_{lookups,hits}_total` from the diagnostics, and
 /// `ceres_train_{fits,fits_capped,lbfgs_iterations,objective_evals}_total`
 /// summed over `result.models[i].model.fit`. A fit is capped when it
-/// stopped unconverged at `config.training.logreg.max_iterations`.
+/// stopped unconverged at kLogRegMaxIterations.
 void AddPipelineCounters(const PipelineResult& result,
-                         const PipelineConfig& config,
                          obs::MetricsRegistry* registry);
 
 }  // namespace ceres

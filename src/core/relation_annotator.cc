@@ -216,10 +216,9 @@ AnnotationResult AnnotateRelations(
       bool suspicious_value = false;
       std::unordered_set<EntityId> suspicious_objects;
       for (const auto& [object, page_set] : pages_of_object) {
-        if (annotated_page_count > 1 &&
-            static_cast<double>(page_set.size()) >
-                kDuplicatePageFraction *
-                    static_cast<double>(annotated_page_count)) {
+        if (static_cast<double>(page_set.size()) >
+            kDuplicatePageFraction *
+                static_cast<double>(annotated_page_count)) {
           suspicious_value = true;
           suspicious_objects.insert(object);
         }

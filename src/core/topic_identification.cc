@@ -42,9 +42,6 @@ bool IsTopicCandidate(const KnowledgeBase& kb, EntityId entity,
     eligible = false;
   } else if (common_strings.count(NormalizeText(record.name)) > 0) {
     eligible = false;
-  } else {
-    // An entity that is the subject of nothing in the KB can never score.
-    eligible = !kb.ObjectsOfSubject(entity).empty();
   }
   (*cache)[entity] = eligible;
   return eligible;
@@ -184,7 +181,7 @@ TopicResult IdentifyTopics(const std::vector<const DomDocument*>& pages,
     if (page_scores[i].empty()) continue;
     for (const XPath& path : result.ranked_paths) {
       NodeId node = path.Resolve(*pages[i]);
-      if (node == kInvalidNode || !pages[i]->node(node).HasText()) continue;
+      if (node == kInvalidNode) continue;
       // Pick the best-scoring candidate entity mentioned at this field.
       EntityId best = kInvalidEntity;
       double best_score = -1;

@@ -11,16 +11,17 @@
 
 namespace ceres {
 
-/// Parameters of Algorithm 1 (Page Topic Identification). Defaults are the
-/// paper's example values; per §3.1.2 they are deliberately small — the goal
-/// is to filter obvious noise and let the learner absorb the rest. The
-/// common-string fraction (0.01%) and the uniqueness filter's page count
-/// (5) are fixed in topic_identification.cc; every step of §3.1.2 always
-/// runs.
+/// Parameters of Algorithm 1 (Page Topic Identification). Per §3.1.2 its
+/// filters are deliberately small — the goal is to filter obvious noise and
+/// let the learner absorb the rest. The paper's example values for the
+/// common-string fraction (0.01%, §3.1.1) and the uniqueness filter's page
+/// count (5) are fixed in topic_identification.cc; every step of §3.1.2
+/// always runs.
 struct TopicConfig {
-  /// Absolute floor for the common-string threshold; the paper's fraction
-  /// presumes an 85M-triple KB, so small KBs need a floor to avoid
-  /// filtering everything.
+  /// Absolute floor for the common-string threshold. Not in the paper: its
+  /// fraction presumes an 85M-triple KB, so small KBs need a floor to avoid
+  /// filtering everything. Load-bearing: every paper table moves when it
+  /// changes.
   int64_t common_string_min_count = 200;
   /// Informativeness filter: pages with fewer potential relation
   /// annotations than this get no topic (§3.1.2 step 3, "e.g., >= 3").

@@ -70,7 +70,7 @@ Result<TrainingSet> BuildTrainingSet(
     by_page[annotation.page].push_back(&annotation);
   }
 
-  Rng rng(config.seed);
+  Rng rng(kTrainingSeed);
   // Optional cap on the number of annotated pages used (Figure 5).
   std::vector<PageIndex> annotated_pages;
   annotated_pages.reserve(by_page.size());
@@ -131,8 +131,8 @@ Result<TrainingSet> BuildTrainingSet(
       candidates.push_back(node);
     }
     rng.Shuffle(&candidates);
-    size_t wanted = static_cast<size_t>(config.negatives_per_positive) *
-                    page_annotations.size();
+    size_t wanted =
+        static_cast<size_t>(kNegativesPerPositive) * page_annotations.size();
     if (candidates.size() > wanted) candidates.resize(wanted);
     for (NodeId node : candidates) {
       LabeledExample example;
@@ -163,7 +163,7 @@ Result<TrainedModel> TrainExtractor(
   trained.features.Freeze();
   Result<LbfgsResult> fit =
       trained.model.Train(set.examples, trained.features.size(),
-                          trained.classes.num_classes(), config.logreg);
+                          trained.classes.num_classes());
   if (!fit.ok()) return fit.status();
   trained.fit = *fit;
   return trained;

@@ -13,11 +13,15 @@
 
 namespace ceres {
 
+/// Negative ("OTHER") examples sampled per positive example (§4.1: r = 3).
+inline constexpr int kNegativesPerPositive = 3;
+/// Seed of the sampling of negatives and of the annotated-page subsample.
+inline constexpr uint64_t kTrainingSeed = 42;
+
 /// Configuration of training-set construction (§4.1) and model fitting
-/// (§4.2).
+/// (§4.2). The classifier's own settings (C = 1, 100 iterations) are fixed
+/// in ml/logistic_regression.h.
 struct TrainingConfig {
-  /// Negative ("OTHER") examples sampled per positive example (paper: 3).
-  int negatives_per_positive = 3;
   /// When true (paper behaviour), nodes that differ from a page's positive
   /// examples only at list indices are never sampled as negatives — they
   /// are probably unlabelled members of the same value list. Disable for
@@ -30,9 +34,6 @@ struct TrainingConfig {
   /// trainer refuses (a single annotated page cannot support a per-site
   /// extractor, cf. the zero-extraction sites of Table 8).
   size_t min_annotated_pages = 2;
-  /// Seed for negative sampling (and the annotated-page subsample).
-  uint64_t seed = 42;
-  LogRegConfig logreg;
   /// Cooperative time budget, checked at page granularity while building
   /// training examples and again before fitting; expiry fails the training
   /// with kDeadlineExceeded.

@@ -74,11 +74,9 @@ std::map<PredicateId, Prf> ScoreExtractionsByPredicate(
     if (!Allowed(predicates, extraction.predicate)) continue;
     const PageTruth& page_truth =
         truth.pages[static_cast<size_t>(extraction.page)];
-    bool ok = page_truth.Asserts(extraction.node, extraction.predicate);
-    if (ok && options.check_subject && !SubjectMatches(extraction,
-                                                       page_truth)) {
-      ok = false;
-    }
+    const bool ok =
+        page_truth.Asserts(extraction.node, extraction.predicate) &&
+        SubjectMatches(extraction, page_truth);
     if (ok) {
       // A repeated extraction of the same (page, node, predicate) is not
       // new evidence: count the key once or precision inflates with
@@ -136,11 +134,9 @@ Prf ScorePageHits(const std::vector<Extraction>& extractions,
   std::set<std::pair<PageIndex, PredicateId>> hit_keys;
   for (const auto& [key, extraction] : best) {
     const PageTruth& page_truth = truth.pages[static_cast<size_t>(key.first)];
-    bool ok = page_truth.Asserts(extraction->node, extraction->predicate);
-    if (ok && options.check_subject &&
-        !SubjectMatches(*extraction, page_truth)) {
-      ok = false;
-    }
+    const bool ok =
+        page_truth.Asserts(extraction->node, extraction->predicate) &&
+        SubjectMatches(*extraction, page_truth);
     if (ok) {
       ++prf.tp;
       hit_keys.insert(key);

@@ -78,13 +78,12 @@ struct ScoreOptions {
   std::vector<PageIndex> pages;
   /// Extractions below this confidence are ignored.
   double confidence_threshold = 0.0;
-  /// Require the extraction subject to match the page's true topic name
-  /// (it always should; disable to score object placement only).
-  bool check_subject = true;
 };
 
 /// Mention-level scoring (Tables 4, 5): every extraction is judged against
-/// the node-level truth; recall counts every asserted fact.
+/// the node-level truth, and is correct only when its subject also names
+/// the page's true topic (SubjectMatchesTruth); recall counts every
+/// asserted fact.
 Prf ScoreExtractions(const std::vector<Extraction>& extractions,
                      const SiteTruth& truth, const ScoreOptions& options = {});
 
@@ -95,7 +94,8 @@ std::map<PredicateId, Prf> ScoreExtractionsByPredicate(
 
 /// Page-hit scoring following Hao et al. (Table 3): per page and predicate
 /// the system's single highest-confidence extraction scores a hit when it
-/// lands on a node asserting that predicate.
+/// lands on a node asserting that predicate, with the page topic as its
+/// subject.
 Prf ScorePageHits(const std::vector<Extraction>& extractions,
                   const SiteTruth& truth, const ScoreOptions& options = {});
 

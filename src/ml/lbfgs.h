@@ -27,7 +27,7 @@ using LbfgsObjective =
 /// iterations. On return *x holds the best point found. This powers
 /// ml::LogisticRegression, matching the paper's choice of scikit-learn's
 /// LBFGS solver (§5.2). The iteration cap is the caller's
-/// (LogRegConfig::max_iterations for the classifier); the solver's other
+/// (kLogRegMaxIterations for the classifier); the solver's other
 /// settings are fixed constants.
 ///
 /// The vector work is fused into few passes: each update of the two-loop

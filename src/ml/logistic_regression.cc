@@ -478,10 +478,11 @@ DataLossFn DataLossFor(size_t num_classes) {
 /// Minimizes the objective of the planned rows over `params` (class-major,
 /// stride num_features + 1, the intercept last in each class block): the
 /// data term plus the L2 penalty lambda / 2 * ||W||^2 over the weights, not
-/// the intercepts.
+/// the intercepts, for at most kLogRegMaxIterations iterations.
 LbfgsResult FitPlanned(const FitPlan& plan, int32_t num_features,
-                       size_t k_fitted, double lambda,
-                       std::vector<double>* params, int max_iterations) {
+                       size_t k_fitted, std::vector<double>* params) {
+  // The penalty weight 1 / C, with the paper's C = 1.
+  constexpr double lambda = 1.0;
   const auto features = static_cast<size_t>(num_features);
   const size_t stride = features + 1;
   // Scratch reused by every evaluation. The data term walks each row's
@@ -526,30 +527,20 @@ LbfgsResult FitPlanned(const FitPlan& plan, int32_t num_features,
     }
     return loss;
   };
-  return MinimizeLbfgs(objective, params, max_iterations);
+  return MinimizeLbfgs(objective, params, kLogRegMaxIterations);
 }
 
 }  // namespace
 
 Result<LbfgsResult> LogisticRegression::Train(
     const std::vector<LabeledExample>& examples, int32_t num_features,
-    int32_t num_classes, const LogRegConfig& config) {
+    int32_t num_classes) {
   if (examples.empty()) {
     return Status::InvalidArgument("no training examples");
   }
   if (num_classes < 2) {
     return Status::InvalidArgument(
         StrCat("need at least 2 classes, got ", num_classes));
-  }
-  // A NaN C would make every objective value NaN, so no line-search step
-  // is ever accepted; a zero or negative one has no meaning as 1 / lambda.
-  if (!std::isfinite(config.l2_c) || config.l2_c <= 0) {
-    return Status::InvalidArgument(
-        StrCat("l2_c must be finite and positive, got ", config.l2_c));
-  }
-  if (config.max_iterations < 1) {
-    return Status::InvalidArgument(StrCat(
-        "max_iterations must be at least 1, got ", config.max_iterations));
   }
   for (const LabeledExample& example : examples) {
     if (example.label < 0 || example.label >= num_classes) {
@@ -591,7 +582,6 @@ Result<LbfgsResult> LogisticRegression::Train(
   // +1: the intercept.
   const size_t stride = static_cast<size_t>(num_features_) + 1;
   std::vector<double> params(static_cast<size_t>(num_fitted) * stride, 0.0);
-  const double lambda = 1.0 / config.l2_c;
 
   // A single observed class has nothing to solve: its probability is 1 at
   // the all-zero point, which is the objective's minimum (0).
@@ -600,7 +590,7 @@ Result<LbfgsResult> LogisticRegression::Train(
   if (num_fitted > 1) {
     solver_result = FitPlanned(PlanFit(examples, dense_of, num_features_),
                                num_features_, static_cast<size_t>(num_fitted),
-                               lambda, &params, config.max_iterations);
+                               &params);
   }
 
   weights_.assign(static_cast<size_t>(num_classes_) * stride, 0.0);

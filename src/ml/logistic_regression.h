@@ -11,18 +11,11 @@
 
 namespace ceres {
 
-/// Configuration of the multinomial logistic-regression node classifier
-/// (§4.2). Defaults match the paper's scikit-learn setup: LBFGS solver, L2
-/// regularization with C = 1.
-struct LogRegConfig {
-  /// Inverse regularization strength; the penalty is ||W||^2 / (2 C). As in
-  /// scikit-learn, the per-class intercepts beta_k0 are not regularized.
-  double l2_c = 1.0;
-  /// L-BFGS iteration cap per fit: scikit-learn's `max_iter` default of
-  /// 100, which the paper's LogisticRegression(solver='lbfgs') fits ran
-  /// under.
-  int max_iterations = 100;
-};
+/// L-BFGS iteration cap of every classifier fit (§4.2): scikit-learn's
+/// `max_iter` default of 100, which the paper's
+/// LogisticRegression(solver='lbfgs') fits ran under. Fixed, like the
+/// paper's C = 1.
+inline constexpr int kLogRegMaxIterations = 100;
 
 /// One labelled training example: a finalized sparse feature vector and a
 /// class label in [0, num_classes).
@@ -47,10 +40,12 @@ class LogisticRegression {
   /// -inf intercept, so its probability is exactly 0. A single observed
   /// class needs no solve (iterations == 0). Examples with the same label
   /// and features are fitted as one row counted once per copy. Feature
-  /// indices at or above num_features are ignored. Returns solver
+  /// indices at or above num_features are ignored. The objective is the
+  /// paper's: the data term plus the L2 penalty ||W||^2 / (2 C) with C = 1,
+  /// the per-class intercepts unregularized as in scikit-learn, minimized
+  /// for at most kLogRegMaxIterations iterations. Returns solver
   /// statistics or kInvalidArgument for malformed inputs (no examples,
-  /// label out of range, a negative feature index) and bad configs (`l2_c`
-  /// not finite and positive, `max_iterations` below 1).
+  /// label out of range, a negative feature index).
   ///
   /// The rows are planned once per fit (freed on return) so that the
   /// objective computes a prefix shared by two rows' logits once, and the
@@ -62,8 +57,7 @@ class LogisticRegression {
   /// last bit (LogisticRegressionTest.FitBytesUnchangedAcrossKernels and
   /// FitBytesUnchangedOnEdgeCases).
   Result<LbfgsResult> Train(const std::vector<LabeledExample>& examples,
-                            int32_t num_features, int32_t num_classes,
-                            const LogRegConfig& config = {});
+                            int32_t num_features, int32_t num_classes);
 
   /// Class probabilities for one example; requires a trained model.
   std::vector<double> PredictProbabilities(const SparseVector& features) const;

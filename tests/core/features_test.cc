@@ -4,6 +4,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <unordered_set>
 
 #include "synth/corpora.h"
 #include "testing/fixtures.h"
@@ -172,6 +175,44 @@ TEST_F(FeaturesTest, SameTemplatePositionSameFeaturesAcrossPages) {
   SparseVector v0 = extractor.Extract(docs_[0], d0, &map, {}, nullptr, &trace);
   SparseVector v1 = extractor.Extract(docs_[1], d1, &map, {}, nullptr, &trace);
   EXPECT_EQ(FeatureNames(v0, map, trace), FeatureNames(v1, map, trace));
+}
+
+TEST(FeatureExtractorTest, LexiconKeepsTheStringsOnMostPages) {
+  // 270 strings qualify (on >= 2 of 5 pages), more than the bound: 100 on
+  // all 5 pages, 150 on 4 and 20 on 3. The bound keeps the 100 on 5 pages
+  // and the 100 smallest of the 4-page strings; "low" sorts before "tie"
+  // and "top" after it, so neither a string order nor a page order alone
+  // picks this set.
+  static_assert(kMaxFrequentStrings == 200);
+  const auto label = [](const char* stem, int i) {
+    char buffer[16];
+    std::snprintf(buffer, sizeof(buffer), "%s %03d", stem, i);
+    return std::string(buffer);
+  };
+  std::vector<DomDocument> docs;
+  for (int page = 0; page < 5; ++page) {
+    std::string html = "<body>";
+    for (int i = 0; i < 100; ++i) html += "<p>" + label("top", i) + "</p>";
+    for (int i = 149; page < 4 && i >= 0; --i) {
+      html += "<p>" + label("tie", i) + "</p>";
+    }
+    for (int i = 0; page < 3 && i < 20; ++i) {
+      html += "<p>" + label("low", i) + "</p>";
+    }
+    html += "<p>" + label("once", page) + "</p></body>";
+    docs.push_back(ParseOrDie(html));
+  }
+  std::vector<const DomDocument*> ptrs;
+  for (const DomDocument& doc : docs) ptrs.push_back(&doc);
+
+  FeatureExtractor extractor(ptrs, FeatureConfig{});
+  std::unordered_set<std::string> expected;
+  for (int i = 0; i < 100; ++i) {
+    expected.insert(label("top", i));
+    expected.insert(label("tie", i));
+  }
+  EXPECT_EQ(extractor.frequent_strings().size(), kMaxFrequentStrings);
+  EXPECT_EQ(extractor.frequent_strings(), expected);
 }
 
 TEST(FeatureExtractorTest, CachedFeaturesEqualCacheless) {

@@ -101,14 +101,11 @@ class PipelineParallelTest : public ::testing::Test {
     world_ = nullptr;
   }
 
-  static PipelineResult Run(
-      const std::vector<DomDocument>& pages, int threads,
-      obs::TraceTree* trace = nullptr,
-      int max_iterations = LogRegConfig{}.max_iterations) {
+  static PipelineResult Run(const std::vector<DomDocument>& pages,
+                            int threads, obs::TraceTree* trace = nullptr) {
     PipelineConfig config;
     config.parallel.threads = threads;
     config.trace = trace;
-    config.training.logreg.max_iterations = max_iterations;
     Result<PipelineResult> result = RunPipeline(pages, *seed_kb_, config);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).value();
@@ -214,23 +211,6 @@ TEST_F(PipelineParallelTest, OddThreadCountAlsoIdentical) {
   ExpectSameResult(Run(*pages_, /*threads=*/3), serial);
 }
 
-TEST_F(PipelineParallelTest, ConvergedFitsIdenticalAcrossThreadCounts) {
-  // The cases above may compare fits stopped at the iteration cap. With a
-  // 1000-iteration cap every fit here converges, so this compares fits
-  // that ran to the solver's own stopping rule.
-  constexpr int kCap = 1000;
-  const PipelineResult serial = Run(*pages_, /*threads=*/1, nullptr, kCap);
-  ASSERT_GE(serial.models.size(), 2u);
-  for (const ClusterModel& cluster : serial.models) {
-    EXPECT_TRUE(cluster.model.fit.converged) << "cluster " << cluster.cluster;
-    EXPECT_LT(cluster.model.fit.iterations, kCap);
-  }
-  for (const int threads : {4, 8}) {
-    SCOPED_TRACE(threads);
-    ExpectSameResult(Run(*pages_, threads, nullptr, kCap), serial);
-  }
-}
-
 TEST_F(PipelineParallelTest, SingleClusterInnerParallelismIdentical) {
   // One template only: the thread budget moves to the per-page inner
   // loops (entity matching, lexicon mining, extraction), which must be
@@ -282,7 +262,6 @@ using KbMentionCountersTest = PipelineParallelTest;
 using TrainCountersTest = PipelineParallelTest;
 
 TEST_F(KbMentionCountersTest, CountEveryLookupAndEveryHit) {
-  const PipelineConfig config;
   const PipelineResult result = Run(*pages_, /*threads=*/4);
   const PipelineDiagnostics& diag = result.diagnostics;
 
@@ -308,7 +287,7 @@ TEST_F(KbMentionCountersTest, CountEveryLookupAndEveryHit) {
   EXPECT_EQ(diag.mention_hits, hits);
 
   obs::MetricsRegistry registry;
-  AddPipelineCounters(result, config, &registry);
+  AddPipelineCounters(result, &registry);
   const auto value = [&registry](const char* name) {
     return registry.GetCounter(name)->Value();
   };
@@ -328,34 +307,34 @@ TEST_F(KbMentionCountersTest, CountEveryLookupAndEveryHit) {
 }
 
 TEST_F(TrainCountersTest, CountFitsIterationsEvaluationsAndCappedFits) {
-  // A 1000-iteration cap lets both fits converge (they take ~250); a
-  // two-iteration cap stops both short of convergence.
-  for (const int cap : {1000, 2}) {
-    PipelineConfig config;
-    config.training.logreg.max_iterations = cap;
-    Result<PipelineResult> result = RunPipeline(*pages_, *seed_kb_, config);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const std::vector<ClusterModel>& models = result->models;
-    ASSERT_GE(models.size(), 2u);
+  Result<PipelineResult> result = RunPipeline(*pages_, *seed_kb_);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GE(result->models.size(), 2u);
+  // Both fits stop at the 100-iteration cap (they converge after ~250).
+  // Marking the first one converged must take it out of the capped count
+  // and nothing else.
+  for (const bool first_converged : {false, true}) {
+    PipelineResult run = *result;
+    if (first_converged) run.models.front().model.fit.converged = true;
     int64_t capped = 0;
     int64_t iterations = 0;
     int64_t evaluations = 0;
-    for (const ClusterModel& cluster : models) {
+    for (const ClusterModel& cluster : run.models) {
       const LbfgsResult& fit = cluster.model.fit;
-      if (!fit.converged && fit.iterations >= cap) ++capped;
+      EXPECT_EQ(fit.iterations, kLogRegMaxIterations);
+      if (!fit.converged) ++capped;
       iterations += fit.iterations;
       evaluations += fit.evaluations;
     }
-    EXPECT_EQ(capped, cap == 2 ? static_cast<int64_t>(models.size()) : 0)
-        << "cap " << cap;
+    const int64_t fits = static_cast<int64_t>(run.models.size());
+    EXPECT_EQ(capped, first_converged ? fits - 1 : fits);
 
     obs::MetricsRegistry registry;
-    AddPipelineCounters(*result, config, &registry);
+    AddPipelineCounters(run, &registry);
     const auto value = [&registry](const char* name) {
       return registry.GetCounter(name)->Value();
     };
-    EXPECT_EQ(value("ceres_train_fits_total"),
-              static_cast<int64_t>(models.size()));
+    EXPECT_EQ(value("ceres_train_fits_total"), fits);
     EXPECT_EQ(value("ceres_train_fits_capped_total"), capped);
     EXPECT_EQ(value("ceres_train_lbfgs_iterations_total"), iterations);
     EXPECT_EQ(value("ceres_train_objective_evals_total"), evaluations);

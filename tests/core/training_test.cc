@@ -97,32 +97,35 @@ TEST(TrainingTest, ListExclusionSkipsUnlabeledListMembers) {
       {"Danny Aiello", "John Turturro", "Unknown Extra"}, {"Comedy"})));
   std::vector<const DomDocument*> ptrs{&docs[0]};
 
-  // Hand-build annotations: cast labels for the two known actors.
+  // Hand-build annotations: cast labels for the two known actors and the
+  // genre label.
   NodeId aiello = kInvalidNode;
   NodeId turturro = kInvalidNode;
   NodeId extra = kInvalidNode;
+  NodeId comedy = kInvalidNode;
   for (NodeId id = 0; id < docs[0].size(); ++id) {
     if (docs[0].node(id).text == "Danny Aiello") aiello = id;
     if (docs[0].node(id).text == "John Turturro") turturro = id;
     if (docs[0].node(id).text == "Unknown Extra") extra = id;
+    if (docs[0].node(id).text == "Comedy") comedy = id;
   }
   ASSERT_NE(extra, kInvalidNode);
   std::vector<Annotation> annotations{
       Annotation{0, aiello, kb.cast, kb.aiello},
       Annotation{0, turturro, kb.cast, kb.turturro},
+      Annotation{0, comedy, kb.genre, kb.comedy},
   };
 
   FeatureExtractor featurizer(ptrs, FeatureConfig{});
-  // Run training many times with different seeds; the excluded node must
-  // never enter the negative pool. We detect sampling via a whitebox trick:
-  // negatives_per_positive high enough to exhaust all candidates.
+  // Whitebox: r = 3 negatives for each of the 3 positives cover every
+  // other text field of the page, so a field outside the exclusion is
+  // always sampled.
+  ASSERT_GE(static_cast<size_t>(kNegativesPerPositive) * annotations.size(),
+            docs[0].TextFields().size() - annotations.size());
   TrainingConfig config;
-  config.negatives_per_positive = 100;
   config.min_annotated_pages = 1;
 
-  // With exclusion enabled the extra <li> is skipped: the number of
-  // negative examples equals all text fields minus positives minus 1.
-  const size_t text_fields = docs[0].TextFields().size();
+  // With exclusion enabled the extra <li> is skipped.
   Result<TrainedModel> model = TrainExtractor(ptrs, annotations, featurizer,
                                               kb.kb.ontology(), config);
   ASSERT_TRUE(model.ok());
@@ -147,7 +150,6 @@ TEST(TrainingTest, ListExclusionSkipsUnlabeledListMembers) {
   // Without exclusion the extra is a guaranteed negative example (pool
   // exhausted), pulling it toward OTHER.
   EXPECT_EQ(cls_without_exclusion, ClassMap::kOtherClass);
-  (void)text_fields;
 }
 
 TEST(TrainingTest, MinAnnotatedPagesGuard) {

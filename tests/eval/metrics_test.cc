@@ -96,10 +96,6 @@ TEST_F(MetricsTest, WrongSubjectFailsWhenChecked) {
   Prf strict = ScoreExtractions(extractions, truth_);
   EXPECT_EQ(strict.tp, 0);
   EXPECT_EQ(strict.fp, 1);
-  ScoreOptions loose;
-  loose.check_subject = false;
-  Prf relaxed = ScoreExtractions(extractions, truth_, loose);
-  EXPECT_EQ(relaxed.tp, 1);
 }
 
 TEST_F(MetricsTest, ConfidenceThresholdApplied) {

@@ -2,6 +2,11 @@
 // across class counts and regularization strengths, training on separable
 // data must reach high accuracy and always emit valid probability
 // distributions; stronger regularization never yields larger weights.
+//
+// The classifier's C is fixed at 1. Scaling every feature by s fits the
+// same model as C = s^2 on the unscaled features (the weights scaled by
+// 1 / s; intercepts are not penalized), so a sweep case's C is realized by
+// scaling its features by sqrt(C).
 
 #include <gtest/gtest.h>
 
@@ -19,12 +24,13 @@ namespace {
 // whatever the stack held, so the names would change from build to build;
 // the padding is therefore an explicit, zeroed member.
 struct SweepCase {
-  SweepCase(int32_t num_classes_in, double l2_c_in)
-      : num_classes(num_classes_in), l2_c(l2_c_in) {}
+  SweepCase(int32_t num_classes_in, double c_in)
+      : num_classes(num_classes_in), c(c_in) {}
 
   int32_t num_classes;
   int32_t zero_padding = 0;
-  double l2_c;
+  /// The effective C: features are scaled by sqrt(c).
+  double c;
 };
 static_assert(sizeof(SweepCase) == 2 * sizeof(int32_t) + sizeof(double),
               "SweepCase must have no implicit padding");
@@ -32,7 +38,7 @@ static_assert(sizeof(SweepCase) == 2 * sizeof(int32_t) + sizeof(double),
 std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "K%d_C%g", info.param.num_classes,
-                info.param.l2_c);
+                info.param.c);
   std::string name;
   for (const char* p = buffer; *p != '\0'; ++p) {
     name.push_back(*p == '.' ? 'p' : *p);
@@ -42,16 +48,17 @@ std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
 
 class LogRegSweepTest : public ::testing::TestWithParam<SweepCase> {
  protected:
-  // Each class fires its own indicator feature plus shared noise features.
+  // Each class fires its own indicator feature plus shared noise features,
+  // all scaled by `scale`.
   std::vector<LabeledExample> MakeData(int32_t num_classes, int per_class,
-                                       Rng* rng) {
+                                       double scale, Rng* rng) {
     std::vector<LabeledExample> examples;
     for (int32_t cls = 0; cls < num_classes; ++cls) {
       for (int i = 0; i < per_class; ++i) {
         LabeledExample example;
-        example.features.Add(cls, 1.0);
-        example.features.Add(num_classes, rng->UniformDouble());
-        example.features.Add(num_classes + 1, rng->UniformDouble());
+        example.features.Add(cls, scale);
+        example.features.Add(num_classes, scale * rng->UniformDouble());
+        example.features.Add(num_classes + 1, scale * rng->UniformDouble());
         example.features.Finalize();
         example.label = cls;
         examples.push_back(std::move(example));
@@ -65,13 +72,10 @@ TEST_P(LogRegSweepTest, SeparableDataLearnedAccurately) {
   const SweepCase param = GetParam();
   Rng rng(42);
   std::vector<LabeledExample> examples =
-      MakeData(param.num_classes, 25, &rng);
+      MakeData(param.num_classes, 25, std::sqrt(param.c), &rng);
   LogisticRegression model;
-  LogRegConfig config;
-  config.l2_c = param.l2_c;
   ASSERT_TRUE(
-      model.Train(examples, param.num_classes + 2, param.num_classes, config)
-          .ok());
+      model.Train(examples, param.num_classes + 2, param.num_classes).ok());
   int correct = 0;
   for (const LabeledExample& example : examples) {
     if (model.Predict(example.features).first == example.label) ++correct;
@@ -83,13 +87,10 @@ TEST_P(LogRegSweepTest, ProbabilitiesAlwaysValid) {
   const SweepCase param = GetParam();
   Rng rng(7);
   std::vector<LabeledExample> examples =
-      MakeData(param.num_classes, 10, &rng);
+      MakeData(param.num_classes, 10, std::sqrt(param.c), &rng);
   LogisticRegression model;
-  LogRegConfig config;
-  config.l2_c = param.l2_c;
   ASSERT_TRUE(
-      model.Train(examples, param.num_classes + 2, param.num_classes, config)
-          .ok());
+      model.Train(examples, param.num_classes + 2, param.num_classes).ok());
   for (int trial = 0; trial < 50; ++trial) {
     SparseVector v;
     int entries = static_cast<int>(rng.Uniform(0, 4));
@@ -121,31 +122,31 @@ INSTANTIATE_TEST_SUITE_P(
     CaseName);
 
 TEST(LogRegRegularizationPathTest, WeightNormDecreasesWithPenalty) {
-  Rng rng(9);
-  std::vector<LabeledExample> examples;
-  for (int i = 0; i < 40; ++i) {
-    LabeledExample example;
-    example.features.Add(i % 2, 1.0);
-    example.features.Finalize();
-    example.label = i % 2;
-    examples.push_back(std::move(example));
-  }
   double previous_norm = -1;
   for (double c : {0.01, 0.1, 1.0, 10.0, 100.0}) {
+    const double scale = std::sqrt(c);
+    std::vector<LabeledExample> examples;
+    for (int i = 0; i < 40; ++i) {
+      LabeledExample example;
+      example.features.Add(i % 2, scale);
+      example.features.Finalize();
+      example.label = i % 2;
+      examples.push_back(std::move(example));
+    }
     LogisticRegression model;
-    LogRegConfig config;
-    config.l2_c = c;
-    ASSERT_TRUE(model.Train(examples, 2, 2, config).ok());
+    ASSERT_TRUE(model.Train(examples, 2, 2).ok());
+    // The weights of the unscaled problem at this C are scale times the
+    // fitted ones.
     double norm = 0;
     for (int32_t cls = 0; cls < 2; ++cls) {
       for (int32_t f = 0; f < 2; ++f) {
-        norm += model.WeightAt(cls, f) * model.WeightAt(cls, f);
+        const double weight = scale * model.WeightAt(cls, f);
+        norm += weight * weight;
       }
     }
     EXPECT_GT(norm, previous_norm);  // Weaker penalty, larger weights.
     previous_norm = norm;
   }
-  (void)rng;
 }
 
 }  // namespace

@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
                    result.status().ToString().c_str());
       return 1;
     }
-    if (tracing) AddPipelineCounters(*result, config, &metrics);
+    if (tracing) AddPipelineCounters(*result, &metrics);
     extractions = std::move(result->extractions);
     annotated_pages = result->annotated_pages.size();
     if (!options.save_model_path.empty()) {
