@@ -35,14 +35,9 @@ bool IsTopicCandidate(const KnowledgeBase& kb, EntityId entity,
   auto it = cache->find(entity);
   if (it != cache->end()) return it->second;
   const Entity& record = kb.entity(entity);
-  bool eligible = true;
-  if (kb.ontology().entity_type(record.type).is_literal) {
-    eligible = false;
-  } else if (IsLowInformation(record.name)) {
-    eligible = false;
-  } else if (common_strings.count(NormalizeText(record.name)) > 0) {
-    eligible = false;
-  }
+  const bool eligible =
+      !kb.ontology().entity_type(record.type).is_literal &&
+      common_strings.count(NormalizeText(record.name)) == 0;
   (*cache)[entity] = eligible;
   return eligible;
 }

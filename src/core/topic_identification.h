@@ -54,8 +54,7 @@ struct TopicResult {
 /// Runs Algorithm 1 over the pages of one template cluster.
 ///
 /// `mentions[i]` must be MatchPageMentions(pages[i], kb). Literal-typed
-/// entities, common strings (§3.1.1), and low-information strings
-/// are never topic candidates.
+/// entities and common strings (§3.1.1) are never topic candidates.
 TopicResult IdentifyTopics(const std::vector<const DomDocument*>& pages,
                            const std::vector<PageMentions>& mentions,
                            const KnowledgeBase& kb,

@@ -3,7 +3,6 @@
 #include <array>
 #include <cctype>
 #include <cstdint>
-#include <unordered_set>
 
 namespace ceres {
 
@@ -99,17 +98,6 @@ uint32_t DecodeUtf8(std::string_view input, size_t* i) {
   return cp;
 }
 
-const std::unordered_set<std::string>& LowInformationWords() {
-  static const auto* kWords = new std::unordered_set<std::string>{
-      "usa",     "uk",      "france",  "germany", "italy",   "india",
-      "china",   "japan",   "canada",  "spain",   "denmark", "iceland",
-      "nigeria", "korea",   "help",    "home",    "search",  "login",
-      "contact", "about",   "more",    "new",     "yes",     "no",
-      "n a",     "none",    "unknown", "english", "drama",
-  };
-  return *kWords;
-}
-
 }  // namespace
 
 void NormalizeTextInto(std::string_view input, std::string* out_ptr) {
@@ -154,21 +142,6 @@ std::string NormalizeText(std::string_view input) {
 
 bool IsBlankAfterNormalize(std::string_view input) {
   return NormalizeText(input).empty();
-}
-
-bool IsLowInformation(std::string_view text) {
-  std::string norm = NormalizeText(text);
-  if (norm.size() <= 1) return true;
-  bool all_digits = true;
-  for (char c : norm) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) {
-      all_digits = false;
-      break;
-    }
-  }
-  // Single-digit numbers and 4-digit years carry no topical information.
-  if (all_digits && norm.size() <= 4) return true;
-  return LowInformationWords().count(norm) > 0;
 }
 
 std::string_view StripTrailingYearView(std::string_view normalized) {

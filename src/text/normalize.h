@@ -26,12 +26,6 @@ void NormalizeTextInto(std::string_view input, std::string* out);
 /// matchable content).
 bool IsBlankAfterNormalize(std::string_view input);
 
-/// True if `text` normalizes to a low-information-content string that must
-/// never be considered a topic candidate (§3.1.1): short digit strings,
-/// 4-digit years, single characters, or one of a small list of country
-/// names / boilerplate words.
-bool IsLowInformation(std::string_view text);
-
 /// View of `normalized` with one trailing 4-digit-year token removed:
 /// "selma 2014" -> "selma". Returns the input unchanged when there is no
 /// trailing year or nothing would remain.

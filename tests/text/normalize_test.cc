@@ -45,31 +45,6 @@ TEST(NormalizeTest, MatchingIsCaseAndAccentInsensitive) {
             NormalizeText("francois truffaut"));
 }
 
-TEST(LowInformationTest, YearsAndDigits) {
-  EXPECT_TRUE(IsLowInformation("1989"));
-  EXPECT_TRUE(IsLowInformation("7"));
-  EXPECT_FALSE(IsLowInformation("12345"));  // 5 digits: could be a zip/id.
-}
-
-TEST(LowInformationTest, SingleCharactersAndEmpty) {
-  EXPECT_TRUE(IsLowInformation("a"));
-  EXPECT_TRUE(IsLowInformation(""));
-  EXPECT_TRUE(IsLowInformation("!"));
-}
-
-TEST(LowInformationTest, CountriesAndBoilerplate) {
-  EXPECT_TRUE(IsLowInformation("USA"));
-  EXPECT_TRUE(IsLowInformation("France"));
-  EXPECT_TRUE(IsLowInformation("Help"));
-  EXPECT_TRUE(IsLowInformation("Login"));
-}
-
-TEST(LowInformationTest, RealNamesPass) {
-  EXPECT_FALSE(IsLowInformation("Do the Right Thing"));
-  EXPECT_FALSE(IsLowInformation("Spike Lee"));
-  EXPECT_FALSE(IsLowInformation("Crooklyn"));
-}
-
 TEST(StripTrailingYearTest, ViewVariantAgreesWithCopyingVariant) {
   for (const char* input :
        {"selma 2014", "selma", "2014", "top 100", "war 19999"}) {
