@@ -20,8 +20,8 @@ namespace ceres {
 struct TopicConfig {
   /// Absolute floor for the common-string threshold. Not in the paper: its
   /// fraction presumes an 85M-triple KB, so small KBs need a floor to avoid
-  /// filtering everything. Load-bearing: every paper table moves when it
-  /// changes.
+  /// filtering everything (DESIGN.md "Key parameters" gives what moves
+  /// without it).
   int64_t common_string_min_count = 200;
   /// Informativeness filter: pages with fewer potential relation
   /// annotations than this get no topic (§3.1.2 step 3, "e.g., >= 3").

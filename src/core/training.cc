@@ -13,6 +13,9 @@ namespace ceres {
 
 namespace {
 
+// Seed of the sampling of negatives and of the annotated-page subsample.
+constexpr uint64_t kTrainingSeed = 42;
+
 // True when `candidate` differs from some positive-example path of its page
 // only at index positions where that predicate's positives already vary —
 // i.e. it is probably an unlabelled member of the same value list (§4.1).

@@ -15,8 +15,6 @@ namespace ceres {
 
 /// Negative ("OTHER") examples sampled per positive example (§4.1: r = 3).
 inline constexpr int kNegativesPerPositive = 3;
-/// Seed of the sampling of negatives and of the annotated-page subsample.
-inline constexpr uint64_t kTrainingSeed = 42;
 
 /// Configuration of training-set construction (§4.1) and model fitting
 /// (§4.2). The classifier's own settings (C = 1, 100 iterations) are fixed
