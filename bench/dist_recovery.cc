@@ -130,9 +130,6 @@ int main(int argc, char** argv) {
 
   dist::DistConfig base;
   base.num_workers = smoke ? 2 : 3;
-  // Crash recovery is EOF-detected, not watchdog-detected; a long liveness
-  // keeps slow sanitized or oversubscribed runs from spurious kills.
-  base.worker_liveness_timeout = std::chrono::seconds(120);
 
   const auto ref_start = std::chrono::steady_clock::now();
   Result<dist::DistResult> reference = dist::RunSingleProcess(

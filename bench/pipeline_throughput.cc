@@ -190,7 +190,6 @@ bool SameDiagnostics(const PipelineDiagnostics& a,
       return false;
     }
   }
-  if (a.run_deadline_expired != b.run_deadline_expired) return false;
   if (a.skipped_clusters.size() != b.skipped_clusters.size()) return false;
   for (size_t i = 0; i < a.skipped_clusters.size(); ++i) {
     if (a.skipped_clusters[i].cluster != b.skipped_clusters[i].cluster ||

@@ -69,27 +69,19 @@ std::vector<int> ClusterPages(const std::vector<DomDocument>& pages,
   std::vector<size_t> counts;
   for (size_t i = 0; i < pages.size(); ++i) {
     int assigned = -1;
-    if (config.deadline.expired()) {
-      // Out of budget: remaining pages become singleton clusters rather
-      // than paying further signature comparisons.
+    std::unordered_set<uint64_t> signature =
+        PageSignature(pages[i], kMaxSignatureSize);
+    for (size_t c = 0; c < leaders.size(); ++c) {
+      if (SignatureSimilarity(signature, leaders[c]) >=
+          config.similarity_threshold) {
+        assigned = static_cast<int>(c);
+        break;
+      }
+    }
+    if (assigned < 0) {
       assigned = static_cast<int>(leaders.size());
-      leaders.emplace_back();
+      leaders.push_back(std::move(signature));
       counts.push_back(0);
-    } else {
-      std::unordered_set<uint64_t> signature =
-          PageSignature(pages[i], kMaxSignatureSize);
-      for (size_t c = 0; c < leaders.size(); ++c) {
-        if (SignatureSimilarity(signature, leaders[c]) >=
-            config.similarity_threshold) {
-          assigned = static_cast<int>(c);
-          break;
-        }
-      }
-      if (assigned < 0) {
-        assigned = static_cast<int>(leaders.size());
-        leaders.push_back(std::move(signature));
-        counts.push_back(0);
-      }
     }
     raw_labels[i] = assigned;
     ++counts[static_cast<size_t>(assigned)];

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "dom/dom_tree.h"
-#include "util/deadline.h"
 
 namespace ceres {
 
@@ -17,10 +16,6 @@ struct PageClusteringConfig {
   /// Two pages belong to the same template when the Jaccard similarity of
   /// their structural signatures reaches this value.
   double similarity_threshold = 0.6;
-  /// Cooperative time budget. When it expires mid-run, every not-yet
-  /// clustered page is assigned a fresh singleton cluster (degrading
-  /// gracefully: such clusters fall below any min-size filter downstream).
-  Deadline deadline;
 };
 
 /// Structural signature of a page: hashes of the index-free tag paths

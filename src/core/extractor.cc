@@ -79,12 +79,9 @@ std::vector<Extraction> ExtractFromPages(
   CERES_CHECK(model->features.frozen());
 
   // Per-page output slots, merged in page order below: the result is
-  // byte-identical to a serial pass regardless of thread count. A page
-  // reached after the deadline expires yields nothing, matching the serial
-  // cutoff (expiry is monotonic).
+  // byte-identical to a serial pass regardless of thread count.
   std::vector<std::vector<Extraction>> per_page(pages.size());
   ParallelFor(pages.size(), config.parallel, [&](size_t p) {
-    if (config.deadline.expired()) return;
     ExtractFromPage(*pages[p], page_indices[p], model, featurizer, config,
                     &per_page[p]);
   });

@@ -7,7 +7,6 @@
 #include "core/training.h"
 #include "core/types.h"
 #include "dom/dom_tree.h"
-#include "util/deadline.h"
 #include "util/parallel.h"
 
 namespace ceres {
@@ -17,9 +16,6 @@ struct ExtractionConfig {
   /// Minimum class probability for emitting a relation extraction. Benches
   /// that sweep thresholds set this to 0 and filter afterwards.
   double confidence_threshold = 0.5;
-  /// Cooperative time budget, checked at page granularity: once expired,
-  /// remaining pages yield no extractions (partial output, never a hang).
-  Deadline deadline;
   /// Fan-out across pages. Workers write per-page slots that are merged in
   /// page order, so the extraction list is identical at any thread count.
   /// The batch pipeline passes Sequential() here when it is already

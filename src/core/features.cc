@@ -81,12 +81,9 @@ FeatureExtractor::FeatureExtractor(
   // Mine strings that repeat across pages; these are the static labels
   // ("Director:", "Genres") that anchor text features. Pages are scanned
   // concurrently into per-page slots, then merged in page order; counting
-  // is commutative, so the lexicon is identical at any thread count. A
-  // page scanned after the deadline expires contributes nothing (same
-  // monotonic cutoff the serial loop had).
+  // is commutative, so the lexicon is identical at any thread count.
   std::vector<std::unordered_set<std::string>> per_page(pages.size());
   ParallelFor(pages.size(), config_.parallel, [&](size_t i) {
-    if (config_.deadline.expired()) return;
     std::unordered_set<std::string>& on_page = per_page[i];
     std::string norm;
     for (NodeId id : pages[i]->TextFields()) {

@@ -11,7 +11,6 @@
 #include "ml/feature_id.h"
 #include "ml/hashed_feature_map.h"
 #include "ml/sparse_vector.h"
-#include "util/deadline.h"
 #include "util/parallel.h"
 
 namespace ceres {
@@ -33,10 +32,6 @@ struct FeatureConfig {
   bool structural_features = true;
   /// Enable the node-text features built from frequent site strings.
   bool text_features = true;
-  /// Cooperative time budget for lexicon mining, checked per page: once
-  /// expired, remaining pages contribute no frequent strings (a shallower
-  /// lexicon, never a hang).
-  Deadline deadline;
   /// Fan-out for lexicon mining: pages are scanned concurrently and their
   /// string sets merged in page order (the mined lexicon is identical at
   /// any thread count). The batch pipeline passes Sequential() here when it

@@ -29,7 +29,6 @@ std::vector<PageIndex> ResolvePageSet(const std::vector<PageIndex>& requested,
 struct ClusterOutcome {
   StageCounts stages[kNumPipelineStages];
   std::vector<ClusterSkip> skips;
-  bool run_deadline_expired = false;
   int64_t mention_lookups = 0;
   int64_t mention_hits = 0;
   std::vector<Annotation> annotations;     // global page indices
@@ -98,7 +97,6 @@ std::string PipelineDiagnostics::Summary() const {
                   ": attempted ", c.attempted, ", completed ", c.completed,
                   ", skipped ", c.skipped, "\n");
   }
-  if (run_deadline_expired) out += "  run deadline expired\n";
   for (const ClusterSkip& skip : skipped_clusters) {
     out += StrCat("  cluster ", skip.cluster, " skipped at ",
                   PipelineStageName(skip.stage), ": ",
@@ -120,25 +118,17 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
 
   obs::TraceSpan run_span(config.trace, "pipeline");
 
-  // 1. Template clustering (whole-run deadline only; the per-cluster
-  // budget starts once clusters exist).
+  // 1. Template clustering.
   diag.counts(PipelineStage::kClustering).attempted = 1;
   {
     obs::TraceSpan clustering_span(run_span, "clustering");
     if (config.cluster_pages) {
-      PageClusteringConfig clustering_config = config.clustering;
-      clustering_config.deadline = config.deadline;
-      result.cluster_of_page = ClusterPages(pages, clustering_config);
+      result.cluster_of_page = ClusterPages(pages, config.clustering);
     } else {
       result.cluster_of_page.assign(pages.size(), 0);
     }
   }
-  if (config.deadline.expired()) {
-    diag.run_deadline_expired = true;
-    ++diag.counts(PipelineStage::kClustering).skipped;
-  } else {
-    ++diag.counts(PipelineStage::kClustering).completed;
-  }
+  ++diag.counts(PipelineStage::kClustering).completed;
   int num_clusters = 0;
   for (int cluster : result.cluster_of_page) {
     num_clusters = std::max(num_clusters, cluster + 1);
@@ -197,25 +187,6 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
       ++count(stage).skipped;
       out.skips.push_back(ClusterSkip{cluster, stage, std::move(reason)});
     };
-    // Every cluster runs under the earlier of the whole-run deadline and
-    // its own fresh time budget (started when its worker picks it up).
-    Deadline cluster_deadline = config.deadline;
-    if (config.cluster_time_budget.count() > 0) {
-      cluster_deadline =
-          cluster_deadline.Earlier(Deadline::After(config.cluster_time_budget));
-    }
-    // A deadline observed as expired but returning OK from Check can only
-    // happen through a stage's own flag; normalize to a typed status.
-    auto expiry_reason = [&](const char* what) {
-      Status reason =
-          cluster_deadline.Check(StrCat("cluster ", cluster, " ", what));
-      if (reason.ok()) {
-        reason = Status::DeadlineExceeded(
-            StrCat("cluster ", cluster, " ", what, ": deadline exceeded"));
-      }
-      if (config.deadline.expired()) out.run_deadline_expired = true;
-      return reason;
-    };
 
     const std::vector<PageIndex>& annotation_set = cluster_annotation[c];
     const std::vector<PageIndex>& extraction_set = cluster_extraction[c];
@@ -240,15 +211,6 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
     // 2. Entity matching + topic identification on annotation pages.
     obs::TraceSpan topic_span(cluster_span, "topic");
     ++count(PipelineStage::kTopicIdentification).attempted;
-    {
-      Status live = cluster_deadline.Check(
-          StrCat("cluster ", cluster, " topic identification"));
-      if (!live.ok()) {
-        if (config.deadline.expired()) out.run_deadline_expired = true;
-        skip_cluster(PipelineStage::kTopicIdentification, std::move(live));
-        return;
-      }
-    }
     // Per-page matching is independent; each iteration fills its own slot.
     std::vector<PageMentions> mentions(annotation_docs.size());
     ParallelFor(annotation_docs.size(), inner_parallel, [&](size_t i) {
@@ -260,15 +222,8 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
           static_cast<int64_t>(annotation_docs[i]->TextFields().size());
       out.mention_hits += static_cast<int64_t>(mentions[i].fields.size());
     }
-    TopicConfig topic_config = config.topic;
-    topic_config.deadline = cluster_deadline;
     TopicResult topics =
-        IdentifyTopics(annotation_docs, mentions, kb, topic_config);
-    if (topics.deadline_expired) {
-      skip_cluster(PipelineStage::kTopicIdentification,
-                   expiry_reason("topic identification"));
-      return;
-    }
+        IdentifyTopics(annotation_docs, mentions, kb, config.topic);
     ++count(PipelineStage::kTopicIdentification).completed;
     // Disjoint per-page writes: every page belongs to exactly one cluster.
     for (size_t i = 0; i < annotation_set.size(); ++i) {
@@ -282,14 +237,8 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
     // annotation_docs; translate to global page indices afterwards.
     obs::TraceSpan annotate_span(cluster_span, "annotate");
     ++count(PipelineStage::kAnnotation).attempted;
-    AnnotatorConfig annotator_config = config.annotator;
-    annotator_config.deadline = cluster_deadline;
     AnnotationResult annotation = AnnotateRelations(
-        annotation_docs, mentions, topics, kb, annotator_config);
-    if (annotation.deadline_expired) {
-      skip_cluster(PipelineStage::kAnnotation, expiry_reason("annotation"));
-      return;
-    }
+        annotation_docs, mentions, topics, kb, config.annotator);
     if (annotation.annotations.empty()) {
       skip_cluster(PipelineStage::kAnnotation,
                    Status::NotFound("no annotations produced"));
@@ -315,13 +264,10 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
     FeatureConfig feature_config = config.features;
     feature_config.parallel = inner_parallel;
     FeatureExtractor featurizer(annotation_docs, feature_config);
-    TrainingConfig training_config = config.training;
-    training_config.deadline = cluster_deadline;
     Result<TrainedModel> trained =
         TrainExtractor(annotation_docs, local_annotations, featurizer,
-                       kb.ontology(), training_config);
+                       kb.ontology(), config.training);
     if (!trained.ok()) {
-      if (config.deadline.expired()) out.run_deadline_expired = true;
       skip_cluster(PipelineStage::kTraining, trained.status());
       return;
     }
@@ -331,15 +277,6 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
     // 5. Extraction over the cluster's extraction pages.
     obs::TraceSpan extract_span(cluster_span, "extract");
     ++count(PipelineStage::kExtraction).attempted;
-    {
-      Status live =
-          cluster_deadline.Check(StrCat("cluster ", cluster, " extraction"));
-      if (!live.ok()) {
-        if (config.deadline.expired()) out.run_deadline_expired = true;
-        skip_cluster(PipelineStage::kExtraction, std::move(live));
-        return;
-      }
-    }
     std::vector<const DomDocument*> extraction_docs;
     extraction_docs.reserve(extraction_set.size());
     for (PageIndex page : extraction_set) {
@@ -363,7 +300,6 @@ Result<PipelineResult> RunPipeline(const std::vector<DomDocument>& pages,
       diag.stages[s].completed += out.stages[s].completed;
       diag.stages[s].skipped += out.stages[s].skipped;
     }
-    diag.run_deadline_expired |= out.run_deadline_expired;
     diag.mention_lookups += out.mention_lookups;
     diag.mention_hits += out.mention_hits;
     std::move(out.skips.begin(), out.skips.end(),

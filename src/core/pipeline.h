@@ -1,7 +1,6 @@
 #ifndef CERES_CORE_PIPELINE_H_
 #define CERES_CORE_PIPELINE_H_
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -14,7 +13,6 @@
 #include "kb/knowledge_base.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/deadline.h"
 #include "util/parallel.h"
 #include "util/status.h"
 
@@ -44,16 +42,6 @@ struct PipelineConfig {
   /// Pages to extract from; empty = all.
   std::vector<PageIndex> extraction_pages;
 
-  /// Whole-run cooperative time budget. Once it expires, remaining
-  /// clusters are recorded as typed skips in the diagnostics instead of
-  /// being processed.
-  Deadline deadline;
-  /// Per-cluster time budget; zero = unlimited. Each cluster runs under
-  /// the earlier of this budget and the whole-run deadline, so one
-  /// pathological cluster times out into a diagnostic entry without
-  /// starving the rest of the site.
-  std::chrono::milliseconds cluster_time_budget{0};
-
   /// Optional trace sink. When set, the run records stage spans
   /// ("pipeline" → "clustering" / "clusters" → "cluster" →
   /// "topic"/"annotate"/"train"/"extract") into this tree; per-cluster
@@ -66,8 +54,7 @@ struct PipelineConfig {
   /// single cluster the budget moves to the per-page inner loops (entity
   /// matching, lexicon mining, extraction) instead. Workers write
   /// pre-sized per-cluster slots merged in cluster-id order, so the
-  /// PipelineResult is identical at any thread count; the whole-run
-  /// deadline is observed inside every worker. Default Sequential()
+  /// PipelineResult is identical at any thread count. Default Sequential()
   /// preserves the historical single-threaded behavior.
   ParallelConfig parallel = ParallelConfig::Sequential();
 };
@@ -104,8 +91,7 @@ struct QuarantinedPage {
 
 /// A cluster the pipeline gave up on: at which stage and why. The reason
 /// Status is typed (kFailedPrecondition for the size filter, kNotFound for
-/// zero annotations, kDeadlineExceeded for timeouts, the trainer's own code
-/// for training failures).
+/// zero annotations, the trainer's own code for training failures).
 struct ClusterSkip {
   int cluster = -1;
   PipelineStage stage = PipelineStage::kClustering;
@@ -119,8 +105,8 @@ struct StageCounts {
   int64_t skipped = 0;
 };
 
-/// Structured record of everything a pipeline run dropped, skipped, or
-/// timed out on — the machine-readable replacement for grepping log lines.
+/// Structured record of everything a pipeline run dropped or skipped — the
+/// machine-readable replacement for grepping log lines.
 /// A run that degrades (quarantined pages, skipped clusters) still returns
 /// OK; the diagnostics say what was lost.
 struct PipelineDiagnostics {
@@ -130,8 +116,6 @@ struct PipelineDiagnostics {
   std::vector<ClusterSkip> skipped_clusters;
   /// Outcome counts per stage, indexed by PipelineStage.
   StageCounts stages[kNumPipelineStages];
-  /// True when the whole-run deadline expired before all clusters ran.
-  bool run_deadline_expired = false;
   /// KB name lookups made by entity matching: one per text field of every
   /// annotation page whose cluster reached topic identification.
   int64_t mention_lookups = 0;
@@ -168,7 +152,7 @@ struct PipelineResult {
   std::vector<Extraction> extractions;
   /// The trained per-cluster extractor models, largest cluster first.
   std::vector<ClusterModel> models;
-  /// What the run dropped, skipped, or timed out on.
+  /// What the run dropped or skipped.
   PipelineDiagnostics diagnostics;
 };
 

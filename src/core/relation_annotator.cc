@@ -139,10 +139,6 @@ AnnotationResult AnnotateRelations(
   int64_t annotated_page_count = 0;
 
   for (size_t i = 0; i < pages.size(); ++i) {
-    if (config.deadline.expired()) {
-      result.deadline_expired = true;
-      return result;
-    }
     EntityId topic = topics.topic[i];
     if (topic == kInvalidEntity) continue;
     ++annotated_page_count;
@@ -267,10 +263,6 @@ AnnotationResult AnnotateRelations(
       };
 
       for (size_t index : task_indices) {
-        if (config.deadline.expired()) {
-          result.deadline_expired = true;
-          return result;
-        }
         const Task& task = tasks[index];
         const DomDocument& doc = *pages[task.page];
         const std::vector<NodeId>& all_pred_mentions =

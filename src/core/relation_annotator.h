@@ -17,11 +17,6 @@ struct AnnotatorConfig {
   /// object is annotated with every predicate it holds with the topic,
   /// bypassing local/global disambiguation.
   bool use_relation_filtering = true;
-
-  /// Cooperative time budget, checked at page/task granularity. On expiry
-  /// the annotator stops early and sets
-  /// AnnotationResult::deadline_expired.
-  Deadline deadline;
 };
 
 /// Result of annotating one template cluster.
@@ -30,10 +25,6 @@ struct AnnotationResult {
   std::vector<Annotation> annotations;
   /// Pages that received at least one relation annotation.
   std::vector<PageIndex> annotated_pages;
-  /// True when AnnotatorConfig::deadline expired before all tasks were
-  /// decided; the result is partial and callers should treat the cluster
-  /// as timed out.
-  bool deadline_expired = false;
 };
 
 /// Runs Algorithm 2 over all pages with identified topics.

@@ -105,10 +105,6 @@ TopicResult IdentifyTopics(const std::vector<const DomDocument*>& pages,
   std::unordered_map<EntityId, int> candidate_page_count;
   EligibilityCache eligibility;
   for (size_t i = 0; i < n; ++i) {
-    if (config.deadline.expired()) {
-      result.deadline_expired = true;
-      return result;
-    }
     page_scores[i] =
         ScoreEntitiesForPage(mentions[i], kb, common_strings, &eligibility);
     local_candidate[i] = BestCandidate(page_scores[i]);
@@ -142,10 +138,6 @@ TopicResult IdentifyTopics(const std::vector<const DomDocument*>& pages,
   std::unordered_map<std::string, int64_t> path_counts;
   std::unordered_map<std::string, XPath> path_by_string;
   for (size_t i = 0; i < n; ++i) {
-    if (config.deadline.expired()) {
-      result.deadline_expired = true;
-      return result;
-    }
     if (local_candidate[i] == kInvalidEntity) continue;
     XPathStringCache paths(*pages[i]);
     const auto& nodes = mentions[i].mentions_of.at(local_candidate[i]);
@@ -169,10 +161,6 @@ TopicResult IdentifyTopics(const std::vector<const DomDocument*>& pages,
 
   // Re-examine each page at the highest-ranked path extant on it.
   for (size_t i = 0; i < n; ++i) {
-    if (config.deadline.expired()) {
-      result.deadline_expired = true;
-      return result;
-    }
     if (page_scores[i].empty()) continue;
     for (const XPath& path : result.ranked_paths) {
       NodeId node = path.Resolve(*pages[i]);

@@ -7,7 +7,6 @@
 #include "dom/dom_tree.h"
 #include "dom/xpath.h"
 #include "kb/knowledge_base.h"
-#include "util/deadline.h"
 
 namespace ceres {
 
@@ -26,10 +25,6 @@ struct TopicConfig {
   /// Informativeness filter: pages with fewer potential relation
   /// annotations than this get no topic (§3.1.2 step 3, "e.g., >= 3").
   int min_annotations_per_page = 3;
-  /// Cooperative time budget, checked at page granularity. On expiry the
-  /// algorithm stops early and sets TopicResult::deadline_expired; pages
-  /// not reached keep kInvalidEntity.
-  Deadline deadline;
 };
 
 /// Output of Algorithm 1 for one site.
@@ -45,10 +40,6 @@ struct TopicResult {
   /// Dominant topic XPaths across the site, most frequent first (for
   /// diagnostics and tests).
   std::vector<XPath> ranked_paths;
-  /// True when TopicConfig::deadline expired before all pages were
-  /// processed; the result is partial and callers should treat the cluster
-  /// as timed out.
-  bool deadline_expired = false;
 };
 
 /// Runs Algorithm 1 over the pages of one template cluster.

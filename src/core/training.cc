@@ -95,7 +95,6 @@ Result<TrainingSet> BuildTrainingSet(
   set.classes = ClassMap(ontology);
 
   for (PageIndex page : annotated_pages) {
-    CERES_RETURN_IF_ERROR(config.deadline.Check("building training examples"));
     const DomDocument& doc = *pages[static_cast<size_t>(page)];
     const std::vector<const Annotation*>& page_annotations = by_page[page];
     // Featurization itself must stay serial (HashedFeatureMap interning order
@@ -157,7 +156,6 @@ Result<TrainedModel> TrainExtractor(
   CERES_ASSIGN_OR_RETURN(
       TrainingSet set,
       BuildTrainingSet(pages, annotations, featurizer, ontology, config));
-  CERES_RETURN_IF_ERROR(config.deadline.Check("fitting extractor model"));
   TrainedModel trained;
   trained.features = std::move(set.features);
   trained.classes = std::move(set.classes);

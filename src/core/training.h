@@ -8,7 +8,6 @@
 #include "core/features.h"
 #include "core/types.h"
 #include "ml/logistic_regression.h"
-#include "util/deadline.h"
 #include "util/status.h"
 
 namespace ceres {
@@ -32,10 +31,6 @@ struct TrainingConfig {
   /// trainer refuses (a single annotated page cannot support a per-site
   /// extractor, cf. the zero-extraction sites of Table 8).
   size_t min_annotated_pages = 2;
-  /// Cooperative time budget, checked at page granularity while building
-  /// training examples and again before fitting; expiry fails the training
-  /// with kDeadlineExceeded.
-  Deadline deadline;
 };
 
 /// A trained per-template extractor model: the classifier plus the frozen
@@ -70,7 +65,7 @@ struct TrainingSet {
 /// for topic nodes); negatives are r random unlabelled text fields per
 /// positive, excluding likely members of annotated value lists. Fails with
 /// kFailedPrecondition when there are no annotations or too few annotated
-/// pages, and with kDeadlineExceeded when the budget runs out.
+/// pages.
 Result<TrainingSet> BuildTrainingSet(
     const std::vector<const DomDocument*>& pages,
     const std::vector<Annotation>& annotations,

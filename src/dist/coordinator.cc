@@ -7,6 +7,7 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -31,6 +32,12 @@ constexpr std::chrono::milliseconds kRetryBackoffBase{10};
 constexpr std::chrono::milliseconds kRetryBackoffMax{500};
 /// How long stopped workers get to exit before they are killed.
 constexpr std::chrono::milliseconds kShutdownGrace{500};
+/// A busy worker makes progress when its CPU time grows by at least
+/// 1/kProgressDivisor of worker_liveness_timeout. Less is not work on the
+/// shard: a hung worker's process clock still creeps while a runtime thread
+/// of its own wakes (ThreadSanitizer's, every 100 ms, ~1 ms of CPU per
+/// second).
+constexpr int kProgressDivisor = 16;
 
 /// Ignores SIGPIPE for the scope of a run (a dead worker's pipe must
 /// surface as an EPIPE Status, not kill the coordinator) and restores the
@@ -55,9 +62,8 @@ class SigPipeGuard {
 
 /// The merge both paths share: lays the per-site extractions of
 /// `out->shards` out in shard-id (= corpus) order and fuses them on a
-/// default FusionConfig under the run deadline.
-void MergeAndFuse(const Ontology& ontology, const Deadline& deadline,
-                  DistResult* out) {
+/// default FusionConfig.
+void MergeAndFuse(const Ontology& ontology, DistResult* out) {
   out->site_extractions.reserve(out->shards.size());
   for (const ShardResult& shard : out->shards) {
     for (const SiteResult& site : shard.sites) {
@@ -65,10 +71,7 @@ void MergeAndFuse(const Ontology& ontology, const Deadline& deadline,
           fusion::SiteExtractions{site.site, site.extractions});
     }
   }
-  fusion::FusionConfig fusion_config;
-  fusion_config.deadline = deadline;
-  out->fused =
-      fusion::FuseExtractions(out->site_extractions, ontology, fusion_config);
+  out->fused = fusion::FuseExtractions(out->site_extractions, ontology);
 }
 
 enum class SlotState { kPending, kRunning, kDone, kQuarantined };
@@ -93,9 +96,26 @@ struct WorkerProc {
   FrameBuffer inbound;
   /// Currently assigned shard, -1 when idle.
   int32_t shard = -1;
-  obs::TimePoint last_seen{};
+  /// The worker process's CPU-time clock (clock_getcpuclockid).
+  clockid_t cpu_clock{};
+  bool has_cpu_clock = false;
+  /// When the worker last made progress on its shard (its dispatch, or the
+  /// last watchdog pass that saw its CPU time grow enough), and the CPU
+  /// time it had used then.
+  obs::TimePoint last_progress{};
+  std::chrono::nanoseconds cpu_at_progress{0};
   bool alive = false;
 };
+
+/// CPU time `worker` has used so far; zero when its clock cannot be read
+/// (then the watchdog times from the dispatch alone).
+std::chrono::nanoseconds CpuTimeOf(const WorkerProc& worker) {
+  timespec ts{};
+  if (!worker.has_cpu_clock || ::clock_gettime(worker.cpu_clock, &ts) != 0) {
+    return std::chrono::nanoseconds(0);
+  }
+  return std::chrono::seconds(ts.tv_sec) + std::chrono::nanoseconds(ts.tv_nsec);
+}
 
 class Coordinator {
  public:
@@ -239,8 +259,8 @@ class Coordinator {
     worker.pid = pid;
     worker.to_fd = to_pipe[1];
     worker.from_fd = from_pipe[0];
+    worker.has_cpu_clock = ::clock_getcpuclockid(pid, &worker.cpu_clock) == 0;
     worker.alive = true;
-    worker.last_seen = obs::MonotonicNow();
     workers_.push_back(std::move(worker));
     return Status::Ok();
   }
@@ -364,12 +384,12 @@ class Coordinator {
     task.fault = fault == ProcessFaultType::kCorruptCheckpoint
                      ? ProcessFaultType::kNone
                      : fault;
-    task.options = config_.pipeline;
     task.sites.push_back(SiteOf(*slot));
     slot->state = SlotState::kRunning;
     slot->has_backoff = false;
     worker->shard = slot->id;
-    worker->last_seen = now;
+    worker->last_progress = now;
+    worker->cpu_at_progress = CpuTimeOf(*worker);
     // Blocking write is safe: the worker is idle, parked in ReadFrame, so
     // it drains the pipe as fast as we fill it.
     Status written = WriteFrame(worker->to_fd, FrameType::kAssignShard,
@@ -477,7 +497,6 @@ class Coordinator {
   }
 
   void HandleFrame(WorkerProc* worker, Frame frame) {
-    worker->last_seen = obs::MonotonicNow();
     switch (frame.type) {
       case FrameType::kWorkerError: {
         if (worker->shard >= 0) {
@@ -515,17 +534,37 @@ class Coordinator {
     }
   }
 
+  /// Reclaims every worker hung on its shard. A worker sends one frame
+  /// per shard, its result, so silence says nothing; CPU time does. A
+  /// worker computing a site keeps using CPU, however long the site takes.
+  /// A hung one (blocked, stopped, or parked in pause()) uses next to none,
+  /// and is killed once a whole worker_liveness_timeout passes without
+  /// progress.
   void Watchdog() {
     const obs::TimePoint now = obs::MonotonicNow();
+    const std::chrono::nanoseconds progress =
+        config_.worker_liveness_timeout / kProgressDivisor;
     for (WorkerProc& worker : workers_) {
       if (!worker.alive || worker.shard < 0) continue;
-      if (now - worker.last_seen < config_.worker_liveness_timeout) continue;
+      const std::chrono::nanoseconds cpu = CpuTimeOf(worker);
+      if (cpu - worker.cpu_at_progress >= progress) {
+        worker.cpu_at_progress = cpu;
+        worker.last_progress = now;
+        continue;
+      }
+      if (now - worker.last_progress < config_.worker_liveness_timeout) {
+        continue;
+      }
+      using std::chrono::duration_cast;
+      using std::chrono::milliseconds;
       RetireWorker(
           &worker,
           Status::DeadlineExceeded(StrCat(
-              "watchdog: worker ", worker.pid, " silent for ",
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  now - worker.last_seen)
+              "watchdog: worker ", worker.pid, " used ",
+              duration_cast<milliseconds>(cpu - worker.cpu_at_progress)
+                  .count(),
+              " ms of CPU in ",
+              duration_cast<milliseconds>(now - worker.last_progress)
                   .count(),
               " ms on shard ", worker.shard)));
     }
@@ -585,7 +624,7 @@ class Coordinator {
           break;
       }
     }
-    MergeAndFuse(ontology_, config_.deadline, &out);
+    MergeAndFuse(ontology_, &out);
     out.diagnostics = std::move(diagnostics_);
     return out;
   }
@@ -637,19 +676,18 @@ Result<DistResult> RunDistributedExtraction(
 Result<DistResult> RunSingleProcess(const std::vector<ShardSite>& corpus,
                                     const KnowledgeBase& kb,
                                     const Ontology& ontology,
-                                    const DistConfig& config) {
+                                    const DistConfig& /*config*/) {
   // Same shards, same shard runner, same merge — no processes.
   DistResult out;
   for (size_t shard = 0; shard < corpus.size(); ++shard) {
     ShardTask task;
     task.shard = static_cast<int32_t>(shard);
-    task.options = config.pipeline;
     task.sites.push_back(corpus[shard]);
     CERES_ASSIGN_OR_RETURN(ShardResult result, RunShard(task, kb));
     out.shards.push_back(std::move(result));
     ++out.diagnostics.shards_completed;
   }
-  MergeAndFuse(ontology, config.deadline, &out);
+  MergeAndFuse(ontology, &out);
   return out;
 }
 

@@ -21,7 +21,7 @@
 /// The coordinator runs each site of a corpus as one shard, whose id is the
 /// site's corpus index, on a pool of forked worker processes over pipes
 /// (wire.h protocol), and survives worker crashes, hangs, and torn frames:
-/// a deadline-based watchdog reclaims silent workers, failed shards retry
+/// a CPU-time watchdog reclaims hung workers, failed shards retry
 /// under exponential backoff with a per-shard budget of three attempts,
 /// exhausted shards land in quarantine, and per-shard checkpoints make a
 /// restarted run skip completed work. Each forked child runs RunWorkerLoop
@@ -34,25 +34,25 @@ namespace ceres::dist {
 struct DistConfig {
   /// Worker processes to keep alive while shards remain.
   int num_workers = 2;
-  /// Watchdog: a worker with an assigned shard that has sent no frame for
-  /// this long is presumed hung, killed, and its shard retried.
+  /// Watchdog: a worker with an assigned shard whose process CPU time grew
+  /// by less than a sixteenth of this during this long is hung; it is
+  /// killed and its shard retried. A worker that keeps computing is never
+  /// reclaimed, however long its site takes: this bounds how long a hang
+  /// holds a shard, not how long a site may run.
   std::chrono::milliseconds worker_liveness_timeout{2000};
   /// Directory for per-shard checkpoints (created if missing); empty
   /// disables checkpointing. A rerun with the same corpus and directory
   /// loads completed shards instead of re-running them; a checkpoint whose
   /// site is no longer at its shard's corpus index re-runs.
   std::string checkpoint_dir;
-  /// Pipeline knobs applied by every worker to every site; the single
-  /// source the single-process reference path also uses (worker.h).
-  WorkerPipelineOptions pipeline;
+  /// Carries no setting; see RetiredPipelineOptions (wire.h).
+  RetiredPipelineOptions pipeline;
   /// Planned process faults for chaos tests and bench/dist_recovery.
   /// Worker-acted faults travel inside the assign-shard frame; the
   /// checkpoint fault is acted by the coordinator itself.
   ProcessFaultPlan faults;
   /// Whole-run budget. On expiry the run degrades gracefully: workers are
   /// stopped, unfinished shards are recorded, completed shards still merge.
-  /// The fusion pass over the merge runs on a default FusionConfig under
-  /// this deadline.
   Deadline deadline;
 };
 
@@ -138,7 +138,8 @@ Result<DistResult> RunDistributedExtraction(
 /// runner, and merge, with no processes, faults, or checkpoints. A
 /// fault-free distributed run must match this byte for byte
 /// (site_extractions and fused alike); chaos tests compare against it after
-/// recovery.
+/// recovery. No field of `config` changes the reference; callers may pass
+/// the one they give RunDistributedExtraction.
 Result<DistResult> RunSingleProcess(const std::vector<ShardSite>& corpus,
                                     const KnowledgeBase& kb,
                                     const Ontology& ontology,

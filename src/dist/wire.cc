@@ -289,10 +289,6 @@ std::string EncodeShardTask(const ShardTask& task) {
   w.PutI32(task.shard);
   w.PutI32(task.attempt);
   w.PutU8(static_cast<uint8_t>(task.fault));
-  w.PutU8(task.options.cluster_pages ? 1 : 0);
-  w.PutU32(task.options.min_cluster_size);
-  w.PutF64(task.options.max_quarantine_fraction);
-  w.PutI64(task.options.shard_time_budget_ms);
   w.PutU32(static_cast<uint32_t>(task.sites.size()));
   for (const ShardSite& site : task.sites) {
     w.PutStr(site.site);
@@ -317,12 +313,6 @@ Result<ShardTask> DecodeShardTask(std::string_view payload) {
         StrCat("bad fault kind ", static_cast<int>(fault)));
   }
   task.fault = static_cast<ProcessFaultType>(fault);
-  uint8_t cluster_pages = 0;
-  CERES_RETURN_IF_ERROR(r.U8(&cluster_pages));
-  task.options.cluster_pages = cluster_pages != 0;
-  CERES_RETURN_IF_ERROR(r.U32(&task.options.min_cluster_size));
-  CERES_RETURN_IF_ERROR(r.F64(&task.options.max_quarantine_fraction));
-  CERES_RETURN_IF_ERROR(r.I64(&task.options.shard_time_budget_ms));
   uint32_t num_sites = 0;
   CERES_RETURN_IF_ERROR(r.Count(&num_sites, kMinShardSiteBytes));
   task.sites.resize(num_sites);

@@ -147,20 +147,14 @@ struct ShardSite {
   std::vector<RawPage> pages;
 };
 
-/// The serializable pipeline knobs a worker applies to every site of its
-/// shard. Deliberately small: both the worker and the coordinator's
-/// single-process reference path build their PipelineConfig from this one
-/// struct (worker.cc MakeDistPipelineConfig), which is what makes the
-/// distributed merge byte-identical to a single-process run.
-struct WorkerPipelineOptions {
-  bool cluster_pages = true;
-  uint32_t min_cluster_size = 5;
-  /// Resilient-load quarantine budget applied per site.
-  double max_quarantine_fraction = 0.5;
-  /// Per-shard time budget in milliseconds; 0 = unlimited. Non-zero
-  /// budgets trade the byte-identical guarantee for bounded shard latency.
-  int64_t shard_time_budget_ms = 0;
-};
+/// A shard task carries no pipeline setting: every worker, like the
+/// single-process reference, runs PipelineConfig{} over the resilient
+/// loader's defaults, which is what makes the distributed merge
+/// byte-identical to a single-process run. This empty type is never
+/// encoded. It is kept only while perfbench's frame-codec estimate
+/// (perfbench/src/dist_workload.cc) still copies `DistConfig::pipeline`
+/// into `ShardTask::options`; both fields go with that line.
+struct RetiredPipelineOptions {};
 
 /// Coordinator -> worker: run these sites as shard `shard`. The
 /// coordinator sends one site per task, its shard; the list is the wire
@@ -172,7 +166,7 @@ struct ShardTask {
   int32_t attempt = 1;
   /// The fault this worker must act out on this attempt (kNone normally).
   ProcessFaultType fault = ProcessFaultType::kNone;
-  WorkerPipelineOptions options;
+  RetiredPipelineOptions options;
   std::vector<ShardSite> sites;
 };
 

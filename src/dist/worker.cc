@@ -3,13 +3,11 @@
 #include <errno.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <string>
 #include <utility>
 
 #include "core/pipeline.h"
 #include "robustness/resilient_loader.h"
-#include "util/deadline.h"
 #include "util/string_util.h"
 
 namespace ceres::dist {
@@ -31,12 +29,6 @@ void WritePrefix(int fd, const std::string& bytes, size_t n) {
   }
 }
 
-Deadline ShardDeadline(const WorkerPipelineOptions& options) {
-  if (options.shard_time_budget_ms <= 0) return Deadline::Infinite();
-  return Deadline::After(
-      std::chrono::milliseconds(options.shard_time_budget_ms));
-}
-
 /// Acts out a crash or hang fault. Never returns for one of those: the
 /// worker process ends (or blocks forever, for the watchdog to reap).
 void MaybeActFault(ProcessFaultType fault) {
@@ -54,29 +46,14 @@ void MaybeActFault(ProcessFaultType fault) {
   }
 }
 
-/// Builds the PipelineConfig every dist pipeline run uses. RunShard is the
-/// one caller for worker and single-process reference alike, and any knob
-/// added to WorkerPipelineOptions flows through here or it does not exist:
-/// that is the byte-identical guarantee.
-PipelineConfig MakeDistPipelineConfig(const WorkerPipelineOptions& options) {
-  PipelineConfig config;
-  config.cluster_pages = options.cluster_pages;
-  config.min_cluster_size = options.min_cluster_size;
-  return config;
-}
-
 /// Runs the resilient pipeline over one site's raw pages and condenses the
-/// outcome into a SiteResult. `deadline` is the enclosing shard's budget.
+/// outcome into a SiteResult. Worker and single-process reference alike
+/// run the default PipelineConfig and load options: that is the
+/// byte-identical guarantee.
 Result<SiteResult> RunSiteForDist(const ShardSite& site,
-                                  const KnowledgeBase& kb,
-                                  const WorkerPipelineOptions& options,
-                                  const Deadline& deadline) {
-  PipelineConfig config = MakeDistPipelineConfig(options);
-  config.deadline = deadline;
-  ResilientLoadOptions load;
-  load.max_quarantine_fraction = options.max_quarantine_fraction;
+                                  const KnowledgeBase& kb) {
   CERES_ASSIGN_OR_RETURN(PipelineResult pipeline,
-                         RunPipelineResilient(site.pages, kb, config, load),
+                         RunPipelineResilient(site.pages, kb),
                          StrCat("site ", site.site));
   SiteResult result;
   result.site = site.site;
@@ -92,14 +69,13 @@ Result<SiteResult> RunSiteForDist(const ShardSite& site,
 }  // namespace
 
 Result<ShardResult> RunShard(const ShardTask& task, const KnowledgeBase& kb) {
-  const Deadline deadline = ShardDeadline(task.options);
   ShardResult result;
   result.shard = task.shard;
   result.sites.reserve(task.sites.size());
   for (const ShardSite& site : task.sites) {
     CERES_ASSIGN_OR_RETURN(
         SiteResult site_result,
-        RunSiteForDist(site, kb, task.options, deadline),
+        RunSiteForDist(site, kb),
         StrCat("shard ", task.shard));
     result.sites.push_back(std::move(site_result));
   }

@@ -16,11 +16,10 @@
 namespace ceres::dist {
 
 /// Runs a whole shard in-process: every site through the resilient
-/// pipeline, in task order, under the shard's time budget. Page indices in
-/// the extractions are site-local (the site's raw page order); a site whose
-/// batch empties out under the quarantine budget yields zero extractions,
-/// not an error. Ignores `task.fault`: fault acting is the worker loop's
-/// job.
+/// pipeline, in task order. Page indices in the extractions are site-local
+/// (the site's raw page order); a site whose batch empties out under the
+/// quarantine budget yields zero extractions, not an error. Ignores
+/// `task.fault`: fault acting is the worker loop's job.
 Result<ShardResult> RunShard(const ShardTask& task, const KnowledgeBase& kb);
 
 /// The worker process main loop: reads frames from `in_fd`, writes frames

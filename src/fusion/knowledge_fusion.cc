@@ -56,16 +56,10 @@ FusionResult FuseExtractions(const std::vector<SiteExtractions>& sites,
                              const FusionConfig& config) {
   FusionResult result;
 
-  // 1. Normalize and collect support. The deadline is observed at site
-  // granularity: an expired budget stops further ingestion but everything
-  // already collected still flows through scoring below.
+  // 1. Normalize and collect support.
   std::map<TripleKey, Support> support;
   std::unordered_map<std::string, double> reliability;
   for (const SiteExtractions& site : sites) {
-    if (config.deadline.expired()) {
-      result.deadline_expired = true;
-      break;
-    }
     reliability.emplace(site.site, kInitialSiteReliability);
     for (const Extraction& extraction : site.extractions) {
       if (extraction.predicate == kNamePredicate) continue;
@@ -80,14 +74,9 @@ FusionResult FuseExtractions(const std::vector<SiteExtractions>& sites,
   }
 
   // 2. Alternate triple-belief and site-reliability updates. Each
-  // iteration refines the estimate; stopping early under an expired
-  // deadline degrades smoothly toward the initial-reliability prior.
+  // iteration refines the estimate.
   for (int iteration = 0; iteration < config.reliability_iterations;
        ++iteration) {
-    if (config.deadline.expired()) {
-      result.deadline_expired = true;
-      break;
-    }
     std::unordered_map<std::string, double> belief_sum;
     std::unordered_map<std::string, int64_t> belief_count;
     for (const auto& [key, sup] : support) {
@@ -160,13 +149,9 @@ FusionResult FuseExtractions(const std::vector<SiteExtractions>& sites,
   // in any sum over result.sites.
   std::set<std::string> reported;
   for (const SiteExtractions& site : sites) {
-    // Sites never ingested (deadline expired first) have no estimate and
-    // get no row, rather than a misleading reliability of zero.
-    auto it = reliability.find(site.site);
-    if (it == reliability.end()) continue;
     if (!reported.insert(site.site).second) continue;
-    result.sites.push_back(
-        SiteReliability{site.site, it->second, triple_counts[site.site]});
+    result.sites.push_back(SiteReliability{
+        site.site, reliability.at(site.site), triple_counts[site.site]});
   }
   return result;
 }

@@ -7,7 +7,6 @@
 #include "core/types.h"
 #include "kb/knowledge_base.h"
 #include "kb/ontology.h"
-#include "util/deadline.h"
 
 namespace ceres::fusion {
 
@@ -35,13 +34,6 @@ struct FusionConfig {
   /// Iterations of the alternating site-reliability / triple-belief
   /// estimate (2–5 suffice; 0 disables reliability weighting).
   int reliability_iterations = 3;
-  /// Cooperative time budget for the merge step, so a coordinator-level
-  /// deadline also covers fusion (the last pipeline stage). Checked at site
-  /// granularity while collecting support and per reliability iteration;
-  /// on expiry the pass degrades gracefully — it stops ingesting further
-  /// sites / refining reliability, finishes scoring and conflict resolution
-  /// over what it has, and sets `FusionResult::deadline_expired`.
-  Deadline deadline;
 };
 
 /// Per-site reliability estimate produced alongside the fused triples.
@@ -55,10 +47,6 @@ struct SiteReliability {
 struct FusionResult {
   std::vector<FusedTriple> triples;
   std::vector<SiteReliability> sites;
-  /// True when `FusionConfig::deadline` expired mid-pass: the triples cover
-  /// only the sites ingested before expiry and/or reliability ran fewer
-  /// iterations than configured.
-  bool deadline_expired = false;
 };
 
 /// Fuses per-site extractions into a deduplicated, confidence-weighted

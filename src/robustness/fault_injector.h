@@ -105,8 +105,8 @@ enum class ProcessFaultType {
   /// Worker _exit()s abruptly right after decoding its shard task.
   kWorkerCrash,
   /// Worker blocks forever right after decoding its shard task, sending no
-  /// frame; only the coordinator's watchdog (deadline-based liveness) can
-  /// reclaim the shard.
+  /// frame and using no CPU; only the coordinator's watchdog (CPU-time
+  /// liveness) can reclaim the shard.
   kWorkerHang,
   /// Worker computes the full result but writes only a prefix of the
   /// result frame before exiting (interrupted pipe write).

@@ -8,20 +8,19 @@
 
 namespace ceres {
 
-/// A cooperative time budget threaded through the pipeline configs: one
-/// fixed expiry point, so copies are free and never allocate.
+/// A cooperative time budget: one fixed expiry point, so copies are free
+/// and never allocate. The serving tier carries one per request (admission
+/// and queue shedding) and one per drain, and the dist coordinator one per
+/// run. The batch pipeline has none: its inputs bound its work.
 ///
-/// Library loops call `expired()` (cheap) at iteration granularity, or
-/// `Check(stage)` to produce a typed kDeadlineExceeded Status for
-/// diagnostics. A default-constructed Deadline never expires.
+/// Callers poll `expired()` (cheap), or `Check(stage)` for a typed
+/// kDeadlineExceeded Status. A default-constructed Deadline never expires.
 class Deadline {
  public:
   using Clock = std::chrono::steady_clock;
 
   /// Never expires.
   Deadline() = default;
-
-  static Deadline Infinite() { return Deadline(); }
 
   /// Expires `budget` from now. Non-positive budgets are already expired;
   /// a budget that would run past the clock's range never expires.
@@ -39,11 +38,6 @@ class Deadline {
       deadline.at_ = now + std::chrono::duration_cast<Clock::duration>(budget);
     }
     return deadline;
-  }
-
-  /// Whichever of the two deadlines expires first.
-  Deadline Earlier(const Deadline& other) const {
-    return at_ <= other.at_ ? *this : other;
   }
 
   /// True once the budget is spent.

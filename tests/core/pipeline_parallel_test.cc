@@ -166,8 +166,6 @@ class PipelineParallelTest : public ::testing::Test {
       EXPECT_EQ(a.diagnostics.stages[s].skipped,
                 b.diagnostics.stages[s].skipped);
     }
-    EXPECT_EQ(a.diagnostics.run_deadline_expired,
-              b.diagnostics.run_deadline_expired);
     EXPECT_EQ(a.diagnostics.mention_lookups, b.diagnostics.mention_lookups);
     EXPECT_EQ(a.diagnostics.mention_hits, b.diagnostics.mention_hits);
     ASSERT_EQ(a.diagnostics.skipped_clusters.size(),

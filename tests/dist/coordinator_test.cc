@@ -55,11 +55,6 @@ class CoordinatorTest : public ::testing::Test {
     DistConfig config;
     // One shard per site: 4 shards, shard k holds corpus site k.
     config.num_workers = 2;
-    // Generous liveness: under a loaded CI box (ctest -j on few cores) a
-    // healthy worker can legitimately take many seconds per site, and a
-    // false watchdog kill would make the clean-run assertions flaky. The
-    // watchdog test overrides this with a short timeout of its own.
-    config.worker_liveness_timeout = std::chrono::seconds(60);
     return config;
   }
 
@@ -142,6 +137,7 @@ TEST_F(CoordinatorTest, WorkerHungAtRunDeadlineIsKilledAndReaped) {
   DistConfig config = BaseConfig();
   // The liveness timeout (60 s) is far past the deadline, so only the
   // shutdown grace can end the hung worker.
+  config.worker_liveness_timeout = std::chrono::seconds(60);
   const int32_t victim = 0;
   config.faults.faults.push_back(
       ProcessFault{victim, ProcessFaultType::kWorkerHang, 1});
@@ -249,6 +245,29 @@ TEST_F(CoordinatorTest, WatchdogReclaimsHungWorker) {
   ASSERT_EQ(got->site_extractions.size(),
             reference_->site_extractions.size());
   ExpectExtractionsMatchReference(*got);
+}
+
+TEST_F(CoordinatorTest, ComputingWorkerOutlivesShortLivenessTimeout) {
+  // Each site of this corpus computes for several times the liveness
+  // timeout and sends no frame until its result. A worker whose CPU time
+  // keeps advancing is computing, not hung: no shard may be reclaimed.
+  const DistTestCorpus big = MakeDistTestCorpus(/*num_sites=*/2,
+                                                /*pages_per_site=*/1500);
+  DistConfig config = BaseConfig();
+  config.worker_liveness_timeout = std::chrono::milliseconds(100);
+  const auto start = std::chrono::steady_clock::now();
+  Result<DistResult> got = RunDistributedExtraction(
+      big.sites, *big.seed_kb, big.seed_kb->ontology(), config);
+  // The premise: the sites outlast the timeout.
+  EXPECT_GT(std::chrono::steady_clock::now() - start,
+            config.worker_liveness_timeout);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->diagnostics.failures.empty())
+      << got->diagnostics.Summary();
+  EXPECT_EQ(got->diagnostics.retries, 0);
+  EXPECT_EQ(got->diagnostics.shards_completed,
+            static_cast<int64_t>(big.sites.size()));
+  ExpectNoChildLeft();
 }
 
 TEST_F(CoordinatorTest, ExpiredRunDeadlineDegradesGracefully) {

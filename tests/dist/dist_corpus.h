@@ -15,9 +15,7 @@ namespace ceres::dist_testing {
 
 /// A small multi-site corpus for the dist suites: one shared movie world,
 /// `num_sites` sites with distinct templates, `pages_per_site` detail
-/// pages each. Sized so one site pipelines in well under a second — the
-/// watchdog tests rely on per-site compute staying far below their
-/// liveness timeouts.
+/// pages each. The defaults pipeline a site in well under a second.
 struct DistTestCorpus {
   std::unique_ptr<synth::World> world;
   std::unique_ptr<KnowledgeBase> seed_kb;

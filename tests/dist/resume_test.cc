@@ -60,9 +60,6 @@ class ResumeTest : public ::testing::Test {
     DistConfig config;
     config.num_workers = 1;  // one shard per site, run one at a time
     config.checkpoint_dir = dir_;
-    // No hang faults here; a long liveness keeps a loaded CI box from
-    // spuriously killing healthy workers mid-shard.
-    config.worker_liveness_timeout = std::chrono::seconds(60);
     return config;
   }
 

@@ -179,10 +179,6 @@ ShardTask MakeTask() {
   task.shard = 7;
   task.attempt = 2;
   task.fault = ProcessFaultType::kWorkerCrash;
-  task.options.cluster_pages = false;
-  task.options.min_cluster_size = 9;
-  task.options.max_quarantine_fraction = 0.25;
-  task.options.shard_time_budget_ms = 1234;
   task.sites.push_back(
       ShardSite{"a.example",
                 {RawPage{"http://a/1", "<html>1</html>"},
@@ -198,10 +194,6 @@ TEST(PayloadTest, ShardTaskRoundTrips) {
   EXPECT_EQ(decoded->shard, 7);
   EXPECT_EQ(decoded->attempt, 2);
   EXPECT_EQ(decoded->fault, ProcessFaultType::kWorkerCrash);
-  EXPECT_FALSE(decoded->options.cluster_pages);
-  EXPECT_EQ(decoded->options.min_cluster_size, 9u);
-  EXPECT_EQ(decoded->options.max_quarantine_fraction, 0.25);
-  EXPECT_EQ(decoded->options.shard_time_budget_ms, 1234);
   ASSERT_EQ(decoded->sites.size(), 2u);
   EXPECT_EQ(decoded->sites[0].site, "a.example");
   ASSERT_EQ(decoded->sites[0].pages.size(), 2u);

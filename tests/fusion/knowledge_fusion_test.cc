@@ -280,31 +280,5 @@ TEST(KnowledgeFusionTest, ScoreBoundedAndMonotoneInConfidence) {
             FuseExtractions(high, ontology).triples[0].score);
 }
 
-TEST(KnowledgeFusionTest, ExpiredDeadlineDegradesGracefully) {
-  // The coordinator threads its run deadline into FusionConfig; an expired
-  // budget must stop ingestion and flag the result, never crash or loop.
-  Ontology ontology = MakeOntology();
-  std::vector<SiteExtractions> sites{
-      {"a.com", {Make("Film", 0, "Director X", 0.9)}},
-  };
-  FusionConfig config;
-  config.deadline = Deadline::After(std::chrono::milliseconds(0));
-  FusionResult result = FuseExtractions(sites, ontology, config);
-  EXPECT_TRUE(result.deadline_expired);
-  EXPECT_TRUE(result.triples.empty());
-  // Never-ingested sites get no (misleading) reliability row.
-  EXPECT_TRUE(result.sites.empty());
-}
-
-TEST(KnowledgeFusionTest, InfiniteDeadlineLeavesFlagClear) {
-  Ontology ontology = MakeOntology();
-  std::vector<SiteExtractions> sites{
-      {"a.com", {Make("Film", 0, "Director X", 0.9)}},
-  };
-  FusionResult result = FuseExtractions(sites, ontology);
-  EXPECT_FALSE(result.deadline_expired);
-  ASSERT_EQ(result.triples.size(), 1u);
-}
-
 }  // namespace
 }  // namespace ceres::fusion

@@ -41,8 +41,6 @@ TEST(CeresLintTest, EachKnownBadSnippetFiresExactlyOnce) {
   const KnownBad cases[] = {
       {"ignored_status.cc", "src/eval/ignored_status.cc", "ignored-status"},
       {"naked_mutex.cc", "src/serve/naked_mutex.cc", "naked-sync"},
-      {"missing_deadline.cc", "src/core/missing_deadline.h",
-       "config-deadline"},
       {"detached_thread.cc", "src/dom/detached_thread.cc", "thread-hygiene"},
       {"sleep_poll.cc", "src/robustness/sleep_poll.cc", "thread-hygiene"},
       {"raw_parallelism.cc", "src/core/raw_parallelism.cc",
@@ -81,7 +79,6 @@ TEST(CeresLintTest, WholeCorpusTotalsAcrossFiles) {
   std::vector<SourceFile> files = {
       {"src/eval/ignored_status.cc", ReadCorpus("ignored_status.cc")},
       {"src/serve/naked_mutex.cc", ReadCorpus("naked_mutex.cc")},
-      {"src/core/missing_deadline.h", ReadCorpus("missing_deadline.cc")},
       {"src/dom/detached_thread.cc", ReadCorpus("detached_thread.cc")},
       {"src/robustness/sleep_poll.cc", ReadCorpus("sleep_poll.cc")},
       {"src/core/raw_parallelism.cc", ReadCorpus("raw_parallelism.cc")},
@@ -100,18 +97,15 @@ TEST(CeresLintTest, WholeCorpusTotalsAcrossFiles) {
       {"src/dom/layer_violation.cc", ReadCorpus("layer_violation.cc")},
       {"src/serve/clean.cc", ReadCorpus("clean.cc")},
   };
-  EXPECT_EQ(Lint(files).size(), 14u);
+  EXPECT_EQ(Lint(files).size(), 13u);
 }
 
 TEST(CeresLintTest, ScopeGatesRules) {
   // The same content outside its rule's scope is silent: naked std::mutex
-  // is allowed off the serve path, sleeps are allowed in tests, and a
-  // Deadline-less Config struct is fine outside src/core + src/cluster.
+  // is allowed off the serve path, and sleeps are allowed in tests.
   EXPECT_TRUE(LintAs("naked_mutex.cc", "src/kb/naked_mutex.cc").empty());
   EXPECT_TRUE(
       LintAs("sleep_poll.cc", "tests/robustness/sleep_poll_test.cc").empty());
-  EXPECT_TRUE(
-      LintAs("missing_deadline.cc", "src/serve/missing_deadline.h").empty());
   // A hard-coded thread count is only policed in the batch-pipeline scope.
   EXPECT_TRUE(
       LintAs("raw_parallelism.cc", "src/serve/raw_parallelism.cc").empty());
@@ -189,23 +183,6 @@ TEST(CeresLintTest, RawSocketBansDescriptorCallsButNotPoll) {
   EXPECT_EQ(diagnostics[0].line, 3);
   EXPECT_EQ(diagnostics[1].rule, "raw-socket");
   EXPECT_EQ(diagnostics[1].line, 4);
-}
-
-TEST(CeresLintTest, ConfigDeadlineCoversFusionScope) {
-  // FusionConfig carries a Deadline since the dist coordinator threads its
-  // run deadline through fusion; the rule now polices src/fusion/ so that
-  // stays true.
-  const std::string content =
-      "namespace ceres::fusion {\n"
-      "struct RerankConfig {\n"
-      "  int iterations = 3;\n"
-      "};\n"
-      "}  // namespace ceres::fusion\n";
-  const std::vector<Diagnostic> diagnostics =
-      Lint({SourceFile{"src/fusion/rerank.h", content}});
-  ASSERT_EQ(diagnostics.size(), 1u);
-  EXPECT_EQ(diagnostics[0].rule, "config-deadline");
-  EXPECT_TRUE(Lint({SourceFile{"src/eval/rerank.h", content}}).empty());
 }
 
 TEST(CeresLintTest, RawProcessDistinguishesCallsFromNames) {

@@ -1,6 +1,6 @@
-// Micro-regression: a default Deadline, PipelineConfig or ServeRequest is
-// built per stage, per run and per request, so constructing one must not
-// touch the heap. This binary links the counting allocator
+// Micro-regression: a default PipelineConfig is built per run, and a
+// default ServeRequest and its Deadline per request, so constructing one
+// must not touch the heap. This binary links the counting allocator
 // (util/alloc_counter.h); under sanitizers the counter is compiled out and
 // the test skips itself.
 

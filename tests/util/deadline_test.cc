@@ -39,7 +39,6 @@ TEST(DeadlineTest, HugeBudgetNeverExpires) {
                             Deadline::After(hours::max())}) {
     EXPECT_FALSE(deadline.expired());
     EXPECT_TRUE(deadline.Check("stage").ok());
-    EXPECT_TRUE(Deadline::After(milliseconds(0)).Earlier(deadline).expired());
   }
 }
 
@@ -47,14 +46,6 @@ TEST(DeadlineTest, ShortBudgetExpiresOverTime) {
   Deadline deadline = Deadline::After(milliseconds(5));
   std::this_thread::sleep_for(milliseconds(20));
   EXPECT_TRUE(deadline.expired());
-}
-
-TEST(DeadlineTest, EarlierPicksTheStricterBound) {
-  Deadline loose = Deadline::After(hours(1));
-  Deadline strict = Deadline::After(milliseconds(0));
-  EXPECT_TRUE(loose.Earlier(strict).expired());
-  EXPECT_TRUE(strict.Earlier(loose).expired());
-  EXPECT_FALSE(loose.Earlier(Deadline()).expired());
 }
 
 }  // namespace

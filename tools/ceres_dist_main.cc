@@ -7,9 +7,11 @@
 // Generates a synthetic SWDE movie corpus, runs it through the
 // distributed coordinator on forked worker processes, one shard per site
 // (optionally with injected worker crashes/hangs on that fraction of the
-// shards), reruns it single-process, and verifies the merged extractions
-// are byte-identical for non-quarantined shards. Exit 0 iff every check
-// holds.
+// shards), and reruns it single-process. It checks that every completed
+// site's extractions are byte-identical to the single-process run's, that
+// every planned crash was retried, and that no shard was quarantined or
+// left unfinished except by a fault planned on each of its attempts. Exit
+// 0 iff every check holds.
 //
 // A malformed or out-of-range numeric flag value (--workers below 1, a
 // rate outside [0, 1], --scale <= 0) prints the usage and exits 2.
@@ -89,21 +91,34 @@ bool ParseArgs(int argc, char** argv, Options* options) {
   return true;
 }
 
-bool SameExtractions(const std::vector<fusion::SiteExtractions>& a,
-                     const std::vector<fusion::SiteExtractions>& b) {
+bool SameExtractions(const std::vector<Extraction>& a,
+                     const std::vector<Extraction>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].site != b[i].site) return false;
-    if (a[i].extractions.size() != b[i].extractions.size()) return false;
-    for (size_t j = 0; j < a[i].extractions.size(); ++j) {
-      const Extraction& x = a[i].extractions[j];
-      const Extraction& y = b[i].extractions[j];
-      if (x.page != y.page || x.node != y.node ||
-          x.predicate != y.predicate || x.subject != y.subject ||
-          x.object != y.object || x.confidence != y.confidence) {
-        return false;
-      }
+    const Extraction& x = a[i];
+    const Extraction& y = b[i];
+    if (x.page != y.page || x.node != y.node || x.predicate != y.predicate ||
+        x.subject != y.subject || x.object != y.object ||
+        x.confidence != y.confidence) {
+      return false;
     }
+  }
+  return true;
+}
+
+/// True when every site of `got` has exactly the extractions of its entry
+/// in `reference`. Both are in corpus order; `got` lacks the sites of lost
+/// shards.
+bool MatchesReference(const std::vector<fusion::SiteExtractions>& got,
+                      const std::vector<fusion::SiteExtractions>& reference) {
+  size_t r = 0;
+  for (const fusion::SiteExtractions& site : got) {
+    while (r < reference.size() && reference[r].site != site.site) ++r;
+    if (r == reference.size() ||
+        !SameExtractions(site.extractions, reference[r].extractions)) {
+      return false;
+    }
+    ++r;
   }
   return true;
 }
@@ -139,10 +154,10 @@ int Run(const Options& options) {
     config.faults.faults.insert(config.faults.faults.end(), hangs.begin(),
                                 hangs.end());
   }
-  // The watchdog cannot tell "hung" from "computing": its timeout must
-  // exceed the slowest shard's, that is one site's, pipeline time. The
-  // default 2 s clears the synthetic sites comfortably at these scales;
-  // each injected hang then costs one timeout to reclaim.
+  // The watchdog reclaims a worker only once it has used next to no CPU
+  // for a whole liveness timeout (2 s by default), so a site that computes
+  // for longer is never taken for a hang, at any scale. Each injected hang
+  // costs about one timeout to reclaim.
 
   Result<dist::DistResult> distributed = dist::RunDistributedExtraction(
       sites, corpus.seed_kb, corpus.seed_kb.ontology(), config);
@@ -152,10 +167,8 @@ int Run(const Options& options) {
     return 1;
   }
 
-  dist::DistConfig reference_config;
-  reference_config.pipeline = config.pipeline;
   Result<dist::DistResult> reference = dist::RunSingleProcess(
-      sites, corpus.seed_kb, corpus.seed_kb.ontology(), reference_config);
+      sites, corpus.seed_kb, corpus.seed_kb.ontology());
   if (!reference.ok()) {
     std::fprintf(stderr, "single-process run: %s\n",
                  reference.status().ToString().c_str());
@@ -180,14 +193,33 @@ int Run(const Options& options) {
   }
 
   bool ok = true;
-  if (diag.quarantined_shards.empty() && diag.unfinished_shards.empty()) {
-    if (!SameExtractions(distributed->site_extractions,
-                         reference->site_extractions)) {
+  if (!MatchesReference(distributed->site_extractions,
+                        reference->site_extractions)) {
+    std::fprintf(stderr,
+                 "FAIL: distributed merge differs from single-process "
+                 "reference\n");
+    ok = false;
+  }
+  // A lost shard is explained only by a fault planned on every attempt it
+  // made. No deadline is set here, so no shard may be left unfinished.
+  for (const dist::QuarantinedShard& q : diag.quarantined_shards) {
+    bool planned = true;
+    for (int attempt = 1; attempt <= q.attempts; ++attempt) {
+      planned = planned && config.faults.FaultFor(q.shard, attempt) !=
+                               ProcessFaultType::kNone;
+    }
+    if (!planned) {
       std::fprintf(stderr,
-                   "FAIL: distributed merge differs from single-process "
-                   "reference\n");
+                   "FAIL: shard %d (%s) quarantined with no planned fault: "
+                   "%s\n",
+                   q.shard, q.site.c_str(), q.last_error.ToString().c_str());
       ok = false;
     }
+  }
+  if (!diag.unfinished_shards.empty()) {
+    std::fprintf(stderr, "FAIL: %zu shards unfinished\n",
+                 diag.unfinished_shards.size());
+    ok = false;
   }
   // Every planned crash fires on its shard's first attempt and must have
   // been retried through. A shard resumed from its checkpoint ran no

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <thread>
 
-#include "util/deadline.h"
 #include "util/status.h"
 #include "util/sync.h"
 
@@ -14,7 +13,6 @@ namespace ceres::serve {
 
 struct ReplayConfig {
   int rate_limit_qps = 100;
-  Deadline deadline;
 };
 
 Status Warm();

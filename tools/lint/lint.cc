@@ -314,15 +314,6 @@ bool IsCheckedSyncScope(const std::string& path) {
          EndsWith(path, "util/parallel.h");
 }
 
-/// Pipeline-stage configuration scope for the config-deadline rule.
-/// src/fusion/ is included: fusion is the last pipeline stage and its
-/// config must be interruptible like any other (FusionConfig::deadline).
-bool IsStageConfigScope(const std::string& path) {
-  return PathContains(path, "src/core/") ||
-         PathContains(path, "src/cluster/") ||
-         PathContains(path, "src/fusion/");
-}
-
 /// Process-lifecycle scope for the raw-process rule: src/dist/ owns every
 /// fork/exec/kill/waitpid in the tree, so worker lifetimes always flow
 /// through the coordinator's watchdog, reaping, and restart accounting.
@@ -589,36 +580,6 @@ void CheckThreadHygiene(const SourceFile& source, const TokenizedFile& file,
           text + " polling in non-test code; wait on a condition variable "
                  "or future instead of sleeping"});
     }
-  }
-}
-
-void CheckConfigDeadline(const SourceFile& source, const TokenizedFile& file,
-                         std::vector<Diagnostic>* out) {
-  if (!IsStageConfigScope(source.path)) return;
-  const std::vector<Token>& tokens = file.tokens;
-  for (size_t i = 0; i + 2 < tokens.size(); ++i) {
-    if (tokens[i].is_literal || tokens[i].text != "struct") continue;
-    if (!IsIdent(tokens[i + 1]) || !EndsWith(tokens[i + 1].text, "Config")) {
-      continue;
-    }
-    if (tokens[i + 2].text != "{") continue;
-    size_t j = i + 3;
-    int depth = 1;
-    bool has_deadline = false;
-    while (j < tokens.size() && depth > 0) {
-      if (!tokens[j].is_literal) {
-        if (tokens[j].text == "{") ++depth;
-        if (tokens[j].text == "}") --depth;
-        if (tokens[j].text == "Deadline") has_deadline = true;
-      }
-      ++j;
-    }
-    if (has_deadline) continue;
-    out->push_back(Diagnostic{
-        source.path, tokens[i].line, "config-deadline",
-        "pipeline-stage config struct '" + tokens[i + 1].text +
-            "' carries no Deadline member; every stage config must be "
-            "cooperatively interruptible (util/deadline.h)"});
   }
 }
 
@@ -1203,9 +1164,9 @@ std::vector<Diagnostic> FilterSuppressionsAndAudit(
     std::vector<Diagnostic> raw) {
   static const std::set<std::string> kKnownRules = {
       "ignored-status", "naked-sync",      "thread-hygiene",
-      "config-deadline", "raw-parallelism", "raw-timing",
-      "raw-process",     "raw-socket",      "layer-violation",
-      "hot-alloc",       "blocking-in-loop"};
+      "raw-parallelism", "raw-timing",     "raw-process",
+      "raw-socket",      "layer-violation", "hot-alloc",
+      "blocking-in-loop"};
   std::unordered_map<std::string, const TokenizedFile*> by_path;
   for (size_t i = 0; i < files.size(); ++i) {
     by_path.emplace(files[i].path, &tokenized[i]);
@@ -1342,7 +1303,6 @@ std::vector<Diagnostic> Lint(const std::vector<SourceFile>& files,
     CheckIgnoredStatus(files[i], tokenized[i], status_fns, &diagnostics);
     CheckNakedSync(files[i], tokenized[i], &diagnostics);
     CheckThreadHygiene(files[i], tokenized[i], &diagnostics);
-    CheckConfigDeadline(files[i], tokenized[i], &diagnostics);
     CheckRawParallelism(files[i], tokenized[i], &diagnostics);
     CheckRawTiming(files[i], tokenized[i], &diagnostics);
     CheckRawProcess(files[i], tokenized[i], &diagnostics);

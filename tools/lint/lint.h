@@ -36,8 +36,6 @@
 ///                    participates in lock-order deadlock detection.
 ///   thread-hygiene   `std::thread::detach()` or `sleep_for`/`sleep_until`
 ///                    polling in non-test code.
-///   config-deadline  A `*Config` struct in src/core/, src/cluster/, or
-///                    src/fusion/ without a `Deadline` member.
 ///   raw-parallelism  Raw `std::thread`, a `ParallelFor` call with a bare
 ///                    numeric thread count, or `ParallelConfig{<number>}`
 ///                    in src/core/.
